@@ -9,8 +9,6 @@ check or non-convergent solver, 2 bad arguments (nothing written).
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 
@@ -35,12 +33,11 @@ from .spectral import (
 )
 from .tableau import (
     HbvmSpec,
+    _dump_json,
     hbvm_tableau,
     tableau_from_json,
     tableau_to_json,
 )
-
-_FMT = ".17g"
 
 
 def _color(text: str, code: str) -> str:
@@ -51,44 +48,6 @@ def _color(text: str, code: str) -> str:
 
 def _ok(flag: bool) -> str:
     return _color("PASS", "32") if flag else _color("FAIL", "31")
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not serialisable: {type(obj)}")
-
-
-def _dump_json(obj) -> str:
-    # json never calls default() for floats, so round-trip formatting is
-    # applied by pre-rendering them as fixed-width literals.
-    def render(x):
-        if isinstance(x, float):
-            if math.isfinite(x):
-                return format(x, _FMT)
-            return json.dumps(x)  # Infinity / NaN, json module convention
-        if isinstance(x, bool) or x is None:
-            return json.dumps(x)
-        if isinstance(x, (int, str)):
-            return json.dumps(x)
-        if isinstance(x, complex):
-            return render([x.real, x.imag])
-        if isinstance(x, (np.floating, np.integer, np.complexfloating)):
-            return render(x.item())
-        if isinstance(x, np.ndarray):
-            return render(x.tolist())
-        if isinstance(x, dict):
-            items = ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in x.items())
-            return "{" + items + "}"
-        if isinstance(x, (list, tuple)):
-            return "[" + ", ".join(render(v) for v in x) + "]"
-        raise TypeError(f"not serialisable: {type(x)}")
-
-    return render(obj) + "\n"
 
 
 def _write(path: str | None, text: str) -> None:

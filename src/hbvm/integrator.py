@@ -15,7 +15,14 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .tableau import ButcherTableau, HbvmSpec, abscissae, basis_matrices, hbvm_tableau
+from .tableau import (
+    ButcherTableau,
+    HbvmSpec,
+    _format_real,
+    abscissae,
+    basis_matrices,
+    hbvm_tableau,
+)
 
 __all__ = [
     "HamiltonianSystem",
@@ -390,9 +397,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     header = "t," + ",".join(f"y_{i + 1}" for i in range(dim)) + ",H,iters"
     lines = [header]
     for n in range(traj.times.size):
-        cells = [format(traj.times[n], ".17g")]
-        cells += [format(v, ".17g") for v in traj.states[n]]
-        cells.append(format(traj.energies[n], ".17g"))
+        cells = [_format_real(traj.times[n])]
+        cells += [_format_real(v) for v in traj.states[n]]
+        cells.append(_format_real(traj.energies[n]))
         cells.append(str(int(traj.iteration_counts[n])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,6 @@
-"""Eigenvalue machinery for small dense matrices and the structural checks
-on the constructed tableaux: spectrum classification against the order-2s
-reference matrix, invariant-subspace and basis-transform residuals, and
-linear-stability scans.
+"""Structural checks on the constructed tableaux: spectrum classification
+against the order-2s reference matrix (eigenvalues from numpy), invariant-
+subspace and basis-transform residuals, and linear-stability scans.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import AbscissaeSystem, NodeFamily, eval_orthonormal, random_custom_system
-from .spectral_qr import EigenConvergenceError, eigenvalues
 from .tableau import (
     ButcherTableau,
     HbvmSpec,
@@ -26,7 +24,6 @@ from .tableau import (
 )
 
 __all__ = [
-    "EigenConvergenceError",
     "PoleError",
     "SpectrumReport",
     "StabilityScan",
@@ -48,6 +45,14 @@ ZERO_EIG_REL_TOL = 1e-8
 
 class PoleError(ArithmeticError):
     """The linear-stability resolvent is singular at the sampled point."""
+
+
+def eigenvalues(M) -> np.ndarray:
+    """All eigenvalues of a real square matrix, sorted by (real, imag)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    return np.sort_complex(np.linalg.eigvals(M))
 
 
 @dataclass(frozen=True)
@@ -176,15 +181,32 @@ def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
     return res_gram, res_similarity
 
 
+def _stability_values(tab: ButcherTableau, z: np.ndarray):
+    """R(z) = 1 + z b^T (I - z A)^{-1} 1 at every point of the 1-d array z,
+    from one stacked solve.
+
+    Returns (R, pole): pole marks the points where I - z A is singular,
+    found with the same LU that solve uses; R is NaN there.
+    """
+    M = np.eye(tab.k) - z[:, None, None] * tab.A
+    pole = np.linalg.det(M) == 0
+    M = M[~pole]
+    # The right-hand side is a stack of k x 1 matrices, as many dimensions
+    # as M, so every numpy version reads it the same way.
+    w = np.linalg.solve(M, np.ones(M.shape[:-1] + (1,)))
+    R = np.full(z.shape, np.nan, dtype=complex)
+    # Row sums rather than matmul: a point's value must not depend on the
+    # size of the batch it is solved in.
+    R[~pole] = 1.0 + z[~pole] * np.sum(w[:, :, 0] * tab.b, axis=1)
+    return R, pole
+
+
 def stability_function(tab: ButcherTableau, z: complex) -> complex:
     """Linear-stability value R(z) = 1 + z b^T (I - z A)^{-1} 1."""
-    k = tab.k
-    M = np.eye(k, dtype=complex) - z * tab.A
-    try:
-        w = np.linalg.solve(M, np.ones(k, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"resolvent singular at z = {z}") from exc
-    return complex(1.0 + z * np.dot(tab.b, w))
+    R, pole = _stability_values(tab, np.array([z], dtype=complex))
+    if pole[0]:
+        raise PoleError(f"resolvent singular at z = {z}")
+    return complex(R[0])
 
 
 @dataclass(frozen=True)
@@ -210,26 +232,18 @@ def a_stability_scan(tab: ButcherTableau, n_imag: int = 200,
     [1e-3, 1e3]; the half-plane grid crosses n_lhp log-spaced negative real
     parts with symmetric log-spaced imaginary parts.
     """
-    poles = []
-    imag_dev = 0.0
-    for y in np.logspace(-3.0, 3.0, n_imag):
-        try:
-            imag_dev = max(imag_dev, abs(abs(stability_function(tab, 1j * y)) - 1.0))
-        except PoleError:
-            poles.append(1j * y)
-    re = -np.logspace(-3.0, 3.0, n_lhp)
+    axis = 1j * np.logspace(-3.0, 3.0, n_imag)
     im_half = np.logspace(-3.0, 3.0, n_lhp)
     im = np.concatenate((-im_half[::-1], [0.0], im_half))
-    lhp_max = 0.0
-    for x in re:
-        for y in im:
-            try:
-                lhp_max = max(lhp_max, abs(stability_function(tab, complex(x, y))))
-            except PoleError:
-                poles.append(complex(x, y))
+    lhp = (-im_half[:, None] + 1j * im).ravel()
+    R_axis, axis_pole = _stability_values(tab, axis)
+    R_lhp, lhp_pole = _stability_values(tab, lhp)
+    imag_dev = np.max(np.abs(np.abs(R_axis[~axis_pole]) - 1.0), initial=0.0)
+    lhp_max = np.max(np.abs(R_lhp[~lhp_pole]), initial=0.0)
+    poles = np.concatenate((axis[axis_pole], lhp[lhp_pole]))
     return StabilityScan(imag_axis_max_deviation=float(imag_dev),
                          lhp_max_modulus=float(lhp_max),
-                         poles=tuple(poles))
+                         poles=tuple(complex(p) for p in poles))
 
 
 # ---------------------------------------------------------------------------

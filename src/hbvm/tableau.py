@@ -6,6 +6,7 @@ structural matrices that carry the Gauss spectrum.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,9 @@ __all__ = [
     "tableau_from_json",
 ]
 
-# Supported envelope: dense storage and the desk-scale eigensolver cap.
+# Supported envelope.  The stage cap stays because the Lobatto root-residual
+# bound is absolute (P'_n grows like n^2) and seeded custom nodes fail the
+# weight-sum check by k = 24.
 MAX_STAGES = 12
 MAX_DEGREE = 6
 
@@ -219,28 +222,48 @@ def xtilde_matrix(s: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialisation.  Reals are written with 17 significant digits so files
+# Serialisation.  Reals are written with 17 significant digits so files
 # round-trip float64 exactly.
 
 
-def _fmt(x: float) -> str:
+def _format_real(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _dump_json(obj) -> str:
+    """JSON text for dicts, lists, tuples, arrays, scalars and complex
+    numbers ([re, im]); ends with a newline."""
+    # json never calls default() for floats, so round-trip formatting is
+    # applied by pre-rendering them as literals.
+    def render(x):
+        if isinstance(x, float):
+            if math.isfinite(x):
+                return _format_real(x)
+            return json.dumps(x)  # Infinity / NaN, json module convention
+        if isinstance(x, bool) or x is None:
+            return json.dumps(x)
+        if isinstance(x, (int, str)):
+            return json.dumps(x)
+        if isinstance(x, complex):
+            return render([x.real, x.imag])
+        if isinstance(x, (np.floating, np.integer, np.complexfloating)):
+            return render(x.item())
+        if isinstance(x, np.ndarray):
+            return render(x.tolist())
+        if isinstance(x, dict):
+            items = ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in x.items())
+            return "{" + items + "}"
+        if isinstance(x, (list, tuple)):
+            return "[" + ", ".join(render(v) for v in x) + "]"
+        raise TypeError(f"not serialisable: {type(x)}")
+
+    return render(obj) + "\n"
 
 
 def tableau_to_json(tab: ButcherTableau) -> str:
     """Serialise a tableau; ends with a newline."""
-    rows = ",\n    ".join(
-        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in tab.A
-    )
-    parts = [
-        f'"k": {tab.k}',
-        f'"s": {"null" if tab.s is None else tab.s}',
-        f'"family": {json.dumps(tab.family)}',
-        '"c": [' + ", ".join(_fmt(v) for v in tab.c) + "]",
-        '"b": [' + ", ".join(_fmt(v) for v in tab.b) + "]",
-        '"A": [\n    ' + rows + "\n  ]",
-    ]
-    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    return _dump_json({"k": tab.k, "s": tab.s, "family": tab.family,
+                       "c": tab.c, "b": tab.b, "A": tab.A})
 
 
 def tableau_from_json(text: str) -> ButcherTableau:

@@ -16,8 +16,7 @@ from hbvm.spectral import (
     verification_sweep,
     w_transform_check,
 )
-from hbvm.spectral_qr import EigenConvergenceError
-from hbvm.tableau import HbvmSpec, hbvm_tableau, xs_matrix
+from hbvm.tableau import ButcherTableau, HbvmSpec, hbvm_tableau, xs_matrix
 
 
 def greedy_distance(found, reference):
@@ -80,9 +79,9 @@ class TestEigenvalues:
             scale = max(1.0, float(np.linalg.norm(M)))
             assert greedy_distance(eigenvalues(M), ref) <= 1e-11 * scale
 
-    def test_rejects_large_matrices(self):
+    def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            eigenvalues(np.eye(13))
+            eigenvalues(np.ones((2, 3)))
 
     def test_nilpotent(self):
         N = np.diag(np.ones(3), 1)
@@ -172,7 +171,6 @@ class TestStabilityFunction:
         for s in (1, 2, 3):
             mine = hbvm_tableau(HbvmSpec(s, s))
             c, A, b = numpy_gauss_tableau(s)
-            from hbvm.tableau import ButcherTableau
             classical = ButcherTableau(c=c, A=A, b=b)
             for _ in range(20):
                 z = complex(rng.uniform(-3, 1), rng.uniform(-3, 3))
@@ -201,6 +199,18 @@ class TestAStability:
         assert scan.lhp_max_modulus <= 1.0 + 1e-10
         assert not scan.poles
 
+    def test_pole_on_grid_is_recorded(self):
+        # R(z) = 1 + z / (1 + z) has its pole at z = -1, a grid point.
+        tab = ButcherTableau(c=[1.0], A=[[-1.0]], b=[1.0])
+        assert a_stability_scan(tab).poles == ((-1 + 0j),)
+
+    def test_axis_deviation_matches_pointwise_values(self):
+        tab = hbvm_tableau(HbvmSpec(6, 3, NodeFamily.LOBATTO))
+        pointwise = np.array([stability_function(tab, 1j * y)
+                              for y in np.logspace(-3.0, 3.0, 200)])
+        assert (a_stability_scan(tab).imag_axis_max_deviation
+                == np.max(np.abs(np.abs(pointwise) - 1.0)))
+
 
 def test_verification_sweep_shape_and_order():
     entries = verification_sweep(smax=2, kmax=5, tol=1e-10, seed=42)
@@ -213,7 +223,3 @@ def test_verification_sweep_shape_and_order():
     custom = [e for e in entries if e["spec"]["family"] == "custom"]
     assert custom and all(e["wtransform_residuals"] is None for e in custom)
     assert {e["spec"]["seed"] for e in custom} == {42, 43, 44}
-
-
-def test_eigen_convergence_error_type():
-    assert issubclass(EigenConvergenceError, RuntimeError)
