@@ -3,6 +3,8 @@
 from .legendre import (
     AbscissaeSystem,
     NodeFamily,
+    basis_integrals,
+    basis_values,
     custom_system,
     eval_orthonormal,
     exactness_degree,

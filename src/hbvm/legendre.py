@@ -2,8 +2,11 @@
 
 The basis is indexed from 1: the j-th member has degree j - 1 and unit L2
 norm on [0, 1].  Everything downstream (tableau construction, spectral
-checks) is built on these evaluations, their exact antiderivatives, and
-Gauss / Lobatto / custom interpolatory quadrature rules.
+checks) is built on the matrices of these evaluations and of their exact
+antiderivatives at the nodes (basis_values, basis_integrals).  Gauss and
+Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
+custom interpolatory weights and collocation matrices are solved in the
+same basis.
 """
 
 from __future__ import annotations
@@ -17,17 +20,16 @@ import numpy as np
 __all__ = [
     "NodeFamily",
     "AbscissaeSystem",
-    "RootConvergenceError",
     "eval_orthonormal",
     "integral_orthonormal",
+    "basis_values",
+    "basis_integrals",
     "xi",
     "gauss_system",
     "lobatto_system",
     "custom_system",
     "random_custom_system",
     "interpolatory_weights",
-    "lagrange_basis_values",
-    "lagrange_partial_integrals",
     "exactness_degree",
 ]
 
@@ -39,10 +41,6 @@ class NodeFamily(str, Enum):
     GAUSS = "gauss"
     LOBATTO = "lobatto"
     CUSTOM = "custom"
-
-
-class RootConvergenceError(RuntimeError):
-    """Newton iteration for quadrature nodes failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,8 @@ class AbscissaeSystem:
         object.__setattr__(self, "omega", omega)
         if tau.ndim != 1 or tau.shape != omega.shape:
             raise ValueError("tau and omega must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(omega))):
+            raise ValueError("nodes and weights must be finite")
         if np.any(np.diff(tau) <= 0):
             raise ValueError("nodes must be strictly increasing")
         low = 0.0 if self.family is NodeFamily.LOBATTO else np.nextafter(0.0, 1.0)
@@ -129,62 +129,30 @@ def _check_index(j: int) -> None:
         raise ValueError(f"basis index must be an integer >= 1, got {j!r}")
 
 
+def basis_values(tau, n: int) -> np.ndarray:
+    """(len(tau), n) matrix of the first n basis polynomials at the points tau."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    return np.column_stack([eval_orthonormal(j, tau) for j in range(1, n + 1)])
+
+
+def basis_integrals(tau, n: int) -> np.ndarray:
+    """(len(tau), n) matrix of the first n basis antiderivatives from 0 to tau."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    return np.column_stack([integral_orthonormal(j, tau) for j in range(1, n + 1)])
+
+
 # ---------------------------------------------------------------------------
-# Node systems.  Root finding runs on [-1, 1] with classical (unnormalised)
-# Legendre polynomials, then maps to [0, 1].
-
-
-def _legendre_value_and_derivative(n: int, x: np.ndarray):
-    """Values of P_n, P_{n-1} and P_n' on [-1, 1] (classical normalisation).
-
-    The derivative entry is only meaningful away from the endpoints; it is
-    set to 0 there (callers never use it at |x| = 1).
-    """
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    for m in range(1, n + 1):
-        p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
-    den = 1.0 - x * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dp = np.where(den != 0.0, n * (p_prev - x * p) / den, 0.0)
-    return p, p_prev, dp
-
-
-def _newton_nodes(guess, fun, max_iter: int = 100, step_tol: float = 1e-15):
-    """Vectorised Newton iteration; fun(x) returns (residual, derivative)."""
-    x = np.array(guess, dtype=float)
-    for _ in range(max_iter):
-        f, df = fun(x)
-        step = f / df
-        x -= step
-        if np.max(np.abs(step)) <= step_tol:
-            return x
-    raise RootConvergenceError("node iteration did not converge in "
-                               f"{max_iter} steps")
+# Node systems.  Gauss and Lobatto rules are computed on [-1, 1] from the
+# eigenvalues of symmetric Jacobi matrices (Golub-Welsch), then mapped to
+# [0, 1].
 
 
 def gauss_system(k: int) -> AbscissaeSystem:
     """Gauss-Legendre nodes and weights on [0, 1]; exact through degree 2k-1."""
     if k < 1:
         raise ValueError("gauss_system requires k >= 1")
-    # Chebyshev-based initial guesses, descending in x.
-    i = np.arange(1, k + 1)
-    guess = np.cos(np.pi * (4 * i - 1) / (4 * k + 2))
-
-    def residual(x):
-        p, _, dp = _legendre_value_and_derivative(k, x)
-        return p, dp
-
-    x = _newton_nodes(guess, residual)
-    p, _, dp = _legendre_value_and_derivative(k, x)
-    if np.max(np.abs(p)) > 1e-12:
-        raise RootConvergenceError("Gauss node residual above tolerance")
-    tau = np.sort((x + 1.0) / 2.0)
-    # Standard derivative formula mapped to [0, 1]; the shifted-polynomial
-    # derivative is 2 P_k'(x), so omega = 1 / (tau (1 - tau) (2 P_k')^2).
-    _, _, dp = _legendre_value_and_derivative(k, 2.0 * tau - 1.0)
-    omega = 1.0 / (tau * (1.0 - tau) * (2.0 * dp) ** 2)
-    return AbscissaeSystem(tau, omega, NodeFamily.GAUSS)
+    x, w = np.polynomial.legendre.leggauss(k)
+    return AbscissaeSystem((x + 1.0) / 2.0, w / 2.0, NodeFamily.GAUSS)
 
 
 def lobatto_system(k: int) -> AbscissaeSystem:
@@ -192,27 +160,17 @@ def lobatto_system(k: int) -> AbscissaeSystem:
     if k < 2:
         raise ValueError("lobatto_system requires k >= 2")
     n = k - 1
-    if k == 2:
-        x = np.array([-1.0, 1.0])
-    else:
-        # Interior nodes are the roots of P_{k-1}'; start from Chebyshev
-        # extrema and iterate on the derivative.
-        guess = np.cos(np.pi * np.arange(1, k - 1) / n)
-
-        def residual(x):
-            p, _, dp = _legendre_value_and_derivative(n, x)
-            ddp = (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
-            return dp, ddp
-
-        interior = _newton_nodes(guess, residual)
-        _, _, dp = _legendre_value_and_derivative(n, interior)
-        if np.max(np.abs(dp)) > 1e-11:
-            raise RootConvergenceError("Lobatto node residual above tolerance")
-        x = np.concatenate(([-1.0], np.sort(interior), [1.0]))
-    tau = (x + 1.0) / 2.0
-    p, _, _ = _legendre_value_and_derivative(n, x)
+    # Interior nodes are the roots of P_n', i.e. the Gauss nodes of the
+    # weight 1 - x^2, whose Jacobi matrix has a zero diagonal.  It is built
+    # at its true size k - 2, so k = 2 has no interior node.
+    j = np.arange(1, k - 2)
+    off = np.sqrt(j * (j + 2) / ((2 * j + 1) * (2 * j + 3)))
+    J = np.zeros((k - 2, k - 2))
+    J[j - 1, j] = J[j, j - 1] = off
+    x = np.concatenate(([-1.0], np.linalg.eigvalsh(J), [1.0]))
+    p = np.polynomial.legendre.legval(x, [0.0] * n + [1.0])
     omega = 1.0 / (k * n * p ** 2)
-    return AbscissaeSystem(tau, omega, NodeFamily.LOBATTO)
+    return AbscissaeSystem((x + 1.0) / 2.0, omega, NodeFamily.LOBATTO)
 
 
 def custom_system(nodes) -> AbscissaeSystem:
@@ -225,8 +183,9 @@ def custom_system(nodes) -> AbscissaeSystem:
 def random_custom_system(k: int, seed: int) -> AbscissaeSystem:
     """Seeded random node set: one node jittered inside each of k bins.
 
-    The jitter keeps a minimum separation of 0.6/k, so the Lagrange-basis
-    expansions stay well conditioned up to the supported stage counts.
+    The jitter keeps a minimum separation of 0.6/k, so the basis matrix
+    behind the interpolatory weights stays well conditioned up to the
+    supported stage counts.
     """
     rng = np.random.default_rng(seed)
     i = np.arange(1, k + 1)
@@ -234,46 +193,18 @@ def random_custom_system(k: int, seed: int) -> AbscissaeSystem:
     return custom_system(tau)
 
 
-def lagrange_basis_values(tau, x) -> np.ndarray:
-    """Cardinal-polynomial values L[i, j] = ell_j(x[i]) in product form."""
-    tau = np.asarray(tau, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k = tau.size
-    if np.unique(tau).size != k:
-        raise ValueError("nodes must be pairwise distinct")
-    L = np.ones((x.size, k))
-    for j in range(k):
-        for i in range(k):
-            if i != j:
-                L[:, j] *= (x - tau[i]) / (tau[j] - tau[i])
-    return L
-
-
-def lagrange_partial_integrals(tau, uppers) -> np.ndarray:
-    """Integrals of each cardinal polynomial from 0 to every upper limit.
-
-    Row r holds (integral of ell_j from 0 to uppers[r]) for j = 1..k.  Each
-    integral is a Gauss rule of more than sufficient order mapped onto
-    [0, upper], so it is exact for the degree k-1 integrand; the product
-    form of the cardinal polynomials keeps the evaluation well conditioned
-    where monomial expansion is not.
-    """
-    tau = np.asarray(tau, dtype=float)
-    uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
-    rule = gauss_system(tau.size // 2 + 2)
-    out = np.empty((uppers.size, tau.size))
-    for r, upper in enumerate(uppers):
-        L = lagrange_basis_values(tau, upper * rule.tau)
-        out[r] = upper * (rule.omega @ L)
-    return out
-
-
 def interpolatory_weights(tau) -> np.ndarray:
-    """Weights integrating the Lagrange basis over [0, 1]; exact for k-1."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0) or np.any(tau > 1.0):
-        raise ValueError("nodes must lie in [0, 1]")
-    return lagrange_partial_integrals(tau, 1.0)[0]
+    """Weights exact for degree k-1 at k nodes: the solution of
+    P_k^T omega = e_1, since only the first basis polynomial has a nonzero
+    mean on [0, 1]."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
+        raise ValueError("nodes must be finite and lie in [0, 1]")
+    if np.unique(tau).size != tau.size:
+        raise ValueError("nodes must be pairwise distinct")
+    e1 = np.zeros(tau.size)
+    e1[0] = 1.0
+    return np.linalg.solve(basis_values(tau, tau.size).T, e1)
 
 
 def exactness_degree(sys: AbscissaeSystem, tol: float = 1e-9) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import AbscissaeSystem, NodeFamily, eval_orthonormal, random_custom_system
+from .legendre import AbscissaeSystem, NodeFamily, basis_values, random_custom_system
 from .tableau import (
     ButcherTableau,
     HbvmSpec,
@@ -141,10 +141,6 @@ def invariant_subspace_residual(spec: HbvmSpec) -> float:
     return float(np.max(np.abs(R)))
 
 
-def _full_basis_matrix(sys: AbscissaeSystem) -> np.ndarray:
-    return np.column_stack([eval_orthonormal(j, sys.tau) for j in range(1, sys.k + 1)])
-
-
 def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
     """Residuals of the two block-structure identities under the enlarged
     basis matrix P (all k basis polynomials at the nodes).
@@ -159,7 +155,7 @@ def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
     k = sys.k
     if not 1 <= s <= k:
         raise ValueError("need 1 <= s <= k")
-    P = _full_basis_matrix(sys)
+    P = basis_values(sys.tau, k)
     G = P.T @ np.diag(sys.omega) @ P
     E1 = np.zeros_like(G)
     E1[:s, :s] = np.eye(s)

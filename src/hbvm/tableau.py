@@ -14,12 +14,11 @@ import numpy as np
 from .legendre import (
     AbscissaeSystem,
     NodeFamily,
+    basis_integrals,
+    basis_values,
     custom_system,
-    eval_orthonormal,
     exactness_degree,
     gauss_system,
-    integral_orthonormal,
-    lagrange_partial_integrals,
     lobatto_system,
     xi,
 )
@@ -42,9 +41,8 @@ __all__ = [
     "tableau_from_json",
 ]
 
-# Supported envelope.  The stage cap stays because the Lobatto root-residual
-# bound is absolute (P'_n grows like n^2) and seeded custom nodes fail the
-# weight-sum check by k = 24.
+# Supported envelope.  The stage cap stays because the interpolatory
+# weights of seeded custom nodes fail the weight-sum check by k = 24.
 MAX_STAGES = 12
 MAX_DEGREE = 6
 
@@ -138,9 +136,9 @@ def basis_matrices(sys: AbscissaeSystem, s: int) -> BasisMatrices:
     """Evaluate the basis and its antiderivatives on the node system."""
     if not 1 <= s <= sys.k:
         raise ValueError("need 1 <= s <= k")
-    P_s1 = np.column_stack([eval_orthonormal(j, sys.tau) for j in range(1, s + 2)])
-    I_s = np.column_stack([integral_orthonormal(j, sys.tau) for j in range(1, s + 1)])
-    return BasisMatrices(P_s=P_s1[:, :s], P_s1=P_s1, I_s=I_s, Omega=np.diag(sys.omega))
+    P_s1 = basis_values(sys.tau, s + 1)
+    return BasisMatrices(P_s=P_s1[:, :s], P_s1=P_s1, I_s=basis_integrals(sys.tau, s),
+                         Omega=np.diag(sys.omega))
 
 
 def _require_exactness(sys: AbscissaeSystem, s: int) -> None:
@@ -179,10 +177,11 @@ def hbvm_tableau(spec: HbvmSpec) -> ButcherTableau:
 def collocation_matrix(sys: AbscissaeSystem) -> np.ndarray:
     """Stage matrix of the k-stage collocation method at the given nodes.
 
-    Entry (i, j) integrates the j-th Lagrange cardinal polynomial from 0 to
-    node i; the cardinal integrals are exact for their polynomial degree.
+    Collocation integrates every polynomial of degree < k exactly from 0 to
+    each node, so A P_k = I_k for the full basis, and A = I_k P_k^{-1}.
     """
-    return lagrange_partial_integrals(sys.tau, sys.tau)
+    P = basis_values(sys.tau, sys.k)
+    return np.linalg.solve(P.T, basis_integrals(sys.tau, sys.k).T).T
 
 
 def filtered_tableau(sys: AbscissaeSystem, s: int) -> ButcherTableau:

@@ -48,6 +48,14 @@ class TestTableauCommand:
         assert "quadrature too weak" in res.stderr
         assert not out.exists()
 
+    def test_nan_custom_node_exits_2_naming_the_cause(self, tmp_path):
+        out = tmp_path / "never.json"
+        res = run_cli("tableau", "--k", "3", "--s", "1", "--family", "custom",
+                      "--nodes", "0.2,nan,0.9", "--out", str(out))
+        assert res.returncode == 2
+        assert "finite" in res.stderr
+        assert not out.exists()
+
     def test_bad_flag_combination_exits_2(self, tmp_path):
         out = tmp_path / "never.json"
         res = run_cli("tableau", "--k", "3", "--s", "2", "--nodes", "0.1,0.5,0.9",

@@ -6,6 +6,8 @@ import pytest
 from hbvm.legendre import (
     AbscissaeSystem,
     NodeFamily,
+    basis_integrals,
+    basis_values,
     custom_system,
     eval_orthonormal,
     exactness_degree,
@@ -189,6 +191,34 @@ def test_orthonormality_under_gauss_16():
     assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
 
 
+class TestBasisMatrices:
+    def test_columns_are_basis_values(self):
+        t = np.linspace(0.0, 1.0, 7)
+        P = basis_values(t, 5)
+        assert P.shape == (7, 5)
+        for j in range(1, 6):
+            assert np.array_equal(P[:, j - 1], eval_orthonormal(j, t))
+
+    def test_columns_are_antiderivatives(self):
+        t = np.array([0.0, 0.3, 1.0])
+        I = basis_integrals(t, 4)
+        assert I.shape == (3, 4)
+        for j in range(1, 5):
+            for c, val in zip(t, I[:, j - 1]):
+                ref = quad_01(lambda u: eval_orthonormal(j, u), 0.0, c)
+                assert val == pytest.approx(ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [24, 40, 64, 100])
+def test_large_k_rules_are_orthonormal(k):
+    # Gauss is exact through 2k - 1, Lobatto through 2k - 3: enough for the
+    # Gram matrices of the first k (Gauss) and k - 1 (Lobatto) polynomials.
+    for sys, n in ((gauss_system(k), k), (lobatto_system(k), k - 1)):
+        P = basis_values(sys.tau, n)
+        gram = P.T @ np.diag(sys.omega) @ P
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+
+
 def test_random_custom_system_is_reproducible_and_valid():
     a = random_custom_system(7, 42)
     b = random_custom_system(7, 42)
@@ -207,6 +237,15 @@ class TestAbscissaeSystemValidation:
         with pytest.raises(ValueError):
             AbscissaeSystem(np.array([0.0, 1.0]), np.array([0.5, 0.5]),
                             NodeFamily.CUSTOM)
+
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ValueError, match="finite"):
+            AbscissaeSystem(np.array([0.25, 0.75]), np.array([np.nan, np.nan]),
+                            NodeFamily.CUSTOM)
+
+    def test_custom_system_rejects_nan_node(self):
+        with pytest.raises(ValueError, match="finite"):
+            custom_system((0.2, np.nan, 0.9))
 
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,14 @@ from hbvm.spectral import (
     verification_sweep,
     w_transform_check,
 )
-from hbvm.tableau import ButcherTableau, HbvmSpec, hbvm_tableau, xs_matrix
+from hbvm.tableau import (
+    MAX_DEGREE,
+    MAX_STAGES,
+    ButcherTableau,
+    HbvmSpec,
+    hbvm_tableau,
+    xs_matrix,
+)
 
 
 def greedy_distance(found, reference):
@@ -223,3 +230,9 @@ def test_verification_sweep_shape_and_order():
     custom = [e for e in entries if e["spec"]["family"] == "custom"]
     assert custom and all(e["wtransform_residuals"] is None for e in custom)
     assert {e["spec"]["seed"] for e in custom} == {42, 43, 44}
+
+
+def test_verification_sweep_covers_whole_envelope():
+    entries = verification_sweep(MAX_DEGREE, MAX_STAGES)
+    assert len(entries) == 216
+    assert all(e["passed"] for e in entries)
