@@ -4,6 +4,12 @@ Two equivalent formulations are provided: the full k-stage form driven by a
 Butcher tableau, and the reduced form that solves for the s expansion
 coefficients of the underlying degree-s polynomial, shrinking the nonlinear
 system from k*2m to s*2m unknowns.
+
+Both solve their stages by fixed-point iteration or by simplified Newton.
+The Newton matrix frozen for a step is r*2m square, with r the rank of the
+stage matrix: s for an HBVM in either form (the full-stage form factors
+A = L R and applies Woodbury), k for collocation and other full-rank
+tableaux.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .tableau import (
+    RANK_SV_TOL,
     ButcherTableau,
     HbvmSpec,
     _format_real,
@@ -150,6 +157,14 @@ def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray,
     return Jf
 
 
+def _check_finite(res: float, iterations: int) -> None:
+    """Stop at once when the stage values overflow or turn NaN."""
+    if not math.isfinite(res):
+        raise StageConvergenceError(
+            f"stage values are non-finite after {iterations} iterations",
+            residual=res, iterations=iterations)
+
+
 def _fixed_point(residual_map, U0, cfg: SolverConfig):
     """Fixed-point iteration U <- G(U); residual is max |G(U) - U|."""
     U = U0
@@ -158,6 +173,7 @@ def _fixed_point(residual_map, U0, cfg: SolverConfig):
     for it in range(cfg.max_iter):
         G = residual_map(U)
         res = float(np.max(np.abs(G - U)))
+        _check_finite(res, it + 1)
         U = G
         if res <= cfg.tol:
             return U, it + 1, res
@@ -176,19 +192,18 @@ def _fixed_point(residual_map, U0, cfg: SolverConfig):
         f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
 
 
-def _simplified_newton(residual_map, U0, iteration_matrix, cfg: SolverConfig):
-    """Newton iteration with a single LU factorisation of the frozen matrix."""
-    lu = lu_factor(iteration_matrix)
+def _simplified_newton(residual_map, U0, correction, cfg: SolverConfig):
+    """Newton iteration U <- U + correction(G(U) - U), where correction
+    applies the inverse of the iteration matrix frozen for the step."""
     U = U0.copy()
-    shape = U.shape
     last = math.inf
     for it in range(cfg.max_iter + 1):
         G = residual_map(U)
         res = float(np.max(np.abs(G - U)))
+        _check_finite(res, it)
         if res <= cfg.tol:
             return U, it, res
-        delta = lu_solve(lu, (G - U).reshape(-1))
-        U = U + delta.reshape(shape)
+        U = U + correction(G - U)
         last = res
     raise StageConvergenceError(
         f"Newton iteration did not reach tol={cfg.tol} in "
@@ -220,9 +235,22 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     if cfg.mode == "fixed_point":
         Y, iters, res = _fixed_point(gmap, Y0, cfg)
     else:
+        # With A = L R of rank r, Woodbury reduces the solve with
+        # I - h A (x) Jf to one with I - h (R L) (x) Jf: the correction of
+        # a residual block E is E + h L Z, where Z solves
+        # Z - h (R L) Z Jf^T = R E Jf^T.
+        n = y0.size
         Jf = _field_jacobian(sys, y0, cfg)
-        M = np.eye(k * y0.size) - h * np.kron(tab.A, Jf)
-        Y, iters, res = _simplified_newton(gmap, Y0, M, cfg)
+        U, sv, Vt = np.linalg.svd(tab.A)
+        r = int(np.sum(sv > RANK_SV_TOL))
+        L, R = U[:, :r] * sv[:r], Vt[:r]
+        lu = lu_factor(np.eye(r * n) - h * np.kron(R @ L, Jf))
+
+        def correction(E):
+            Z = lu_solve(lu, (R @ E @ Jf.T).reshape(-1))
+            return E + h * (L @ Z.reshape(r, n))
+
+        Y, iters, res = _simplified_newton(gmap, Y0, correction, cfg)
     y1 = y0 + h * (tab.b @ fmap(Y))
     return y1, StepDiagnostics(iterations=iters, residual=res, mode=cfg.mode)
 
@@ -262,8 +290,12 @@ def _gamma_step_matrices(bm, sys: HamiltonianSystem, y0, h, cfg):
         gamma, iters, res = _fixed_point(gmap, g0, cfg)
     else:
         Jf = _field_jacobian(sys, y0, cfg)
-        M = np.eye(s * y0.size) - h * np.kron(PTW @ I_s, Jf)
-        gamma, iters, res = _simplified_newton(gmap, g0, M, cfg)
+        lu = lu_factor(np.eye(s * y0.size) - h * np.kron(PTW @ I_s, Jf))
+
+        def correction(E):
+            return lu_solve(lu, E.reshape(-1)).reshape(E.shape)
+
+        gamma, iters, res = _simplified_newton(gmap, g0, correction, cfg)
     y1 = y0 + h * gamma[0]
     state = GammaState(gamma=gamma, stage_values=stages_of(gamma))
     return y1, state, StepDiagnostics(iterations=iters, residual=res,

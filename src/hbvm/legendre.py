@@ -93,10 +93,16 @@ def eval_orthonormal(j: int, t):
         return p_prev if t_arr.ndim else float(p_prev)
     p_cur = math.sqrt(3.0) * x
     for m in range(1, j - 1):
-        a = (2 * m + 1) / (m + 1) * math.sqrt((2 * m + 3) / (2 * m + 1))
-        b = m / (m + 1) * math.sqrt((2 * m + 3) / (2 * m - 1))
+        a, b = _recurrence(m)
         p_prev, p_cur = p_cur, a * x * p_cur - b * p_prev
     return p_cur if t_arr.ndim else float(p_cur)
+
+
+def _recurrence(m: int) -> tuple[float, float]:
+    """(a, b) in p_{m+2} = a x p_{m+1} - b p_m, x = 2t - 1, for m >= 1."""
+    a = (2 * m + 1) / (m + 1) * math.sqrt((2 * m + 3) / (2 * m + 1))
+    b = m / (m + 1) * math.sqrt((2 * m + 3) / (2 * m - 1))
+    return a, b
 
 
 def integral_orthonormal(j: int, c):
@@ -130,15 +136,42 @@ def _check_index(j: int) -> None:
 
 
 def basis_values(tau, n: int) -> np.ndarray:
-    """(len(tau), n) matrix of the first n basis polynomials at the points tau."""
+    """(len(tau), n) matrix of the first n basis polynomials at the points tau.
+
+    One pass of the recurrence of eval_orthonormal fills every column, with
+    the same operations in the same order, so the columns are bit-identical
+    to eval_orthonormal(j, tau).
+    """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    return np.column_stack([eval_orthonormal(j, tau) for j in range(1, n + 1)])
+    if n < 1:
+        raise ValueError("need at least one basis polynomial")
+    if np.any(tau < 0.0) or np.any(tau > 1.0):
+        raise ValueError("t must lie in [0, 1]")
+    x = 2.0 * tau - 1.0
+    P = np.empty((tau.size, n))
+    P[:, 0] = 1.0
+    if n >= 2:
+        P[:, 1] = math.sqrt(3.0) * x
+    for m in range(1, n - 1):
+        a, b = _recurrence(m)
+        P[:, m + 1] = a * x * P[:, m] - b * P[:, m - 1]
+    return P
 
 
 def basis_integrals(tau, n: int) -> np.ndarray:
-    """(len(tau), n) matrix of the first n basis antiderivatives from 0 to tau."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    return np.column_stack([integral_orthonormal(j, tau) for j in range(1, n + 1)])
+    """(len(tau), n) matrix of the first n basis antiderivatives from 0 to tau.
+
+    Built from one basis_values matrix with the closed form of
+    integral_orthonormal, so the columns are bit-identical to it.
+    """
+    if n < 1:
+        raise ValueError("need at least one basis polynomial")
+    P = basis_values(tau, n + 1)
+    out = np.empty((P.shape[0], n))
+    out[:, 0] = 0.5 * P[:, 0] + xi(1) * P[:, 1]
+    for j in range(2, n + 1):
+        out[:, j - 1] = xi(j) * P[:, j] - xi(j - 1) * P[:, j - 2]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -141,6 +142,16 @@ class TestIntegrateCommand:
                       "--h", "1.0", "--steps", "3",
                       "--out", str(tmp_path / "t.csv"))
         assert res.returncode == 1
+
+    def test_non_finite_stages_exit_1_naming_the_cause(self, tmp_path):
+        out = tmp_path / "never.csv"
+        res = run_cli("integrate", "--problem", "sextic", "--k", "6", "--s", "2",
+                      "--h", "2", "--steps", "20", "--solver", "newton",
+                      "--out", str(out))
+        assert res.returncode == 1
+        assert re.search(r"integration failed: step \d+ failed: .*non-finite",
+                         res.stderr)
+        assert not out.exists()
 
 
 class TestOrderCommand:

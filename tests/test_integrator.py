@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hbvm import integrator
 from hbvm.integrator import (
+    HamiltonianSystem,
     SolverConfig,
     StageConvergenceError,
     Trajectory,
@@ -12,9 +14,16 @@ from hbvm.integrator import (
     rk_step,
     trajectory_to_csv,
 )
-from hbvm.legendre import NodeFamily
+from hbvm.legendre import NodeFamily, gauss_system
 from hbvm.problems import catalog, get_problem
-from hbvm.tableau import HbvmSpec, abscissae, hbvm_tableau
+from hbvm.tableau import (
+    ButcherTableau,
+    HbvmSpec,
+    abscissae,
+    collocation_matrix,
+    filtered_tableau,
+    hbvm_tableau,
+)
 
 TIGHT = SolverConfig(tol=1e-15)
 NEWTON = SolverConfig(mode="newton", tol=1e-14)
@@ -78,6 +87,71 @@ class TestRkStep:
         y_fp, _ = rk_step(tab, hh.system, hh.default_y0, 0.1, cfg_fp)
         y_nw, _ = rk_step(tab, hh.system, hh.default_y0, 0.1, cfg_nw)
         assert np.max(np.abs(y_fp - y_nw)) <= 10 * cfg_fp.tol
+
+
+class TestRankFactoredNewton:
+    @pytest.fixture
+    def lu_orders(self, monkeypatch):
+        orders = []
+        lu_factor = integrator.lu_factor
+
+        def recording(M, *args, **kwargs):
+            orders.append(M.shape)
+            return lu_factor(M, *args, **kwargs)
+
+        monkeypatch.setattr(integrator, "lu_factor", recording)
+        return orders
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_hbvm_factors_s_times_2m(self, lu_orders, k):
+        kep = get_problem("kepler")
+        tab = hbvm_tableau(HbvmSpec(k, 2))
+        rk_step(tab, kep.system, kep.default_y0, 0.05, NEWTON)
+        assert lu_orders == [(8, 8)]
+
+    def test_full_rank_tableau_factors_k_times_2m(self, lu_orders):
+        kep = get_problem("kepler")
+        quad = gauss_system(4)
+        tab = ButcherTableau(c=quad.tau, A=collocation_matrix(quad),
+                             b=quad.omega)
+        rk_step(tab, kep.system, kep.default_y0, 0.05, NEWTON)
+        assert lu_orders == [(16, 16)]
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_newton_agrees_with_fixed_point(self, filtered):
+        hh = get_problem("henon-heiles")
+        quad = gauss_system(6)
+        tab = filtered_tableau(quad, 2) if filtered else ButcherTableau(
+            c=quad.tau, A=collocation_matrix(quad), b=quad.omega)
+        y_fp, _ = rk_step(tab, hh.system, hh.default_y0, 0.1, TIGHT)
+        y_nw, diag = rk_step(tab, hh.system, hh.default_y0, 0.1, NEWTON)
+        assert diag.iterations > 0
+        assert np.max(np.abs(y_fp - y_nw)) <= 1e-12
+
+
+class TestNonFiniteStages:
+    # harmonic energy whose gradient overflows more than 0.5 away from y0
+    Y0 = np.array([1.0, 0.0])
+
+    @staticmethod
+    def _grad(y):
+        if np.max(np.abs(y - TestNonFiniteStages.Y0)) > 0.5:
+            return np.full(2, np.inf)
+        return y
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    @pytest.mark.parametrize("solver", ["fixed_point", "newton"])
+    def test_raises_at_once(self, mode, solver):
+        sys = HamiltonianSystem(dim=2, H=lambda y: 0.5 * float(y @ y),
+                                grad_H=self._grad)
+        cfg = SolverConfig(mode=solver)
+        with pytest.raises(StageConvergenceError,
+                           match="step 1 failed: stage values are "
+                                 "non-finite") as info:
+            integrate(HbvmSpec(4, 2), sys, self.Y0, 2.0, 3, cfg, mode=mode)
+        assert info.value.iterations < 5
+        assert not np.isfinite(info.value.residual)
 
 
 class TestGammaStep:

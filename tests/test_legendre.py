@@ -209,6 +209,24 @@ class TestBasisMatrices:
                 assert val == pytest.approx(ref, abs=1e-14)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 100])
+    def test_one_pass_matrices_equal_per_column_functions(self, n):
+        t = np.concatenate(([0.0, 1.0], gauss_system(n).tau))
+        np.testing.assert_array_equal(
+            basis_values(t, n),
+            np.column_stack([eval_orthonormal(j, t) for j in range(1, n + 1)]))
+        np.testing.assert_array_equal(
+            basis_integrals(t, n),
+            np.column_stack([integral_orthonormal(j, t)
+                             for j in range(1, n + 1)]))
+
+    def test_rejects_points_outside_the_interval_and_empty_basis(self):
+        with pytest.raises(ValueError, match="lie in"):
+            basis_values([0.5, 1.5], 3)
+        with pytest.raises(ValueError, match="at least one"):
+            basis_integrals([0.5], 0)
+
+
 @pytest.mark.parametrize("k", [24, 40, 64, 100])
 def test_large_k_rules_are_orthonormal(k):
     # Gauss is exact through 2k - 1, Lobatto through 2k - 3: enough for the
