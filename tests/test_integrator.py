@@ -89,6 +89,11 @@ class TestRkStep:
         assert np.max(np.abs(y_fp - y_nw)) <= 10 * cfg_fp.tol
 
 
+def gauss_collocation_tableau(k):
+    quad = gauss_system(k)
+    return ButcherTableau(c=quad.tau, A=collocation_matrix(quad), b=quad.omega)
+
+
 class TestRankFactoredNewton:
     @pytest.fixture
     def lu_orders(self, monkeypatch):
@@ -111,18 +116,15 @@ class TestRankFactoredNewton:
 
     def test_full_rank_tableau_factors_k_times_2m(self, lu_orders):
         kep = get_problem("kepler")
-        quad = gauss_system(4)
-        tab = ButcherTableau(c=quad.tau, A=collocation_matrix(quad),
-                             b=quad.omega)
-        rk_step(tab, kep.system, kep.default_y0, 0.05, NEWTON)
+        rk_step(gauss_collocation_tableau(4), kep.system, kep.default_y0,
+                0.05, NEWTON)
         assert lu_orders == [(16, 16)]
 
     @pytest.mark.parametrize("filtered", [False, True])
     def test_newton_agrees_with_fixed_point(self, filtered):
         hh = get_problem("henon-heiles")
-        quad = gauss_system(6)
-        tab = filtered_tableau(quad, 2) if filtered else ButcherTableau(
-            c=quad.tau, A=collocation_matrix(quad), b=quad.omega)
+        tab = filtered_tableau(gauss_system(6), 2) if filtered \
+            else gauss_collocation_tableau(6)
         y_fp, _ = rk_step(tab, hh.system, hh.default_y0, 0.1, TIGHT)
         y_nw, diag = rk_step(tab, hh.system, hh.default_y0, 0.1, NEWTON)
         assert diag.iterations > 0
