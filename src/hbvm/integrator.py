@@ -6,10 +6,21 @@ coefficients of the underlying degree-s polynomial, shrinking the nonlinear
 system from k*2m to s*2m unknowns.
 
 Both solve their stages by fixed-point iteration or by simplified Newton.
-The Newton matrix frozen for a step is r*2m square, with r the rank of the
-stage matrix: s for an HBVM in either form (the full-stage form factors
-A = L R and applies Woodbury), k for collocation and other full-rank
-tableaux.
+The Newton matrix is r*2m square, with r the rank of the stage matrix: s for
+an HBVM in either form (the full-stage form factors A = L R and applies
+Woodbury), k for collocation and other full-rank tableaux.
+
+The converged stages do not depend on which matrix Newton iterates with, so
+`integrate` keeps the Jacobian and the factored matrix from one step to the
+next and builds a fresh pair only when
+  (a) the iterations spent beyond those of the step that built the matrix,
+      at k f-evaluations each, reach the 2*dim f-evaluations of a
+      finite-difference Jacobian;
+  (b) the last step's final residual ratio exceeds REFRESH_CONTRACTION; or
+  (c) a step fails with the kept matrix: it is retried once from the same
+      state with a fresh one, and only a failure with a fresh matrix
+      propagates.
+A single `rk_step` or `gamma_step` always builds a fresh matrix.
 """
 
 from __future__ import annotations
@@ -49,6 +60,10 @@ __all__ = [
 ]
 
 _SQRT_EPS = math.sqrt(float(np.finfo(float).eps))
+
+# A Newton step whose final residual ratio res_j / res_(j-1) exceeds this
+# contracts too slowly for its matrix to be kept for the next step.
+REFRESH_CONTRACTION = 0.1
 
 
 class StageConvergenceError(RuntimeError):
@@ -117,9 +132,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """Stage-solve outcome; contraction is the final residual ratio
+    res_j / res_(j-1), 0.0 when the first residual already met tol."""
+
     iterations: int
     residual: float
     mode: str
+    contraction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -132,12 +151,22 @@ class GammaState:
 
 @dataclass
 class Trajectory:
-    """Uniform-step integration record; all arrays share one length."""
+    """Uniform-step integration record; all arrays share one length.
+
+    jacobian_counts marks each Newton step: 0 if it reused the previous
+    step's matrix, 1 if it built a fresh one, 2 if it failed with a reused
+    matrix and was retried with a fresh one.  Zeros for fixed point.
+    """
 
     times: np.ndarray
     states: np.ndarray
     energies: np.ndarray
     iteration_counts: np.ndarray
+    jacobian_counts: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.jacobian_counts is None:
+            self.jacobian_counts = np.zeros(len(self.times), dtype=int)
 
 
 def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray,
@@ -166,27 +195,32 @@ def _check_finite(res: float, iterations: int) -> None:
 
 
 def _fixed_point(residual_map, U0, cfg: SolverConfig):
-    """Fixed-point iteration U <- G(U); residual is max |G(U) - U|."""
+    """Fixed-point iteration U <- G(U); residual is max |G(U) - U|.
+
+    Returns (U, iterations, residual, final residual ratio).  Overflow is
+    left to the non-finite check rather than warned about.
+    """
     U = U0
     last = math.inf
     growth = 0
-    for it in range(cfg.max_iter):
-        G = residual_map(U)
-        res = float(np.max(np.abs(G - U)))
-        _check_finite(res, it + 1)
-        U = G
-        if res <= cfg.tol:
-            return U, it + 1, res
-        if res > last:
-            growth += 1
-            if growth >= 5:
-                raise StageConvergenceError(
-                    "fixed-point iteration diverging (residual grew over 5 "
-                    "consecutive iterations); try mode='newton'",
-                    residual=res, iterations=it + 1)
-        else:
-            growth = 0
-        last = res
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.max_iter):
+            G = residual_map(U)
+            res = float(np.max(np.abs(G - U)))
+            _check_finite(res, it + 1)
+            U = G
+            if res <= cfg.tol:
+                return U, it + 1, res, res / last
+            if res > last:
+                growth += 1
+                if growth >= 5:
+                    raise StageConvergenceError(
+                        "fixed-point iteration diverging (residual grew over "
+                        "5 consecutive iterations); try mode='newton'",
+                        residual=res, iterations=it + 1)
+            else:
+                growth = 0
+            last = res
     raise StageConvergenceError(
         f"fixed-point iteration did not reach tol={cfg.tol} in "
         f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
@@ -194,35 +228,69 @@ def _fixed_point(residual_map, U0, cfg: SolverConfig):
 
 def _simplified_newton(residual_map, U0, correction, cfg: SolverConfig):
     """Newton iteration U <- U + correction(G(U) - U), where correction
-    applies the inverse of the iteration matrix frozen for the step."""
+    applies the inverse of a frozen iteration matrix.
+
+    Returns (U, iterations, residual, final residual ratio).  Overflow is
+    left to the non-finite check rather than warned about.
+    """
     U = U0.copy()
     last = math.inf
-    for it in range(cfg.max_iter + 1):
-        G = residual_map(U)
-        res = float(np.max(np.abs(G - U)))
-        _check_finite(res, it)
-        if res <= cfg.tol:
-            return U, it, res
-        U = U + correction(G - U)
-        last = res
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.max_iter + 1):
+            G = residual_map(U)
+            res = float(np.max(np.abs(G - U)))
+            _check_finite(res, it)
+            if res <= cfg.tol:
+                return U, it, res, res / last
+            U = U + correction(G - U)
+            last = res
     raise StageConvergenceError(
         f"Newton iteration did not reach tol={cfg.tol} in "
         f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
 
 
+def _check_step_size(h: float) -> None:
+    if h == 0.0 or not math.isfinite(h):
+        raise ValueError(f"step size must be finite and nonzero, got h={h}")
+
+
+def _rk_correction(tab: ButcherTableau, sys: HamiltonianSystem, y0, h,
+                   cfg: SolverConfig):
+    """Newton correction for the full-stage form: the inverse of
+    I - h A (x) Jf, with Jf taken at y0.
+
+    With A = L R of rank r, Woodbury reduces the solve with I - h A (x) Jf
+    to one with I - h (R L) (x) Jf: the correction of a residual block E is
+    E + h L Z, where Z solves Z - h (R L) Z Jf^T = R E Jf^T.
+    """
+    n = y0.size
+    Jf = _field_jacobian(sys, y0, cfg)
+    U, sv, Vt = np.linalg.svd(tab.A)
+    r = int(np.sum(sv > RANK_SV_TOL))
+    L, R = U[:, :r] * sv[:r], Vt[:r]
+    lu = lu_factor(np.eye(r * n) - h * np.kron(R @ L, Jf))
+
+    def correction(E):
+        Z = lu_solve(lu, (R @ E @ Jf.T).reshape(-1))
+        return E + h * (L @ Z.reshape(r, n))
+
+    return correction
+
+
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
-            h: float, cfg: SolverConfig | None = None):
+            h: float, cfg: SolverConfig | None = None, correction=None):
     """One step of the k-stage method from y0 with step size h.
 
     Solves the stage states Y_i = y0 + h sum_j A_ij f(Y_j) to the configured
     residual tolerance, then returns (y1, diagnostics) with
     y1 = y0 + h sum_i b_i f(Y_i).  Step sizes are normally positive; the
     sign is not enforced so that reversibility experiments can step back.
+    Newton iterates with the given correction (a kept one from an earlier
+    step, same h) or, by default, a fresh one built at y0.
     """
     cfg = cfg or SolverConfig()
     y0 = np.asarray(y0, dtype=float)
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
+    _check_step_size(h)
     k = tab.k
 
     def fmap(Y):
@@ -233,26 +301,14 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
 
     Y0 = np.tile(y0, (k, 1))
     if cfg.mode == "fixed_point":
-        Y, iters, res = _fixed_point(gmap, Y0, cfg)
+        Y, iters, res, ratio = _fixed_point(gmap, Y0, cfg)
     else:
-        # With A = L R of rank r, Woodbury reduces the solve with
-        # I - h A (x) Jf to one with I - h (R L) (x) Jf: the correction of
-        # a residual block E is E + h L Z, where Z solves
-        # Z - h (R L) Z Jf^T = R E Jf^T.
-        n = y0.size
-        Jf = _field_jacobian(sys, y0, cfg)
-        U, sv, Vt = np.linalg.svd(tab.A)
-        r = int(np.sum(sv > RANK_SV_TOL))
-        L, R = U[:, :r] * sv[:r], Vt[:r]
-        lu = lu_factor(np.eye(r * n) - h * np.kron(R @ L, Jf))
-
-        def correction(E):
-            Z = lu_solve(lu, (R @ E @ Jf.T).reshape(-1))
-            return E + h * (L @ Z.reshape(r, n))
-
-        Y, iters, res = _simplified_newton(gmap, Y0, correction, cfg)
+        if correction is None:
+            correction = _rk_correction(tab, sys, y0, h, cfg)
+        Y, iters, res, ratio = _simplified_newton(gmap, Y0, correction, cfg)
     y1 = y0 + h * (tab.b @ fmap(Y))
-    return y1, StepDiagnostics(iterations=iters, residual=res, mode=cfg.mode)
+    return y1, StepDiagnostics(iterations=iters, residual=res, mode=cfg.mode,
+                               contraction=ratio)
 
 
 def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
@@ -270,9 +326,22 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
                                 cfg or SolverConfig())
 
 
-def _gamma_step_matrices(bm, sys: HamiltonianSystem, y0, h, cfg):
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
+def _gamma_correction(bm, sys: HamiltonianSystem, y0, h, cfg: SolverConfig):
+    """Newton correction for the coefficient form: the inverse of
+    I - h (P_s^T Omega I_s) (x) Jf, with Jf taken at y0."""
+    Jf = _field_jacobian(sys, y0, cfg)
+    lu = lu_factor(np.eye(bm.I_s.shape[1] * y0.size)
+                   - h * np.kron(bm.P_s.T @ bm.Omega @ bm.I_s, Jf))
+
+    def correction(E):
+        return lu_solve(lu, E.reshape(-1)).reshape(E.shape)
+
+    return correction
+
+
+def _gamma_step_matrices(bm, sys: HamiltonianSystem, y0, h, cfg,
+                         correction=None):
+    _check_step_size(h)
     PTW = bm.P_s.T @ bm.Omega  # (s, k)
     I_s = bm.I_s               # (k, s)
     s = I_s.shape[1]
@@ -287,19 +356,16 @@ def _gamma_step_matrices(bm, sys: HamiltonianSystem, y0, h, cfg):
 
     g0 = np.zeros((s, y0.size))
     if cfg.mode == "fixed_point":
-        gamma, iters, res = _fixed_point(gmap, g0, cfg)
+        gamma, iters, res, ratio = _fixed_point(gmap, g0, cfg)
     else:
-        Jf = _field_jacobian(sys, y0, cfg)
-        lu = lu_factor(np.eye(s * y0.size) - h * np.kron(PTW @ I_s, Jf))
-
-        def correction(E):
-            return lu_solve(lu, E.reshape(-1)).reshape(E.shape)
-
-        gamma, iters, res = _simplified_newton(gmap, g0, correction, cfg)
+        if correction is None:
+            correction = _gamma_correction(bm, sys, y0, h, cfg)
+        gamma, iters, res, ratio = _simplified_newton(gmap, g0, correction,
+                                                      cfg)
     y1 = y0 + h * gamma[0]
     state = GammaState(gamma=gamma, stage_values=stages_of(gamma))
     return y1, state, StepDiagnostics(iterations=iters, residual=res,
-                                      mode=cfg.mode)
+                                      mode=cfg.mode, contraction=ratio)
 
 
 def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
@@ -307,10 +373,12 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     """March n_steps of size h > 0, recording states and energy per step.
 
     method is a ButcherTableau (mode 'rk') or an HbvmSpec (either mode).
-    Fails on the first non-converged step, marking the step index.
+    Newton keeps its matrix across steps under the rules in the module
+    docstring.  Fails on the first step that does not converge with a fresh
+    matrix, marking the step index.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"step size must be finite and positive, got h={h}")
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
     if mode not in ("rk", "gamma"):
@@ -322,26 +390,49 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
         if not isinstance(method, HbvmSpec):
             raise TypeError("gamma mode requires an HbvmSpec")
         bm = basis_matrices(abscissae(method), method.s)
+        k = method.k
 
-        def stepper(y):
-            y1, _, diag = _gamma_step_matrices(bm, sys, y, h, cfg)
+        def fresh(y):
+            return _gamma_correction(bm, sys, y, h, cfg)
+
+        def stepper(y, correction):
+            y1, _, diag = _gamma_step_matrices(bm, sys, y, h, cfg, correction)
             return y1, diag
     else:
         tab = hbvm_tableau(method) if isinstance(method, HbvmSpec) else method
+        k = tab.k
 
-        def stepper(y):
-            return rk_step(tab, sys, y, h, cfg)
+        def fresh(y):
+            return _rk_correction(tab, sys, y, h, cfg)
+
+        def stepper(y, correction):
+            return rk_step(tab, sys, y, h, cfg, correction)
 
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
     energies = np.empty(n_steps + 1)
     iters = np.zeros(n_steps + 1, dtype=int)
+    jacs = np.zeros(n_steps + 1, dtype=int)
     states[0] = y0
     energies[0] = sys.H(y0)
     y = y0
+    newton = cfg.mode == "newton"
+    # f-evaluations a finite-difference Jacobian costs; extra iterations of
+    # k f-evaluations each are charged against it (rule a).
+    jacobian_cost = 2 * y0.size
+    correction, refresh = None, newton
+    fresh_iters = extra = 0
     for n in range(n_steps):
         try:
-            y, diag = stepper(y)
+            if refresh:
+                correction, jacs[n + 1] = fresh(y), 1
+            try:
+                y, diag = stepper(y, correction)
+            except StageConvergenceError:
+                if not newton or jacs[n + 1]:
+                    raise
+                correction, jacs[n + 1] = fresh(y), 2
+                y, diag = stepper(y, correction)
         except StageConvergenceError as exc:
             raise StageConvergenceError(
                 f"step {n + 1} failed: {exc}", residual=exc.residual,
@@ -349,8 +440,15 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
         states[n + 1] = y
         energies[n + 1] = sys.H(y)
         iters[n + 1] = diag.iterations
+        if newton:
+            if jacs[n + 1]:
+                fresh_iters, extra = diag.iterations, 0
+            else:
+                extra += max(0, diag.iterations - fresh_iters)
+            refresh = (k * extra >= jacobian_cost
+                       or diag.contraction > REFRESH_CONTRACTION)
     return Trajectory(times=times, states=states, energies=energies,
-                      iteration_counts=iters)
+                      iteration_counts=iters, jacobian_counts=jacs)
 
 
 def energy_drift(traj: Trajectory, sys: HamiltonianSystem | None = None):

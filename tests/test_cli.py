@@ -153,6 +153,25 @@ class TestIntegrateCommand:
                          res.stderr)
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", ["fixed-point", "newton"])
+    def test_overflowing_stages_print_only_the_failure(self, tmp_path, solver):
+        res = run_cli("integrate", "--problem", "sextic", "--k", "6", "--s", "2",
+                      "--h", "2", "--steps", "20", "--solver", solver,
+                      "--out", str(tmp_path / "never.csv"))
+        assert res.returncode == 1
+        assert "RuntimeWarning" not in res.stderr
+        assert res.stderr.startswith("integration failed:")
+        assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_step_size_exits_2(self, tmp_path, h):
+        out = tmp_path / "never.csv"
+        res = run_cli("integrate", "--problem", "harmonic", "--k", "2", "--s", "1",
+                      "--h", h, "--steps", "3", "--out", str(out))
+        assert res.returncode == 2
+        assert "step size" in res.stderr
+        assert not out.exists()
+
 
 class TestOrderCommand:
     def test_kepler_slope_in_band(self, tmp_path):

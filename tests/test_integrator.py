@@ -94,19 +94,20 @@ def gauss_collocation_tableau(k):
     return ButcherTableau(c=quad.tau, A=collocation_matrix(quad), b=quad.omega)
 
 
+@pytest.fixture
+def lu_orders(monkeypatch):
+    orders = []
+    lu_factor = integrator.lu_factor
+
+    def recording(M, *args, **kwargs):
+        orders.append(M.shape)
+        return lu_factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "lu_factor", recording)
+    return orders
+
+
 class TestRankFactoredNewton:
-    @pytest.fixture
-    def lu_orders(self, monkeypatch):
-        orders = []
-        lu_factor = integrator.lu_factor
-
-        def recording(M, *args, **kwargs):
-            orders.append(M.shape)
-            return lu_factor(M, *args, **kwargs)
-
-        monkeypatch.setattr(integrator, "lu_factor", recording)
-        return orders
-
     @pytest.mark.parametrize("k", [4, 8, 12])
     def test_hbvm_factors_s_times_2m(self, lu_orders, k):
         kep = get_problem("kepler")
@@ -141,7 +142,6 @@ class TestNonFiniteStages:
             return np.full(2, np.inf)
         return y
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     @pytest.mark.parametrize("solver", ["fixed_point", "newton"])
     def test_raises_at_once(self, mode, solver):
@@ -154,6 +154,113 @@ class TestNonFiniteStages:
             integrate(HbvmSpec(4, 2), sys, self.Y0, 2.0, 3, cfg, mode=mode)
         assert info.value.iterations < 5
         assert not np.isfinite(info.value.residual)
+
+
+class TestKeptNewtonMatrix:
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_reuses_matrix_and_matches_fixed_point(self, lu_orders, mode):
+        kep = get_problem("kepler")
+        spec = HbvmSpec(6, 2)
+        t_nw = integrate(spec, kep.system, kep.default_y0, 0.01, 50, NEWTON,
+                         mode=mode)
+        assert 0 < len(lu_orders) < 50
+        assert len(lu_orders) == np.count_nonzero(t_nw.jacobian_counts)
+        assert t_nw.jacobian_counts[1] == 1
+        t_fp = integrate(spec, kep.system, kep.default_y0, 0.01, 50, TIGHT,
+                         mode=mode)
+        assert np.max(np.abs(t_nw.states - t_fp.states)) <= 1e-12
+        assert not np.any(t_fp.jacobian_counts)
+
+    @staticmethod
+    def _patch_newton(monkeypatch, outcome):
+        """Run the real Newton solve, then let outcome(fresh, result) replace
+        what it reports; fresh is False for a correction already used."""
+        solve = integrator._simplified_newton
+        used = []
+
+        def patched(gmap, U0, correction, cfg):
+            fresh = not any(c is correction for c in used)
+            used.append(correction)
+            return outcome(fresh, solve(gmap, U0, correction, cfg))
+
+        monkeypatch.setattr(integrator, "_simplified_newton", patched)
+
+    @staticmethod
+    def _run(steps=7):
+        harm = get_problem("harmonic")
+        return integrate(HbvmSpec(2, 2), harm.system, harm.default_y0, 0.1,
+                         steps, NEWTON)
+
+    def test_extra_iterations_refresh_at_jacobian_cost(self, monkeypatch):
+        # dim 2: a Jacobian costs 4 f-evaluations, one extra iteration 2
+        self._patch_newton(monkeypatch, lambda fresh, r:
+                           (r[0], 3 if fresh else 4, r[2], 0.0))
+        assert self._run().jacobian_counts.tolist() == [0, 1, 0, 0, 1, 0, 0, 1]
+
+    @pytest.mark.parametrize("ratio,expect", [
+        (integrator.REFRESH_CONTRACTION, [0, 1, 0, 0, 0, 0, 0, 0]),
+        (2 * integrator.REFRESH_CONTRACTION, [0, 1, 1, 1, 1, 1, 1, 1]),
+    ])
+    def test_slow_contraction_refreshes(self, monkeypatch, ratio, expect):
+        self._patch_newton(monkeypatch, lambda fresh, r:
+                           (r[0], 3, r[2], ratio))
+        assert self._run().jacobian_counts.tolist() == expect
+
+    def test_failure_with_kept_matrix_is_retried(self, monkeypatch):
+        expect = self._run()
+        failed = []
+
+        def fail_once_when_kept(fresh, result):
+            if not fresh and not failed:
+                failed.append(True)
+                raise StageConvergenceError("forced", residual=1.0,
+                                            iterations=1)
+            return result
+
+        self._patch_newton(monkeypatch, fail_once_when_kept)
+        traj = self._run()
+        assert traj.jacobian_counts[1] == 1
+        assert traj.jacobian_counts[2] == 2
+        assert np.max(np.abs(traj.states - expect.states)) <= 1e-12
+
+    def test_failure_with_fresh_matrix_propagates(self, monkeypatch):
+        fresh_calls = []
+
+        def fail_after_first_step(fresh, result):
+            fresh_calls.append(fresh)
+            if len(fresh_calls) > 1:
+                raise StageConvergenceError("forced", residual=1.0,
+                                            iterations=1)
+            return result
+
+        self._patch_newton(monkeypatch, fail_after_first_step)
+        with pytest.raises(StageConvergenceError,
+                           match=r"^step 2 failed: forced$"):
+            self._run()
+        assert fresh_calls == [True, False, True]
+
+    def test_fixed_point_counts_are_unchanged(self):
+        # fixed point builds no Newton matrix: keeping one must not change
+        # a single iteration count
+        sext = get_problem("sextic")
+        traj = integrate(HbvmSpec(6, 2), sext.system, sext.default_y0, 0.1,
+                         1000, SolverConfig())
+        counts = traj.iteration_counts[1:]
+        assert counts[:20].tolist() == [12, 13, 14, 14, 14, 14, 13, 12, 12,
+                                        11, 11, 10, 9, 8, 7, 6, 6, 4, 5, 6]
+        assert counts.sum() == 9818
+        assert np.bincount(counts).tolist() == [0, 0, 0, 0, 38, 38, 132, 56,
+                                                94, 75, 94, 131, 114, 76, 152]
+        assert not np.any(traj.jacobian_counts)
+
+    def test_contraction_is_the_final_residual_ratio(self):
+        kep = get_problem("kepler")
+        tab = hbvm_tableau(HbvmSpec(6, 2))
+        _, diag = rk_step(tab, kep.system, kep.default_y0, 0.01, NEWTON)
+        assert 0.0 < diag.contraction < integrator.REFRESH_CONTRACTION
+        pend = get_problem("pendulum")
+        _, diag = rk_step(tab, pend.system, np.zeros(2), 0.1, NEWTON)
+        assert diag.iterations == 0 and diag.contraction == 0.0
 
 
 class TestGammaStep:
@@ -255,6 +362,18 @@ class TestIntegrate:
         kep = get_problem("kepler")
         with pytest.raises(StageConvergenceError, match="step 1"):
             integrate(HbvmSpec(6, 2), kep.system, kep.default_y0, 1.0, 3)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_step_size(self, h):
+        harm = get_problem("harmonic")
+        spec = HbvmSpec(2, 1)
+        y0 = harm.default_y0
+        with pytest.raises(ValueError, match="step size"):
+            integrate(spec, harm.system, y0, h, 3)
+        with pytest.raises(ValueError, match="step size"):
+            rk_step(hbvm_tableau(spec), harm.system, y0, h)
+        with pytest.raises(ValueError, match="step size"):
+            gamma_step(spec, harm.system, y0, h)
 
     def test_argument_validation(self):
         harm = get_problem("harmonic")
