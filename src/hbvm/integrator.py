@@ -5,6 +5,13 @@ Butcher tableau, and the reduced form that solves for the s expansion
 coefficients of the underlying degree-s polynomial, shrinking the nonlinear
 system from k*2m to s*2m unknowns.
 
+Every stage, Jacobian and energy evaluation goes through the system on a
+whole block of states: one `HamiltonianSystem.f` call per iteration on the
+k stage states, one on the 2*dim perturbed states of a finite-difference
+Jacobian, and one `H` call on a trajectory's states.  A vectorized system
+answers each with one `grad_H` (or `H`) call, so a step's cost barely grows
+with k; any other system is called one state at a time.
+
 Both solve their stages by fixed-point iteration or by simplified Newton.
 The Newton matrix is r*2m square, with r the rank of the stage matrix: s for
 an HBVM in either form (the full-stage form factors A = L R and applies
@@ -91,7 +98,9 @@ class HamiltonianSystem:
     """Energy function, its gradient, and the structure matrix of the flow.
 
     poly_degree records the total degree when the energy is polynomial;
-    None marks non-polynomial energies.
+    None marks non-polynomial energies.  vectorized declares that H and
+    grad_H act on the last axis of any (..., dim) array, so that a block of
+    states costs one call; otherwise they are called one state at a time.
     """
 
     dim: int
@@ -99,6 +108,7 @@ class HamiltonianSystem:
     grad_H: Callable[[np.ndarray], np.ndarray]
     J: np.ndarray | None = None
     poly_degree: int | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
         J = canonical_symplectic_matrix(self.dim) if self.J is None \
@@ -108,10 +118,27 @@ class HamiltonianSystem:
         if np.any(J != -J.T):
             raise ValueError("J must be exactly skew-symmetric")
         object.__setattr__(self, "J", J)
+        object.__setattr__(self, "_canonical", self.dim % 2 == 0 and
+                           np.array_equal(J, canonical_symplectic_matrix(self.dim)))
 
     def f(self, y: np.ndarray) -> np.ndarray:
-        """Vector field J grad H."""
-        return self.J @ self.grad_H(y)
+        """Vector field J grad H at one state or at each row of an (n, dim)
+        block.  A canonical J swaps the halves of the gradient and negates
+        one, which gives exactly the values of J @ grad H."""
+        if self.vectorized or y.ndim == 1:
+            g = self.grad_H(y)
+        else:
+            g = np.array([self.grad_H(row) for row in y])
+        if self._canonical:
+            m = self.dim // 2
+            return np.concatenate((g[..., m:], -g[..., :m]), axis=-1)
+        return g @ self.J.T
+
+    def energies(self, Y: np.ndarray) -> np.ndarray:
+        """H at each row of an (n, dim) block of states."""
+        if self.vectorized:
+            return np.asarray(self.H(Y), dtype=float)
+        return np.array([self.H(y) for y in Y], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -126,8 +153,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("fixed_point", "newton"):
             raise ValueError("mode must be 'fixed_point' or 'newton'")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("need tol > 0 and max_iter >= 1")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and positive, "
+                             f"got tol={self.tol}")
+        if self.max_iter < 1:
+            raise ValueError("need max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -175,15 +205,10 @@ def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray,
     if cfg.jacobian is not None:
         return np.asarray(cfg.jacobian(y), dtype=float)
     n = y.size
-    Jf = np.empty((n, n))
-    for i in range(n):
-        step = _SQRT_EPS * (1.0 + abs(y[i]))
-        yp = y.copy()
-        ym = y.copy()
-        yp[i] += step
-        ym[i] -= step
-        Jf[:, i] = (sys.f(yp) - sys.f(ym)) / (2.0 * step)
-    return Jf
+    steps = _SQRT_EPS * (1.0 + np.abs(y))
+    D = np.diag(steps)
+    F = sys.f(np.concatenate((y + D, y - D)))
+    return (F[:n] - F[n:]).T / (2.0 * steps)
 
 
 def _check_finite(res: float, iterations: int) -> None:
@@ -254,6 +279,12 @@ def _check_step_size(h: float) -> None:
         raise ValueError(f"step size must be finite and nonzero, got h={h}")
 
 
+def _check_state(sys: HamiltonianSystem, y0: np.ndarray) -> None:
+    if y0.shape != (sys.dim,):
+        raise ValueError(f"initial state has shape {y0.shape}, but the "
+                         f"system has dim {sys.dim}")
+
+
 def _rk_correction(tab: ButcherTableau, sys: HamiltonianSystem, y0, h,
                    cfg: SolverConfig):
     """Newton correction for the full-stage form: the inverse of
@@ -290,23 +321,20 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     """
     cfg = cfg or SolverConfig()
     y0 = np.asarray(y0, dtype=float)
+    _check_state(sys, y0)
     _check_step_size(h)
-    k = tab.k
-
-    def fmap(Y):
-        return np.array([sys.f(Y[i]) for i in range(k)])
 
     def gmap(Y):
-        return y0 + h * (tab.A @ fmap(Y))
+        return y0 + h * (tab.A @ sys.f(Y))
 
-    Y0 = np.tile(y0, (k, 1))
+    Y0 = np.tile(y0, (tab.k, 1))
     if cfg.mode == "fixed_point":
         Y, iters, res, ratio = _fixed_point(gmap, Y0, cfg)
     else:
         if correction is None:
             correction = _rk_correction(tab, sys, y0, h, cfg)
         Y, iters, res, ratio = _simplified_newton(gmap, Y0, correction, cfg)
-    y1 = y0 + h * (tab.b @ fmap(Y))
+    y1 = y0 + h * (tab.b @ sys.f(Y))
     return y1, StepDiagnostics(iterations=iters, residual=res, mode=cfg.mode,
                                contraction=ratio)
 
@@ -320,10 +348,10 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     the integral matrix, and the update is y1 = y0 + h * gamma_1 because
     only the constant basis polynomial has nonzero mean.
     """
-    sysq = abscissae(spec)
-    bm = basis_matrices(sysq, spec.s)
-    return _gamma_step_matrices(bm, sys, np.asarray(y0, dtype=float), h,
-                                cfg or SolverConfig())
+    y0 = np.asarray(y0, dtype=float)
+    _check_state(sys, y0)
+    bm = basis_matrices(abscissae(spec), spec.s)
+    return _gamma_step_matrices(bm, sys, y0, h, cfg or SolverConfig())
 
 
 def _gamma_correction(bm, sys: HamiltonianSystem, y0, h, cfg: SolverConfig):
@@ -350,9 +378,7 @@ def _gamma_step_matrices(bm, sys: HamiltonianSystem, y0, h, cfg,
         return y0 + h * (I_s @ gamma)
 
     def gmap(gamma):
-        stages = stages_of(gamma)
-        F = np.array([sys.f(stages[i]) for i in range(stages.shape[0])])
-        return PTW @ F
+        return PTW @ sys.f(stages_of(gamma))
 
     g0 = np.zeros((s, y0.size))
     if cfg.mode == "fixed_point":
@@ -385,6 +411,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
         raise ValueError("mode must be 'rk' or 'gamma'")
     cfg = cfg or SolverConfig()
     y0 = np.asarray(y0, dtype=float)
+    _check_state(sys, y0)
 
     if mode == "gamma":
         if not isinstance(method, HbvmSpec):
@@ -410,11 +437,9 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
 
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
-    energies = np.empty(n_steps + 1)
     iters = np.zeros(n_steps + 1, dtype=int)
     jacs = np.zeros(n_steps + 1, dtype=int)
     states[0] = y0
-    energies[0] = sys.H(y0)
     y = y0
     newton = cfg.mode == "newton"
     # f-evaluations a finite-difference Jacobian costs; extra iterations of
@@ -438,7 +463,6 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
                 f"step {n + 1} failed: {exc}", residual=exc.residual,
                 iterations=exc.iterations) from exc
         states[n + 1] = y
-        energies[n + 1] = sys.H(y)
         iters[n + 1] = diag.iterations
         if newton:
             if jacs[n + 1]:
@@ -447,7 +471,8 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
                 extra += max(0, diag.iterations - fresh_iters)
             refresh = (k * extra >= jacobian_cost
                        or diag.contraction > REFRESH_CONTRACTION)
-    return Trajectory(times=times, states=states, energies=energies,
+    return Trajectory(times=times, states=states,
+                      energies=sys.energies(states),
                       iteration_counts=iters, jacobian_counts=jacs)
 
 
@@ -455,8 +480,7 @@ def energy_drift(traj: Trajectory, sys: HamiltonianSystem | None = None):
     """(max_n |H(y_n) - H(y_0)|, |H(y_N) - H(y_0)|) along a trajectory."""
     if traj.states.shape[0] == 0:
         raise ValueError("trajectory is empty")
-    energies = traj.energies if sys is None else \
-        np.array([sys.H(y) for y in traj.states])
+    energies = traj.energies if sys is None else sys.energies(traj.states)
     dev = np.abs(energies - energies[0])
     return float(np.max(dev)), float(dev[-1])
 

@@ -4,6 +4,11 @@ States are ordered coordinates-first, (q, p), matching the canonical
 structure matrix.  Polynomial energies record their total degree; closed
 form reference solutions, where present, correspond to the catalog's
 default initial state.
+
+Every energy and gradient is vectorized: it indexes components with
+``y[..., i]`` and builds its result with ``np.stack(..., axis=-1)``, so it
+acts on the last axis of a single state or of any ``(..., dim)`` block, and
+the integrator evaluates all stages of an iteration in one call.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ class ProblemSpec:
 
 def _harmonic() -> ProblemSpec:
     def H(y):
-        q, p = y
+        q, p = y[..., 0], y[..., 1]
         return 0.5 * (p * p + q * q)
 
     def grad(y):
@@ -53,7 +58,8 @@ def _harmonic() -> ProblemSpec:
 
     return ProblemSpec(
         name="harmonic",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=2),
+        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=2,
+                                 vectorized=True),
         default_y0=[q0, p0],
         reference_solution=exact,
         notes="unit-frequency oscillator; exact solution is a rotation",
@@ -62,16 +68,16 @@ def _harmonic() -> ProblemSpec:
 
 def _quartic() -> ProblemSpec:
     def H(y):
-        q, p = y
+        q, p = y[..., 0], y[..., 1]
         return 0.5 * p * p + 0.25 * q ** 4
 
     def grad(y):
-        q, p = y
-        return np.array([q ** 3, p])
+        return np.stack((y[..., 0] ** 3, y[..., 1]), axis=-1)
 
     return ProblemSpec(
         name="quartic",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=4),
+        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=4,
+                                 vectorized=True),
         default_y0=[1.0, 1.0],
         notes="stiffening quartic potential; degree-4 energy",
     )
@@ -79,16 +85,16 @@ def _quartic() -> ProblemSpec:
 
 def _sextic() -> ProblemSpec:
     def H(y):
-        q, p = y
+        q, p = y[..., 0], y[..., 1]
         return 0.5 * p * p + q ** 6 / 6.0
 
     def grad(y):
-        q, p = y
-        return np.array([q ** 5, p])
+        return np.stack((y[..., 0] ** 5, y[..., 1]), axis=-1)
 
     return ProblemSpec(
         name="sextic",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=6),
+        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=6,
+                                 vectorized=True),
         default_y0=[1.0, 1.0],
         notes="degree-6 confinement; the standard high-degree conservation case",
     )
@@ -96,16 +102,15 @@ def _sextic() -> ProblemSpec:
 
 def _pendulum() -> ProblemSpec:
     def H(y):
-        q, p = y
-        return 0.5 * p * p - math.cos(q)
+        q, p = y[..., 0], y[..., 1]
+        return 0.5 * p * p - np.cos(q)
 
     def grad(y):
-        q, p = y
-        return np.array([math.sin(q), p])
+        return np.stack((np.sin(y[..., 0]), y[..., 1]), axis=-1)
 
     return ProblemSpec(
         name="pendulum",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad),
+        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, vectorized=True),
         default_y0=[1.5, 0.5],
         notes="non-polynomial energy; libration orbit well inside the separatrix",
     )
@@ -116,19 +121,20 @@ def _pendulum() -> ProblemSpec:
 
 def _henon_heiles() -> ProblemSpec:
     def H(y):
-        q1, q2, p1, p2 = y
+        q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
         return (0.5 * (p1 * p1 + p2 * p2) + 0.5 * (q1 * q1 + q2 * q2)
                 + q1 * q1 * q2 - q2 ** 3 / 3.0)
 
     def grad(y):
-        q1, q2, p1, p2 = y
-        return np.array([q1 + 2.0 * q1 * q2,
+        q1, q2 = y[..., 0], y[..., 1]
+        return np.stack((q1 + 2.0 * q1 * q2,
                          q2 + q1 * q1 - q2 * q2,
-                         p1, p2])
+                         y[..., 2], y[..., 3]), axis=-1)
 
     return ProblemSpec(
         name="henon-heiles",
-        system=HamiltonianSystem(dim=4, H=H, grad_H=grad, poly_degree=3),
+        system=HamiltonianSystem(dim=4, H=H, grad_H=grad, poly_degree=3,
+                                 vectorized=True),
         default_y0=[0.1, -0.1, 0.4, 0.1],
         notes="cubic coupling of two oscillators at a bounded energy level",
     )
@@ -158,19 +164,19 @@ def _kepler_reference(t: float, e: float) -> np.ndarray:
 
 def _kepler() -> ProblemSpec:
     def H(y):
-        q, p = y[:2], y[2:]
-        return 0.5 * float(p @ p) - 1.0 / math.sqrt(float(q @ q))
+        q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+        return 0.5 * (p1 * p1 + p2 * p2) - 1.0 / np.sqrt(q1 * q1 + q2 * q2)
 
     def grad(y):
-        q, p = y[:2], y[2:]
-        r3 = float(q @ q) ** 1.5
-        return np.concatenate((q / r3, p))
+        q1, q2 = y[..., 0], y[..., 1]
+        r3 = (q1 * q1 + q2 * q2) ** 1.5
+        return np.stack((q1 / r3, q2 / r3, y[..., 2], y[..., 3]), axis=-1)
 
     e = KEPLER_ECCENTRICITY
     y0 = [1.0 - e, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e))]
     return ProblemSpec(
         name="kepler",
-        system=HamiltonianSystem(dim=4, H=H, grad_H=grad),
+        system=HamiltonianSystem(dim=4, H=H, grad_H=grad, vectorized=True),
         default_y0=y0,
         reference_solution=lambda t: _kepler_reference(t, e),
         notes=f"two-body orbit, eccentricity {e}, period 2*pi, "

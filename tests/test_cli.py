@@ -172,6 +172,15 @@ class TestIntegrateCommand:
         assert "step size" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, tmp_path, tol):
+        out = tmp_path / "never.csv"
+        res = run_cli("integrate", "--problem", "harmonic", "--k", "2", "--s", "1",
+                      "--h", "0.1", "--steps", "3", "--tol", tol, "--out", str(out))
+        assert res.returncode == 2
+        assert "tol" in res.stderr
+        assert not out.exists()
+
 
 class TestOrderCommand:
     def test_kepler_slope_in_band(self, tmp_path):

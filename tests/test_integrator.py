@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,120 @@ class TestKeptNewtonMatrix:
         assert diag.iterations == 0 and diag.contraction == 0.0
 
 
+class TestStateShape:
+    @pytest.mark.parametrize("length", [2, 6])
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_integrate_rejects_wrong_length(self, length, mode):
+        kep = get_problem("kepler")
+        with pytest.raises(ValueError, match=rf"\({length},\).*dim 4"):
+            integrate(HbvmSpec(4, 2), kep.system, np.ones(length), 0.1, 2,
+                      mode=mode)
+
+    @pytest.mark.parametrize("length", [2, 6])
+    def test_single_steps_reject_wrong_length(self, length):
+        kep = get_problem("kepler")
+        spec = HbvmSpec(4, 2)
+        with pytest.raises(ValueError, match=rf"\({length},\).*dim 4"):
+            rk_step(hbvm_tableau(spec), kep.system, np.ones(length), 0.1)
+        with pytest.raises(ValueError, match=rf"\({length},\).*dim 4"):
+            gamma_step(spec, kep.system, np.ones(length), 0.1)
+
+
+class TestBatchedVectorField:
+    @staticmethod
+    def _per_point_sextic():
+        """The catalog sextic, called one state at a time."""
+        sext = get_problem("sextic").system
+
+        def H(y):
+            assert y.ndim == 1
+            return sext.H(y)
+
+        def grad_H(y):
+            assert y.ndim == 1
+            return sext.grad_H(y)
+
+        return HamiltonianSystem(dim=2, H=H, grad_H=grad_H, poly_degree=6)
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
+    def test_per_point_fallback_is_unchanged(self, mode, cfg):
+        sext = get_problem("sextic")
+        per_point = self._per_point_sextic()
+        assert not per_point.vectorized and sext.system.vectorized
+        spec = HbvmSpec(6, 2)
+        ref = integrate(spec, sext.system, sext.default_y0, 0.1, 50, cfg,
+                        mode=mode)
+        traj = integrate(spec, per_point, sext.default_y0, 0.1, 50, cfg,
+                         mode=mode)
+        assert np.array_equal(traj.iteration_counts, ref.iteration_counts)
+        assert np.array_equal(traj.jacobian_counts, ref.jacobian_counts)
+        assert np.max(np.abs(traj.states - ref.states)) <= 1e-14
+        assert np.max(np.abs(traj.energies - ref.energies)) <= 1e-14
+
+    # grad_H calls per step minus iterations: the final update (rk), the
+    # Newton residual that meets tol, and the Jacobian's single block call.
+    @pytest.mark.parametrize("mode,cfg,iters,extra", [
+        ("rk", SolverConfig(tol=1e-14), 14, 1),
+        ("gamma", SolverConfig(tol=1e-14), 14, 0),
+        ("rk", NEWTON, 6, 3),
+        ("gamma", NEWTON, 6, 2),
+    ], ids=["rk-fixed", "gamma-fixed", "rk-newton", "gamma-newton"])
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_grad_H_calls_do_not_grow_with_k(self, mode, cfg, iters, extra,
+                                             k):
+        kep = get_problem("kepler")
+        calls = []
+
+        def counted(y):
+            calls.append(y.shape)
+            return kep.system.grad_H(y)
+
+        system = dataclasses.replace(kep.system, grad_H=counted)
+        spec = HbvmSpec(k, 2)
+        if mode == "rk":
+            _, diag = rk_step(hbvm_tableau(spec), system, kep.default_y0,
+                              0.05, cfg)
+        else:
+            _, _, diag = gamma_step(spec, system, kep.default_y0, 0.05, cfg)
+        assert diag.iterations == iters
+        assert len(calls) == iters + extra
+
+    def test_non_canonical_structure_matrix(self):
+        harm = get_problem("harmonic").system
+        J = np.array([[0.0, 2.0], [-2.0, 0.0]])
+        system = dataclasses.replace(harm, J=J)
+        Y = np.random.default_rng(4).uniform(-1.0, 1.0, size=(7, 2))
+        F = system.f(Y)
+        for y, row in zip(Y, F):
+            assert np.array_equal(row, J @ y)
+            assert np.array_equal(system.f(y), row)
+
+    def test_field_jacobian_is_one_block_call(self):
+        kep = get_problem("kepler")
+        calls = []
+
+        def counted(y):
+            calls.append(y.shape)
+            return kep.system.grad_H(y)
+
+        system = dataclasses.replace(kep.system, grad_H=counted)
+        y = kep.default_y0
+        Jf = integrator._field_jacobian(system, y, NEWTON)
+        assert calls == [(8, 4)]
+        per_point = self._per_point_sextic()
+        sext = get_problem("sextic")
+        assert np.array_equal(
+            integrator._field_jacobian(per_point, sext.default_y0, NEWTON),
+            integrator._field_jacobian(sext.system, sext.default_y0, NEWTON))
+        # Kepler at perihelion: d(p)/dt = -q / |q|^3 has Jacobian block
+        # -(I - 3 q q^T / |q|^2) / |q|^3, here diag(2, -1) / |q|^3
+        r3 = y[0] ** 3
+        assert Jf[2:, :2] == pytest.approx(np.diag([2.0, -1.0]) / r3,
+                                           rel=1e-6)
+        assert np.array_equal(Jf[:2, 2:], np.eye(2))
+
+
 class TestGammaStep:
     def test_matches_rk_step_on_sextic(self):
         sext = get_problem("sextic")
@@ -484,3 +600,9 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-13])
+def test_solver_config_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        SolverConfig(tol=tol)

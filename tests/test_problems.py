@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hbvm.problems import catalog, get_problem
 
@@ -128,3 +131,59 @@ def test_default_states_are_copies():
     y = kep.default_y0
     y[0] = 99.0
     assert get_problem("kepler").default_y0[0] != 99.0
+
+
+# Components bounded away from zero keep Kepler's |q| >= 0.35.
+_COMPONENTS = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
+# Kepler's r^1.5 may round differently on a block than on one state.
+_ULPS = {"kepler": 4}
+
+
+def _block_of(dim: int):
+    shape = st.tuples(st.integers(1, 50), st.just(dim)) | st.tuples(
+        st.integers(1, 5), st.integers(1, 5), st.just(dim))
+    return shape.flatmap(lambda sh: hnp.arrays(float, sh, elements=_COMPONENTS))
+
+
+def _assert_rows_match(block, per_row, ulps):
+    per_row = np.asarray(per_row)
+    assert block.shape == per_row.shape
+    if ulps == 0:
+        assert np.array_equal(block, per_row)
+    else:
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(block - per_row) <= ulps * eps * np.abs(per_row))
+
+
+@pytest.mark.parametrize("prob", catalog(), ids=lambda p: p.name)
+def test_block_evaluation_matches_rows(prob):
+    sys = prob.system
+    assert sys.vectorized
+    ulps = _ULPS.get(prob.name, 0)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(Y=_block_of(sys.dim))
+    def check(Y):
+        rows = Y.reshape(-1, sys.dim)
+        lead = Y.shape[:-1]
+        _assert_rows_match(sys.H(Y), np.reshape([sys.H(y) for y in rows], lead),
+                           ulps)
+        _assert_rows_match(sys.grad_H(Y),
+                           np.reshape([sys.grad_H(y) for y in rows], Y.shape),
+                           ulps)
+        _assert_rows_match(sys.f(Y),
+                           np.reshape([sys.f(y) for y in rows], Y.shape), ulps)
+        if Y.ndim == 2:
+            _assert_rows_match(sys.energies(Y), [sys.H(y) for y in rows], ulps)
+
+    check()
+
+
+def test_canonical_field_matches_matrix_product():
+    # swapping and negating the gradient's halves is exactly J @ grad H
+    rng = np.random.default_rng(21)
+    for prob in catalog():
+        sys = prob.system
+        for _ in range(50):
+            y = rng.uniform(0.3, 1.5, size=sys.dim)
+            assert np.array_equal(sys.f(y), sys.J @ sys.grad_H(y)), prob.name
