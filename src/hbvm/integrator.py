@@ -12,10 +12,16 @@ Jacobian, and one `H` call on a trajectory's states.  A vectorized system
 answers each with one `grad_H` (or `H`) call, so a step's cost barely grows
 with k; any other system is called one state at a time.
 
-Both solve their stages by fixed-point iteration or by simplified Newton.
-The Newton matrix is r*2m square, with r the rank of the stage matrix: s for
-an HBVM in either form (the full-stage form factors A = L R and applies
-Woodbury), k for collocation and other full-rank tableaux.
+Both forms are one iteration.  A stage matrix factored as A = L R, with L
+(k, r) and R (r, k), turns the stage equations into u = R f(y0 + h L u) for
+the r x 2m unknowns u, with stage states Y = y0 + h L u.  The full-stage
+form takes (L, R) from `ButcherTableau.low_rank`, a thin SVD; the
+coefficient form takes (I_s, P_s^T Omega), and u is the coefficients.  r is
+s for an HBVM in either form and k for collocation and other full-rank
+tableaux.  One solver core runs fixed-point iteration or simplified Newton
+on u, and the Newton matrix is I - h (R L) (x) Jf, r*2m square.  Each form
+keeps its own stopping residual: the change in the stage states for the
+full-stage form, the change in the coefficients for the coefficient form.
 
 The converged stages do not depend on which matrix Newton iterates with, so
 `integrate` keeps the Jacobian and the factored matrix from one step to the
@@ -40,7 +46,6 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .tableau import (
-    RANK_SV_TOL,
     ButcherTableau,
     HbvmSpec,
     _format_real,
@@ -220,7 +225,8 @@ def _check_finite(res: float, iterations: int) -> None:
 
 
 def _fixed_point(residual_map, U0, cfg: SolverConfig):
-    """Fixed-point iteration U <- G(U); residual is max |G(U) - U|.
+    """Fixed-point iteration U <- G(U), where residual_map(U) returns G(U)
+    and the residual of that iteration.
 
     Returns (U, iterations, residual, final residual ratio).  Overflow is
     left to the non-finite check rather than warned about.
@@ -230,8 +236,7 @@ def _fixed_point(residual_map, U0, cfg: SolverConfig):
     growth = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.max_iter):
-            G = residual_map(U)
-            res = float(np.max(np.abs(G - U)))
+            G, res = residual_map(U)
             _check_finite(res, it + 1)
             U = G
             if res <= cfg.tol:
@@ -253,7 +258,8 @@ def _fixed_point(residual_map, U0, cfg: SolverConfig):
 
 def _simplified_newton(residual_map, U0, correction, cfg: SolverConfig):
     """Newton iteration U <- U + correction(G(U) - U), where correction
-    applies the inverse of a frozen iteration matrix.
+    applies the inverse of a frozen iteration matrix and residual_map(U)
+    returns G(U) and the residual of U.
 
     Returns (U, iterations, residual, final residual ratio).  Overflow is
     left to the non-finite check rather than warned about.
@@ -262,8 +268,7 @@ def _simplified_newton(residual_map, U0, correction, cfg: SolverConfig):
     last = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.max_iter + 1):
-            G = residual_map(U)
-            res = float(np.max(np.abs(G - U)))
+            G, res = residual_map(U)
             _check_finite(res, it)
             if res <= cfg.tol:
                 return U, it, res, res / last
@@ -285,27 +290,46 @@ def _check_state(sys: HamiltonianSystem, y0: np.ndarray) -> None:
                          f"system has dim {sys.dim}")
 
 
-def _rk_correction(tab: ButcherTableau, sys: HamiltonianSystem, y0, h,
-                   cfg: SolverConfig):
-    """Newton correction for the full-stage form: the inverse of
-    I - h A (x) Jf, with Jf taken at y0.
-
-    With A = L R of rank r, Woodbury reduces the solve with I - h A (x) Jf
-    to one with I - h (R L) (x) Jf: the correction of a residual block E is
-    E + h L Z, where Z solves Z - h (R L) Z Jf^T = R E Jf^T.
-    """
-    n = y0.size
+def _newton_correction(M: np.ndarray, sys: HamiltonianSystem, y0, h,
+                       cfg: SolverConfig):
+    """Newton correction for u = R f(y0 + h L u) with M = R L: the inverse
+    of I - h M (x) Jf, with Jf taken at y0."""
     Jf = _field_jacobian(sys, y0, cfg)
-    U, sv, Vt = np.linalg.svd(tab.A)
-    r = int(np.sum(sv > RANK_SV_TOL))
-    L, R = U[:, :r] * sv[:r], Vt[:r]
-    lu = lu_factor(np.eye(r * n) - h * np.kron(R @ L, Jf))
+    lu = lu_factor(np.eye(M.shape[0] * y0.size) - h * np.kron(M, Jf))
 
     def correction(E):
-        Z = lu_solve(lu, (R @ E @ Jf.T).reshape(-1))
-        return E + h * (L @ Z.reshape(r, n))
+        return lu_solve(lu, E.reshape(-1)).reshape(E.shape)
 
     return correction
+
+
+def _stage_solve(L, R, sys: HamiltonianSystem, y0, h, cfg: SolverConfig,
+                 correction, residual):
+    """Solve u = R f(y0 + h L u) from u = 0; returns (u, stages, diagnostics)
+    with stages = y0 + h L u.
+
+    residual(E) measures the change E = G(u) - u of one iteration.  Newton
+    iterates with the given correction or a fresh one built at y0.
+    """
+    hL = h * L
+
+    def stages(u):
+        return y0 + hL @ u
+
+    def residual_map(u):
+        G = R @ sys.f(stages(u))
+        return G, residual(G - u)
+
+    u0 = np.zeros((R.shape[0], y0.size))
+    if cfg.mode == "fixed_point":
+        u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
+    else:
+        if correction is None:
+            correction = _newton_correction(R @ L, sys, y0, h, cfg)
+        u, iters, res, ratio = _simplified_newton(residual_map, u0,
+                                                  correction, cfg)
+    return u, stages(u), StepDiagnostics(iterations=iters, residual=res,
+                                         mode=cfg.mode, contraction=ratio)
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
@@ -314,7 +338,9 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
 
     Solves the stage states Y_i = y0 + h sum_j A_ij f(Y_j) to the configured
     residual tolerance, then returns (y1, diagnostics) with
-    y1 = y0 + h sum_i b_i f(Y_i).  Step sizes are normally positive; the
+    y1 = y0 + h sum_i b_i f(Y_i).  The unknowns are the r rows of
+    u = R f(Y), Y = y0 + h L u, with A = L R from `tab.low_rank`; the
+    residual is the change in Y.  Step sizes are normally positive; the
     sign is not enforced so that reversibility experiments can step back.
     Newton iterates with the given correction (a kept one from an earlier
     step, same h) or, by default, a fresh one built at y0.
@@ -323,20 +349,16 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
     _check_step_size(h)
+    L, R = tab.low_rank
 
-    def gmap(Y):
-        return y0 + h * (tab.A @ sys.f(Y))
+    def stage_change(E):
+        # |h| max |L E| is max |h L E| exactly: rounding is monotone and
+        # symmetric in sign
+        return abs(h) * float(np.abs(L @ E).max())
 
-    Y0 = np.tile(y0, (tab.k, 1))
-    if cfg.mode == "fixed_point":
-        Y, iters, res, ratio = _fixed_point(gmap, Y0, cfg)
-    else:
-        if correction is None:
-            correction = _rk_correction(tab, sys, y0, h, cfg)
-        Y, iters, res, ratio = _simplified_newton(gmap, Y0, correction, cfg)
-    y1 = y0 + h * (tab.b @ sys.f(Y))
-    return y1, StepDiagnostics(iterations=iters, residual=res, mode=cfg.mode,
-                               contraction=ratio)
+    _, Y, diag = _stage_solve(L, R, sys, y0, h, cfg, correction,
+                              stage_change)
+    return y0 + h * (tab.b @ sys.f(Y)), diag
 
 
 def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
@@ -354,44 +376,17 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     return _gamma_step_matrices(bm, sys, y0, h, cfg or SolverConfig())
 
 
-def _gamma_correction(bm, sys: HamiltonianSystem, y0, h, cfg: SolverConfig):
-    """Newton correction for the coefficient form: the inverse of
-    I - h (P_s^T Omega I_s) (x) Jf, with Jf taken at y0."""
-    Jf = _field_jacobian(sys, y0, cfg)
-    lu = lu_factor(np.eye(bm.I_s.shape[1] * y0.size)
-                   - h * np.kron(bm.P_s.T @ bm.Omega @ bm.I_s, Jf))
-
-    def correction(E):
-        return lu_solve(lu, E.reshape(-1)).reshape(E.shape)
-
-    return correction
-
-
 def _gamma_step_matrices(bm, sys: HamiltonianSystem, y0, h, cfg,
                          correction=None):
     _check_step_size(h)
-    PTW = bm.P_s.T @ bm.Omega  # (s, k)
-    I_s = bm.I_s               # (k, s)
-    s = I_s.shape[1]
 
-    def stages_of(gamma):
-        return y0 + h * (I_s @ gamma)
+    def coefficient_change(E):
+        return float(np.abs(E).max())
 
-    def gmap(gamma):
-        return PTW @ sys.f(stages_of(gamma))
-
-    g0 = np.zeros((s, y0.size))
-    if cfg.mode == "fixed_point":
-        gamma, iters, res, ratio = _fixed_point(gmap, g0, cfg)
-    else:
-        if correction is None:
-            correction = _gamma_correction(bm, sys, y0, h, cfg)
-        gamma, iters, res, ratio = _simplified_newton(gmap, g0, correction,
-                                                      cfg)
+    gamma, Y, diag = _stage_solve(bm.I_s, bm.P_s.T @ bm.Omega, sys, y0, h,
+                                  cfg, correction, coefficient_change)
     y1 = y0 + h * gamma[0]
-    state = GammaState(gamma=gamma, stage_values=stages_of(gamma))
-    return y1, state, StepDiagnostics(iterations=iters, residual=res,
-                                      mode=cfg.mode, contraction=ratio)
+    return y1, GammaState(gamma=gamma, stage_values=Y), diag
 
 
 def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
@@ -418,9 +413,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
             raise TypeError("gamma mode requires an HbvmSpec")
         bm = basis_matrices(abscissae(method), method.s)
         k = method.k
-
-        def fresh(y):
-            return _gamma_correction(bm, sys, y, h, cfg)
+        M = bm.P_s.T @ bm.Omega @ bm.I_s
 
         def stepper(y, correction):
             y1, _, diag = _gamma_step_matrices(bm, sys, y, h, cfg, correction)
@@ -428,12 +421,14 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     else:
         tab = hbvm_tableau(method) if isinstance(method, HbvmSpec) else method
         k = tab.k
-
-        def fresh(y):
-            return _rk_correction(tab, sys, y, h, cfg)
+        L, R = tab.low_rank
+        M = R @ L
 
         def stepper(y, correction):
             return rk_step(tab, sys, y, h, cfg, correction)
+
+    def fresh(y):
+        return _newton_correction(M, sys, y, h, cfg)
 
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))

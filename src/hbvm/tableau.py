@@ -5,6 +5,7 @@ structural matrices that carry the Gauss spectrum.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,7 +50,8 @@ MAX_DEGREE = 6
 # Moment tolerance used when enforcing the quadrature-exactness hypothesis.
 EXACTNESS_TOL = 1e-9
 
-# Numerical rank cutoff for the constructed stage matrix.
+# Numerical rank cutoff for the stage matrix; read only by
+# ButcherTableau.low_rank.
 RANK_SV_TOL = 1e-10
 
 
@@ -86,6 +88,12 @@ class ButcherTableau:
         k = c.size
         if A.shape != (k, k) or b.size != k:
             raise ValueError("inconsistent tableau dimensions")
+        bad = [f"{name}[{', '.join(map(str, idx))}] = {x[idx]}"
+               for name, x in (("c", c), ("A", A), ("b", b))
+               for idx in zip(*np.nonzero(~np.isfinite(x)))]
+        if bad:
+            raise ValueError("tableau entries must be finite: "
+                             + ", ".join(bad))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -93,6 +101,15 @@ class ButcherTableau:
     @property
     def k(self) -> int:
         return self.c.size
+
+    @functools.cached_property
+    def low_rank(self) -> tuple[np.ndarray, np.ndarray]:
+        """Thin factors A = L R, L (k, r) and R (r, k), from the SVD of A:
+        L = U_r S_r and R = V_r^T, r the count of singular values above
+        RANK_SV_TOL.  r is s for an HBVM and k for collocation."""
+        U, sv, Vt = np.linalg.svd(self.A)
+        r = int(np.sum(sv > RANK_SV_TOL))
+        return U[:, :r] * sv[:r], Vt[:r]
 
 
 @dataclass(frozen=True)
@@ -166,12 +183,12 @@ def hbvm_tableau(spec: HbvmSpec) -> ButcherTableau:
     sys = abscissae(spec)
     _require_exactness(sys, spec.s)
     bm = basis_matrices(sys, spec.s)
-    A = bm.I_s @ bm.P_s.T @ bm.Omega
-    rank = int(np.sum(np.linalg.svd(A, compute_uv=False) > RANK_SV_TOL))
+    tab = ButcherTableau(c=sys.tau, A=bm.I_s @ bm.P_s.T @ bm.Omega,
+                         b=sys.omega, s=spec.s, family=spec.family.value)
+    rank = tab.low_rank[1].shape[0]
     if rank != spec.s:
         raise RuntimeError(f"stage matrix rank {rank} != s = {spec.s}")
-    return ButcherTableau(c=sys.tau, A=A, b=sys.omega, s=spec.s,
-                          family=spec.family.value)
+    return tab
 
 
 def collocation_matrix(sys: AbscissaeSystem) -> np.ndarray:

@@ -99,6 +99,18 @@ class TestVerifyCommand:
         entries = json.loads(out.read_text())  # report still written
         assert any(not e["passed"] for e in entries)
 
+    def test_non_finite_tableau_exits_2_naming_the_entry(self, tmp_path):
+        tab_file = tmp_path / "tab.json"
+        run_cli("tableau", "--k", "6", "--s", "2", "--out", str(tab_file))
+        obj = json.loads(tab_file.read_text())
+        obj["A"][3][4] = float("nan")
+        tab_file.write_text(json.dumps(obj))
+        res = run_cli("verify", "--smax", "1", "--kmax", "1",
+                      "--tableau-file", str(tab_file), "--out",
+                      str(tmp_path / "r.json"))
+        assert res.returncode == 2
+        assert "tableau entries must be finite: A[3, 4] = nan" in res.stderr
+
     def test_untampered_tableau_passes(self, tmp_path):
         tab_file = tmp_path / "tab.json"
         run_cli("tableau", "--k", "6", "--s", "2", "--out", str(tab_file))

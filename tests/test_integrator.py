@@ -134,6 +134,48 @@ class TestRankFactoredNewton:
         assert np.max(np.abs(y_fp - y_nw)) <= 1e-12
 
 
+@pytest.fixture
+def unknown_shapes(monkeypatch):
+    shapes = []
+    fixed_point = integrator._fixed_point
+
+    def recording(residual_map, U0, cfg):
+        shapes.append(U0.shape)
+        return fixed_point(residual_map, U0, cfg)
+
+    monkeypatch.setattr(integrator, "_fixed_point", recording)
+    return shapes
+
+
+class TestLowRankStageCore:
+    # explicit Euler: A = 0 has rank 0, so u has no rows
+    EULER = ButcherTableau(c=[0.0], A=[[0.0]], b=[1.0])
+
+    def test_hbvm_iterates_on_s_rows(self, unknown_shapes):
+        kep = get_problem("kepler")
+        rk_step(hbvm_tableau(HbvmSpec(12, 2)), kep.system, kep.default_y0,
+                0.05)
+        assert unknown_shapes == [(2, 4)]
+
+    def test_full_rank_tableau_iterates_on_k_rows(self, unknown_shapes):
+        kep = get_problem("kepler")
+        rk_step(gauss_collocation_tableau(4), kep.system, kep.default_y0,
+                0.05)
+        assert unknown_shapes == [(4, 4)]
+
+    @pytest.mark.parametrize("cfg,iters", [(SolverConfig(), 1), (NEWTON, 0)],
+                             ids=["fixed", "newton"])
+    def test_rank_zero_tableau_is_explicit_euler(self, lu_orders, cfg,
+                                                 iters):
+        sext = get_problem("sextic")
+        y0, h = sext.default_y0, 0.1
+        y1, diag = rk_step(self.EULER, sext.system, y0, h, cfg)
+        assert self.EULER.low_rank[1].shape == (0, 1)
+        assert np.array_equal(y1, y0 + h * sext.system.f(y0))
+        assert diag.iterations == iters and diag.residual == 0.0
+        assert lu_orders == ([(0, 0)] if cfg.mode == "newton" else [])
+
+
 class TestNonFiniteStages:
     # harmonic energy whose gradient overflows more than 0.5 away from y0
     Y0 = np.array([1.0, 0.0])

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbvm.legendre import (
     NodeFamily,
@@ -9,7 +12,9 @@ from hbvm.legendre import (
     lobatto_system,
     random_custom_system,
 )
+from hbvm.spectral import _greedy_match_distance
 from hbvm.tableau import (
+    ButcherTableau,
     HbvmSpec,
     abscissae,
     basis_matrices,
@@ -108,6 +113,65 @@ class TestHbvmTableau:
             HbvmSpec(3, 2, NodeFamily.CUSTOM)  # nodes missing
         with pytest.raises(ValueError):
             HbvmSpec(3, 2, NodeFamily.GAUSS, nodes=(0.1, 0.5, 0.9))
+
+
+@st.composite
+def admissible_specs(draw):
+    """(k, s, family) inside the envelope; custom nodes need k >= 2s."""
+    family = draw(st.sampled_from(list(NodeFamily)))
+    s = draw(st.integers(1, 6))
+    if family is NodeFamily.CUSTOM:
+        k = draw(st.integers(2 * s, 12))
+        sys = random_custom_system(k, draw(st.integers(0, 10_000)))
+        return HbvmSpec(k, s, family, nodes=tuple(sys.tau))
+    low = s + 1 if family is NodeFamily.LOBATTO else s
+    return HbvmSpec(draw(st.integers(low, 12)), s, family)
+
+
+class TestLowRank:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(spec=admissible_specs())
+    def test_factors_carry_the_gauss_spectrum(self, spec):
+        # the nonzero spectrum of A = L R is that of R L, isospectral to X_s
+        tab = hbvm_tableau(spec)
+        L, R = tab.low_rank
+        assert L.shape == (spec.k, spec.s) and R.shape == (spec.s, spec.k)
+        scale = max(1.0, float(np.abs(tab.A).max()))
+        assert np.abs(L @ R - tab.A).max() <= 1e-13 * scale
+        distance = _greedy_match_distance(np.linalg.eigvals(R @ L),
+                                          np.linalg.eigvals(xs_matrix(spec.s)))
+        assert distance <= 1e-10
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_collocation_has_full_rank(self, k):
+        for sys in (gauss_system(k), random_custom_system(k, 42)):
+            tab = ButcherTableau(c=sys.tau, A=collocation_matrix(sys),
+                                 b=sys.omega)
+            assert tab.low_rank[1].shape == (k, k)
+
+    def test_is_computed_once(self):
+        tab = hbvm_tableau(HbvmSpec(6, 2))
+        assert tab.low_rank is tab.low_rank
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("field,value,named", [
+        ("c", [0.5, np.nan], "c[1] = nan"),
+        ("A", [[0.25, 0.0], [np.inf, 0.25]], "A[1, 0] = inf"),
+        ("b", [-np.inf, 0.5], "b[0] = -inf"),
+    ])
+    def test_construction_names_the_entry(self, field, value, named):
+        entries = {"c": [0.25, 0.75], "A": np.full((2, 2), 0.25),
+                   "b": [0.5, 0.5], field: value}
+        with pytest.raises(ValueError, match="entries must be finite") as info:
+            ButcherTableau(**entries)
+        assert named in str(info.value)
+
+    def test_json_with_nan_is_rejected(self):
+        obj = json.loads(tableau_to_json(hbvm_tableau(HbvmSpec(3, 2))))
+        obj["A"][2][1] = math.nan
+        with pytest.raises(ValueError, match=r"finite: A\[2, 1\] = nan$"):
+            tableau_from_json(json.dumps(obj))
 
 
 class TestCollocationMatrix:
