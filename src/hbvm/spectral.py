@@ -1,6 +1,11 @@
 """Structural checks on the constructed tableaux: spectrum classification
 against the order-2s reference matrix (eigenvalues from numpy), invariant-
 subspace and basis-transform residuals, and linear-stability scans.
+
+Stability values are evaluated at the rank r of the stage matrix, A = L R
+(ButcherTableau.low_rank): Sylvester's identity det(I - z A) =
+det(I_r - z R L) and the Woodbury identity reduce every point to one r x r
+solve, and r is s for an HBVM.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from .legendre import AbscissaeSystem, NodeFamily, basis_values, random_custom_s
 from .tableau import (
     ButcherTableau,
     HbvmSpec,
-    abscissae,
+    BasisMatrices,
+    _filtered_matrix,
+    _hbvm_build,
     basis_matrices,
-    filtered_tableau,
     hbvm_tableau,
     xhat_matrix,
     xs_matrix,
@@ -132,13 +138,15 @@ def isospectral_check(spec: HbvmSpec, tol: float = 1e-10) -> SpectrumReport:
     return classify_spectrum(tab.A, spec.s, spec.family.value)
 
 
+def _subspace_residual(A: np.ndarray, bm: BasisMatrices) -> float:
+    R = A @ bm.P_s1 - bm.P_s1 @ xtilde_matrix(bm.P_s.shape[1])
+    return float(np.max(np.abs(R)))
+
+
 def invariant_subspace_residual(spec: HbvmSpec) -> float:
     """Max-norm residual of A P_{s+1} = P_{s+1} Xtilde."""
-    sys = abscissae(spec)
-    tab = hbvm_tableau(spec)
-    bm = basis_matrices(sys, spec.s)
-    R = tab.A @ bm.P_s1 - bm.P_s1 @ xtilde_matrix(spec.s)
-    return float(np.max(np.abs(R)))
+    _, bm, tab = _hbvm_build(spec)
+    return _subspace_residual(tab.A, bm)
 
 
 def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
@@ -152,9 +160,16 @@ def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
     plain s x s similarity).  Gauss and Lobatto weights are exact for the
     basis products involved; weaker custom rules will show genuine residue.
     """
-    k = sys.k
-    if not 1 <= s <= k:
+    if not 1 <= s <= sys.k:
         raise ValueError("need 1 <= s <= k")
+    bm = basis_matrices(sys, s)
+    return _w_transform_residuals(sys, bm, bm.I_s @ bm.P_s.T @ bm.Omega)
+
+
+def _w_transform_residuals(sys: AbscissaeSystem, bm: BasisMatrices,
+                           A: np.ndarray) -> tuple[float, float]:
+    """w_transform_check for the stage matrix A built from bm."""
+    k, s = sys.k, bm.P_s.shape[1]
     P = basis_values(sys.tau, k)
     G = P.T @ np.diag(sys.omega) @ P
     E1 = np.zeros_like(G)
@@ -162,8 +177,6 @@ def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
     E1[s:, s:] = G[s:, s:]  # trailing block is unconstrained
     res_gram = float(np.max(np.abs(G - E1)))
 
-    bm = basis_matrices(sys, s)
-    A = bm.I_s @ bm.P_s.T @ bm.Omega
     try:
         M = np.linalg.solve(P, A @ P)
     except np.linalg.LinAlgError as exc:
@@ -179,22 +192,30 @@ def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
 
 def _stability_values(tab: ButcherTableau, z: np.ndarray):
     """R(z) = 1 + z b^T (I - z A)^{-1} 1 at every point of the 1-d array z,
-    from one stacked solve.
+    from one stacked solve at the rank r of A.
 
-    Returns (R, pole): pole marks the points where I - z A is singular,
-    found with the same LU that solve uses; R is NaN there.
+    With A = L R from tab.low_rank and M = R L (r x r), Sylvester's
+    identity det(I - z A) = det(I_r - z M) locates the poles, and Woodbury
+    gives R(z) = 1 + z sum(b) + z^2 (b^T L) (I_r - z M)^{-1} R 1.  r is s
+    for an HBVM, k for collocation, and 0 for a zero tableau, where
+    R(z) = 1 + z sum(b).
+
+    Returns (R, pole): pole marks the points where I_r - z M is singular;
+    R is NaN there.
     """
-    M = np.eye(tab.k) - z[:, None, None] * tab.A
+    L, R = tab.low_rank
+    M = np.eye(R.shape[0]) - z[:, None, None] * (R @ L)
     pole = np.linalg.det(M) == 0
-    M = M[~pole]
-    # The right-hand side is a stack of k x 1 matrices, as many dimensions
-    # as M, so every numpy version reads it the same way.
-    w = np.linalg.solve(M, np.ones(M.shape[:-1] + (1,)))
-    R = np.full(z.shape, np.nan, dtype=complex)
+    M, zp = M[~pole], z[~pole]
+    # The right-hand side is one r x 1 matrix with as many dimensions as M,
+    # broadcast over the stack, so every numpy version reads it the same way.
+    w = np.linalg.solve(M, np.sum(R, axis=1).reshape(1, -1, 1))
+    values = np.full(z.shape, np.nan, dtype=complex)
     # Row sums rather than matmul: a point's value must not depend on the
     # size of the batch it is solved in.
-    R[~pole] = 1.0 + z[~pole] * np.sum(w[:, :, 0] * tab.b, axis=1)
-    return R, pole
+    values[~pole] = (1.0 + zp * np.sum(tab.b)
+                     + zp * zp * np.sum(w[:, :, 0] * (tab.b @ L), axis=1))
+    return values, pole
 
 
 def stability_function(tab: ButcherTableau, z: complex) -> complex:
@@ -226,17 +247,22 @@ def a_stability_scan(tab: ButcherTableau, n_imag: int = 200,
 
     The imaginary axis uses n_imag log-spaced points with |y| in
     [1e-3, 1e3]; the half-plane grid crosses n_lhp log-spaced negative real
-    parts with symmetric log-spaced imaginary parts.
+    parts with symmetric log-spaced imaginary parts.  Both grids are one
+    stacked r x r solve, r the rank of A (see _stability_values).  Points
+    where the resolvent is singular are left out of both statistics and
+    listed in poles, axis points first.
     """
     axis = 1j * np.logspace(-3.0, 3.0, n_imag)
     im_half = np.logspace(-3.0, 3.0, n_lhp)
     im = np.concatenate((-im_half[::-1], [0.0], im_half))
     lhp = (-im_half[:, None] + 1j * im).ravel()
-    R_axis, axis_pole = _stability_values(tab, axis)
-    R_lhp, lhp_pole = _stability_values(tab, lhp)
-    imag_dev = np.max(np.abs(np.abs(R_axis[~axis_pole]) - 1.0), initial=0.0)
-    lhp_max = np.max(np.abs(R_lhp[~lhp_pole]), initial=0.0)
-    poles = np.concatenate((axis[axis_pole], lhp[lhp_pole]))
+    z = np.concatenate((axis, lhp))
+    values, pole = _stability_values(tab, z)
+    on_axis = np.arange(z.size) < axis.size
+    imag_dev = np.max(np.abs(np.abs(values[on_axis & ~pole]) - 1.0),
+                      initial=0.0)
+    lhp_max = np.max(np.abs(values[~on_axis & ~pole]), initial=0.0)
+    poles = z[pole]
     return StabilityScan(imag_axis_max_deviation=float(imag_dev),
                          lhp_max_modulus=float(lhp_max),
                          poles=tuple(complex(p) for p in poles))
@@ -278,16 +304,17 @@ def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
     """
     entries = []
     for spec, used_seed in spec_matrix(smax, kmax, seed):
-        sys = abscissae(spec)
-        tab = hbvm_tableau(spec)
+        # Each spec's node system, basis matrices and tableau are built
+        # once and shared by the checks below.
+        sys, bm, tab = _hbvm_build(spec)
         report = classify_spectrum(tab.A, spec.s, spec.family.value)
-        subspace = invariant_subspace_residual(spec)
-        filt = filtered_tableau(sys, spec.s)
-        filter_residual = float(np.max(np.abs(filt.A - tab.A)))
+        subspace = _subspace_residual(tab.A, bm)
+        filter_residual = float(np.max(np.abs(_filtered_matrix(sys, bm)
+                                              - tab.A)))
         if spec.family is NodeFamily.CUSTOM:
             wres = None
         else:
-            wres = w_transform_check(sys, spec.s)
+            wres = _w_transform_residuals(sys, bm, tab.A)
         stab = a_stability_scan(tab)
         checks = [report.passes(tol), subspace <= tol, filter_residual <= tol,
                   stab.max_deviation <= tol]

@@ -73,7 +73,11 @@ class BasisMatrices:
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Nodes c, stage matrix A, and weights b of a k-stage implicit method."""
+    """Nodes c, stage matrix A, and weights b of a k-stage implicit method.
+
+    The arrays are private read-only copies, so the cached low_rank factors
+    always describe A.
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -82,9 +86,9 @@ class ButcherTableau:
     family: str | None = None
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        A = np.asarray(self.A, dtype=float)
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        c = np.atleast_1d(np.array(self.c, dtype=float))
+        A = np.array(self.A, dtype=float)
+        b = np.atleast_1d(np.array(self.b, dtype=float))
         k = c.size
         if A.shape != (k, k) or b.size != k:
             raise ValueError("inconsistent tableau dimensions")
@@ -94,9 +98,9 @@ class ButcherTableau:
         if bad:
             raise ValueError("tableau entries must be finite: "
                              + ", ".join(bad))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        for name, x in (("c", c), ("A", A), ("b", b)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def k(self) -> int:
@@ -174,12 +178,10 @@ def _require_exactness(sys: AbscissaeSystem, s: int) -> None:
         )
 
 
-def hbvm_tableau(spec: HbvmSpec) -> ButcherTableau:
-    """Build the k-stage tableau of degree s: A = I_s P_s^T Omega.
-
-    Requires the node weights to integrate polynomials of degree 2s - 1
-    exactly; the stage matrix then has numerical rank s.
-    """
+def _hbvm_build(spec: HbvmSpec) -> tuple[AbscissaeSystem, BasisMatrices,
+                                          ButcherTableau]:
+    """Node system, basis matrices and tableau of a spec, each built once,
+    after the exactness check and with the rank check."""
     sys = abscissae(spec)
     _require_exactness(sys, spec.s)
     bm = basis_matrices(sys, spec.s)
@@ -188,7 +190,16 @@ def hbvm_tableau(spec: HbvmSpec) -> ButcherTableau:
     rank = tab.low_rank[1].shape[0]
     if rank != spec.s:
         raise RuntimeError(f"stage matrix rank {rank} != s = {spec.s}")
-    return tab
+    return sys, bm, tab
+
+
+def hbvm_tableau(spec: HbvmSpec) -> ButcherTableau:
+    """Build the k-stage tableau of degree s: A = I_s P_s^T Omega.
+
+    Requires the node weights to integrate polynomials of degree 2s - 1
+    exactly; the stage matrix then has numerical rank s.
+    """
+    return _hbvm_build(spec)[2]
 
 
 def collocation_matrix(sys: AbscissaeSystem) -> np.ndarray:
@@ -201,11 +212,15 @@ def collocation_matrix(sys: AbscissaeSystem) -> np.ndarray:
     return np.linalg.solve(P.T, basis_integrals(sys.tau, sys.k).T).T
 
 
+def _filtered_matrix(sys: AbscissaeSystem, bm: BasisMatrices) -> np.ndarray:
+    """Stage matrix of filtered_tableau from basis matrices already built."""
+    return collocation_matrix(sys) @ bm.P_s @ bm.P_s.T @ bm.Omega
+
+
 def filtered_tableau(sys: AbscissaeSystem, s: int) -> ButcherTableau:
     """Rank-s filtering of the collocation method: A = (coll) P_s P_s^T Omega."""
     _require_exactness(sys, s)
-    bm = basis_matrices(sys, s)
-    A = collocation_matrix(sys) @ bm.P_s @ bm.P_s.T @ bm.Omega
+    A = _filtered_matrix(sys, basis_matrices(sys, s))
     return ButcherTableau(c=sys.tau, A=A, b=sys.omega, s=s,
                           family=sys.family.value)
 

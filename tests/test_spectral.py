@@ -6,6 +6,7 @@ import pytest
 from hbvm.legendre import NodeFamily, gauss_system, lobatto_system
 from hbvm.spectral import (
     PoleError,
+    _stability_values,
     a_stability_scan,
     classify_spectrum,
     eigenvalues,
@@ -21,6 +22,9 @@ from hbvm.tableau import (
     MAX_STAGES,
     ButcherTableau,
     HbvmSpec,
+    abscissae,
+    collocation_matrix,
+    filtered_tableau,
     hbvm_tableau,
     xs_matrix,
 )
@@ -50,6 +54,21 @@ def numpy_gauss_tableau(s):
         anti = ell.integ()
         A[:, j] = anti(c) - anti(0.0)
     return c, A, w / 2.0
+
+
+def scan_grid():
+    """The imaginary-axis and left half-plane points of a_stability_scan."""
+    im_half = np.logspace(-3.0, 3.0, 15)
+    im = np.concatenate((-im_half[::-1], [0.0], im_half))
+    return np.concatenate((1j * np.logspace(-3.0, 3.0, 200),
+                           (-im_half[:, None] + 1j * im).ravel()))
+
+
+def full_solve_stability_values(tab, z):
+    """Reference: R(z) = 1 + z b^T (I - z A)^{-1} 1 from k x k solves."""
+    M = np.eye(tab.k) - z[:, None, None] * tab.A
+    w = np.linalg.solve(M, np.ones(M.shape[:-1] + (1,)))
+    return 1.0 + z * np.sum(w[:, :, 0] * tab.b, axis=1)
 
 
 class TestEigenvalues:
@@ -191,6 +210,38 @@ class TestStabilityFunction:
             stability_function(tab, 2.0)  # I - 2 * (1/2) singular
 
 
+class TestRankScan:
+    """The rank-r Woodbury form against the k x k resolvent solve."""
+
+    def assert_matches_full_solve(self, tab):
+        z = scan_grid()
+        values, pole = _stability_values(tab, z)
+        assert not pole.any()
+        assert np.max(np.abs(values - full_solve_stability_values(tab, z))) <= 1e-10
+
+    def test_every_spec_of_the_envelope(self):
+        for spec, _ in spec_matrix(MAX_DEGREE, MAX_STAGES):
+            tab = hbvm_tableau(spec)
+            assert tab.low_rank[1].shape[0] == spec.s
+            self.assert_matches_full_solve(tab)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_gauss_collocation_at_full_rank(self, k):
+        sys = gauss_system(k)
+        tab = ButcherTableau(c=sys.tau, A=collocation_matrix(sys), b=sys.omega)
+        assert tab.low_rank[1].shape[0] == k
+        self.assert_matches_full_solve(tab)
+
+    def test_rank_zero_tableau(self):
+        tab = ButcherTableau(c=[0.5], A=[[0.0]], b=[1.0])
+        assert tab.low_rank[1].shape[0] == 0
+        z = scan_grid()
+        values, pole = _stability_values(tab, z)
+        assert not pole.any()
+        assert np.array_equal(values, 1.0 + z * np.sum(tab.b))
+        assert a_stability_scan(tab).poles == ()
+
+
 class TestAStability:
     def test_gauss_4_2(self):
         scan = a_stability_scan(hbvm_tableau(HbvmSpec(4, 2)))
@@ -230,6 +281,24 @@ def test_verification_sweep_shape_and_order():
     custom = [e for e in entries if e["spec"]["family"] == "custom"]
     assert custom and all(e["wtransform_residuals"] is None for e in custom)
     assert {e["spec"]["seed"] for e in custom} == {42, 43, 44}
+
+
+def test_verification_sweep_entries_match_public_checks():
+    entries = {(e["spec"]["k"], e["spec"]["s"], e["spec"]["family"],
+                e["spec"]["seed"]): e
+               for e in verification_sweep(smax=2, kmax=5)}
+    for spec, seed in spec_matrix(2, 5):
+        e = entries[(spec.k, spec.s, spec.family.value, seed)]
+        sys, tab = abscissae(spec), hbvm_tableau(spec)
+        assert e["max_match_distance"] == isospectral_check(spec).max_match_distance
+        assert e["subspace_residual"] == invariant_subspace_residual(spec)
+        assert e["filter_residual"] == float(
+            np.max(np.abs(filtered_tableau(sys, spec.s).A - tab.A)))
+        if spec.family is NodeFamily.CUSTOM:
+            assert e["wtransform_residuals"] is None
+        else:
+            assert e["wtransform_residuals"] == list(w_transform_check(sys, spec.s))
+        assert e["a_stability_max_deviation"] == a_stability_scan(tab).max_deviation
 
 
 def test_verification_sweep_covers_whole_envelope():

@@ -154,6 +154,25 @@ class TestLowRank:
         assert tab.low_rank is tab.low_rank
 
 
+class TestReadOnlyArrays:
+    # The cached low_rank factors must keep describing A.
+    def test_writes_raise(self):
+        tab = hbvm_tableau(HbvmSpec(4, 2))
+        L, R = tab.low_rank
+        for x in (tab.c, tab.A, tab.b):
+            with pytest.raises(ValueError, match="read-only"):
+                x[:] = 0.0
+        assert np.abs(L @ R - tab.A).max() <= 1e-13
+
+    def test_caller_arrays_are_copied(self):
+        c, A, b = np.array([0.25, 0.75]), GAUSS2_A.copy(), np.array([0.5, 0.5])
+        tab = ButcherTableau(c=c, A=A, b=b)
+        c[:], A[:], b[:] = 0.0, 0.0, 0.0
+        assert np.array_equal(tab.c, [0.25, 0.75])
+        assert np.array_equal(tab.A, GAUSS2_A)
+        assert np.array_equal(tab.b, [0.5, 0.5])
+
+
 class TestNonFiniteEntries:
     @pytest.mark.parametrize("field,value,named", [
         ("c", [0.5, np.nan], "c[1] = nan"),
