@@ -34,6 +34,15 @@ next and builds a fresh pair only when
       state with a fresh one, and only a failure with a fresh matrix
       propagates.
 A single `rk_step` or `gamma_step` always builds a fresh matrix.
+
+The Newton matrix is factored and solved straight through LAPACK getrf and
+getrs (`lu_factor`, `lu_solve`), the routines behind scipy.linalg's
+wrappers, without their per-call checks: the matrix is checked finite once
+when it is factored, and every right-hand side has already passed the
+non-finite residual check.  scipy is imported there, on the first Newton
+matrix, so fixed-point runs and everything outside this module never load
+it.  A non-finite Jacobian and an exactly singular Newton matrix each fail
+the step with a `StageConvergenceError` naming the cause.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .tableau import (
     ButcherTableau,
@@ -206,14 +214,60 @@ class Trajectory:
 
 def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray,
                     cfg: SolverConfig) -> np.ndarray:
-    """Jacobian of f at y: user-supplied or central finite differences."""
+    """Jacobian of f at y: user-supplied or central finite differences.
+
+    A non-finite Jacobian fails the step here, with the cause named, rather
+    than as a non-finite Newton matrix.
+    """
     if cfg.jacobian is not None:
-        return np.asarray(cfg.jacobian(y), dtype=float)
-    n = y.size
-    steps = _SQRT_EPS * (1.0 + np.abs(y))
-    D = np.diag(steps)
-    F = sys.f(np.concatenate((y + D, y - D)))
-    return (F[:n] - F[n:]).T / (2.0 * steps)
+        Jf = np.asarray(cfg.jacobian(y), dtype=float)
+    else:
+        n = y.size
+        steps = _SQRT_EPS * (1.0 + np.abs(y))
+        D = np.diag(steps)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            F = sys.f(np.concatenate((y + D, y - D)))
+            Jf = (F[:n] - F[n:]).T / (2.0 * steps)
+    if not np.isfinite(Jf).all():
+        raise StageConvergenceError(
+            "Jacobian of f is non-finite at the step's initial state",
+            residual=math.nan, iterations=0)
+    return Jf
+
+
+def lu_factor(a: np.ndarray):
+    """LU factors (lu, piv) of a Newton matrix by LAPACK dgetrf, as
+    scipy.linalg.lu_factor returns them; an exactly singular matrix fails
+    the step."""
+    import scipy.linalg.lapack as lapack
+
+    if not np.isfinite(a).all():
+        raise StageConvergenceError("Newton matrix is non-finite",
+                                    residual=math.nan, iterations=0)
+    if a.size == 0:  # LAPACK rejects a zero leading dimension
+        return a.copy(), np.zeros(0, dtype=np.int32)
+    lu, piv, info = lapack.dgetrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    if info > 0:
+        raise StageConvergenceError(
+            f"Newton matrix is singular: pivot {info} of {a.shape[0]} is "
+            f"exactly zero", residual=math.nan, iterations=0)
+    return lu, piv
+
+
+def lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    """Solve with factors from `lu_factor` by LAPACK dgetrs.  b is not
+    checked: the stage solvers pass only residuals already checked finite."""
+    import scipy.linalg.lapack as lapack
+
+    lu, piv = factors
+    if b.size == 0:
+        return b.copy()
+    x, info = lapack.dgetrs(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
+    return x
 
 
 def _check_finite(res: float, iterations: int) -> None:

@@ -220,10 +220,15 @@ def random_custom_system(k: int, seed: int) -> AbscissaeSystem:
     behind the interpolatory weights stays well conditioned up to the
     supported stage counts.
     """
+    return custom_system(_random_nodes(k, seed))
+
+
+def _random_nodes(k: int, seed: int) -> np.ndarray:
+    """The nodes of `random_custom_system(k, seed)`, without its weights;
+    increasing, since each lies in its own bin."""
     rng = np.random.default_rng(seed)
     i = np.arange(1, k + 1)
-    tau = (i - 0.5 + 0.4 * (rng.random(k) - 0.5)) / k
-    return custom_system(tau)
+    return (i - 0.5 + 0.4 * (rng.random(k) - 0.5)) / k
 
 
 def interpolatory_weights(tau) -> np.ndarray:

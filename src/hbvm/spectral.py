@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import AbscissaeSystem, NodeFamily, basis_values, random_custom_system
+from .legendre import AbscissaeSystem, NodeFamily, _random_nodes, basis_values
 from .tableau import (
     ButcherTableau,
     HbvmSpec,
@@ -287,9 +287,9 @@ def spec_matrix(smax: int, kmax: int, seed: int = 42):
                 specs.append((HbvmSpec(k, s, NodeFamily.LOBATTO), None))
             if k >= 2 * s:
                 for j in range(3):
-                    sys = random_custom_system(k, seed + j)
+                    nodes = tuple(_random_nodes(k, seed + j))
                     specs.append((HbvmSpec(k, s, NodeFamily.CUSTOM,
-                                           nodes=tuple(sys.tau)), seed + j))
+                                           nodes=nodes), seed + j))
     return specs
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from hbvm import cli
 from hbvm.integrator import SolverConfig, integrate, trajectory_to_csv
 from hbvm.problems import get_problem
 from hbvm.tableau import HbvmSpec, hbvm_tableau, tableau_to_json
@@ -16,6 +18,34 @@ def run_cli(*args, cwd=None):
     env = dict(os.environ, HBVM_NO_COLOR="1")
     return subprocess.run([sys.executable, "-m", "hbvm", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+SCIPY_PROBE = """
+import sys
+from hbvm import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+print(any(m.split(".")[0] == "scipy" for m in sys.modules),
+      "scipy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args,loaded", [
+    ((), "False False"),
+    (("verify", "--smax", "2", "--kmax", "4"), "False False"),
+    (("tableau", "--k", "4", "--s", "2"), "False False"),
+    (("integrate", "--problem", "kepler", "--k", "4", "--s", "2",
+      "--h", "0.1", "--steps", "5"), "False False"),
+    (("integrate", "--problem", "kepler", "--k", "4", "--s", "2",
+      "--h", "0.1", "--steps", "5", "--solver", "newton"), "True True"),
+], ids=["import", "verify", "tableau", "fixed-point", "newton"])
+def test_scipy_is_loaded_only_for_a_newton_matrix(tmp_path, args, loaded):
+    if args:
+        args += ("--out", str(tmp_path / "out"))
+    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == loaded
 
 
 class TestTableauCommand:
@@ -163,6 +193,20 @@ class TestIntegrateCommand:
         assert res.returncode == 1
         assert re.search(r"integration failed: step \d+ failed: .*non-finite",
                          res.stderr)
+        assert not out.exists()
+
+    def test_non_finite_jacobian_exits_1_naming_the_cause(self, monkeypatch,
+                                                          capsys, tmp_path):
+        kepler = get_problem("kepler")
+        at_origin = dataclasses.replace(kepler, default_y0=[0.0, 0.0, 0.0, 1.0])
+        monkeypatch.setattr(cli, "get_problem", lambda name: at_origin)
+        out = tmp_path / "never.csv"
+        assert cli.main(["integrate", "--problem", "kepler", "--k", "4",
+                         "--s", "2", "--h", "0.05", "--steps", "3",
+                         "--solver", "newton", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("integration failed: step 1 failed: Jacobian of f is "
+                       "non-finite at the step's initial state\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("solver", ["fixed-point", "newton"])

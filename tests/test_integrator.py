@@ -1,7 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hbvm import integrator
 from hbvm.integrator import (
@@ -145,6 +147,78 @@ def unknown_shapes(monkeypatch):
 
     monkeypatch.setattr(integrator, "_fixed_point", recording)
     return shapes
+
+
+class TestLapackLU:
+    @pytest.mark.parametrize("n", [0, 1, 16, 256])
+    def test_matches_scipy_exactly(self, n):
+        # scipy.linalg's wrappers call the same LAPACK routines
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n)
+        lu, piv = integrator.lu_factor(a)
+        ref_lu, ref_piv = scipy.linalg.lu_factor(a)
+        assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+        assert np.array_equal(integrator.lu_solve((lu, piv), b),
+                              scipy.linalg.lu_solve((ref_lu, ref_piv), b))
+
+    def test_non_finite_matrix_is_rejected(self):
+        with pytest.raises(StageConvergenceError,
+                           match="Newton matrix is non-finite"):
+            integrator.lu_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    def test_every_solve_goes_through_the_module_global(self, monkeypatch):
+        calls = []
+        lu_solve = integrator.lu_solve
+
+        def counting(*args):
+            calls.append(1)
+            return lu_solve(*args)
+
+        monkeypatch.setattr(integrator, "lu_solve", counting)
+        kep = get_problem("kepler")
+        traj = integrate(HbvmSpec(12, 4), kep.system, kep.default_y0, 0.05,
+                         50, SolverConfig(mode="newton"), mode="gamma")
+        assert len(calls) == traj.iteration_counts.sum() > 0
+
+
+class TestNamedNewtonFailures:
+    # R L = 0.5 and h Jf = 2 I, so I - h (R L) (x) Jf is exactly zero
+    SINGULAR = ButcherTableau(c=[0.5], A=[[0.5]], b=[1.0])
+    FOUR_I = SolverConfig(mode="newton", jacobian=lambda y: 4 * np.eye(2))
+
+    def test_singular_matrix_fails_the_step_without_warning(self):
+        harm = get_problem("harmonic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StageConvergenceError,
+                               match="Newton matrix is singular"):
+                rk_step(self.SINGULAR, harm.system, harm.default_y0, 0.5,
+                        self.FOUR_I)
+            with pytest.raises(StageConvergenceError,
+                               match="step 1 failed: Newton matrix is "
+                                     "singular"):
+                integrate(self.SINGULAR, harm.system, harm.default_y0, 0.5,
+                          3, self.FOUR_I)
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_non_finite_jacobian_names_its_cause(self, mode):
+        # the Kepler gradient divides by |q| = 0
+        kep = get_problem("kepler")
+        with pytest.raises(StageConvergenceError,
+                           match="step 1 failed: Jacobian of f is "
+                                 "non-finite at the step's initial state"):
+            integrate(HbvmSpec(4, 2), kep.system, [0.0, 0.0, 0.0, 1.0], 0.05,
+                      3, SolverConfig(mode="newton"), mode=mode)
+
+    def test_non_finite_supplied_jacobian_names_its_cause(self):
+        harm = get_problem("harmonic")
+        cfg = SolverConfig(mode="newton",
+                           jacobian=lambda y: np.full((2, 2), np.nan))
+        with pytest.raises(StageConvergenceError,
+                           match="Jacobian of f is non-finite"):
+            rk_step(hbvm_tableau(HbvmSpec(2, 1)), harm.system,
+                    harm.default_y0, 0.1, cfg)
 
 
 class TestLowRankStageCore:

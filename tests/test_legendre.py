@@ -6,6 +6,7 @@ import pytest
 from hbvm.legendre import (
     AbscissaeSystem,
     NodeFamily,
+    _random_nodes,
     basis_integrals,
     basis_values,
     custom_system,
@@ -243,6 +244,13 @@ def test_random_custom_system_is_reproducible_and_valid():
     assert np.array_equal(a.tau, b.tau)
     assert exactness_degree(a, 1e-11) >= 6
     assert np.all(np.diff(a.tau) > 0) and a.tau[0] > 0 and a.tau[-1] <= 1
+
+
+def test_random_nodes_are_those_of_random_custom_system():
+    for k in range(1, 13):
+        for seed in range(20):
+            assert np.array_equal(np.sort(_random_nodes(k, seed)),
+                                  random_custom_system(k, seed).tau)
 
 
 class TestAbscissaeSystemValidation:

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hbvm.legendre import NodeFamily, gauss_system, lobatto_system
+from hbvm.legendre import (
+    NodeFamily,
+    gauss_system,
+    lobatto_system,
+    random_custom_system,
+)
 from hbvm.spectral import (
     PoleError,
     _stability_values,
@@ -299,6 +304,14 @@ def test_verification_sweep_entries_match_public_checks():
         else:
             assert e["wtransform_residuals"] == list(w_transform_check(sys, spec.s))
         assert e["a_stability_max_deviation"] == a_stability_scan(tab).max_deviation
+
+
+def test_spec_matrix_custom_nodes_are_those_of_random_custom_system():
+    custom = [(spec, seed) for spec, seed in spec_matrix(6, 12)
+              if spec.family is NodeFamily.CUSTOM]
+    assert len(custom) == 108
+    for spec, seed in custom:
+        assert spec.nodes == tuple(random_custom_system(spec.k, seed).tau)
 
 
 def test_verification_sweep_covers_whole_envelope():
