@@ -44,5 +44,5 @@ print("A =")
 print(tab.A)
 print()
 
-print("=== JSON serialisation (17 significant digits, lossless) ===")
+print("=== JSON serialisation (shortest round-trip reals, lossless) ===")
 print(tableau_to_json(hbvm_tableau(HbvmSpec(2, 2))))

@@ -2,8 +2,9 @@
 reports, trajectory integration, order measurement, and stability scans.
 
 Every command is a thin shell over the library; machine output is JSON or
-CSV with 17-significant-digit reals.  Exit codes: 0 success, 1 failed
-check or non-convergent solver, 2 bad arguments (nothing written).
+CSV with reals written as their shortest round-trip repr.  Exit codes: 0
+success, 1 failed check or non-convergent solver, 2 bad arguments or an
+unreadable or unwritable file (nothing written).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def cmd_tableau(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = _parse_spec(args)
-    report = isospectral_check(spec, args.tol)
+    report = isospectral_check(spec)
     passed = report.passes(args.tol)
     payload = {
         "spec": {"k": spec.k, "s": spec.s, "family": spec.family.value},
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

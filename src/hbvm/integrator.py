@@ -53,14 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tableau import (
-    ButcherTableau,
-    HbvmSpec,
-    _format_real,
-    abscissae,
-    basis_matrices,
-    hbvm_tableau,
-)
+from .tableau import ButcherTableau, HbvmSpec, _hbvm_build, hbvm_tableau
 
 __all__ = [
     "HamiltonianSystem",
@@ -426,7 +419,7 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     """
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
-    bm = basis_matrices(abscissae(spec), spec.s)
+    _, bm, _ = _hbvm_build(spec)
     return _gamma_step_matrices(bm, sys, y0, h, cfg or SolverConfig())
 
 
@@ -465,7 +458,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     if mode == "gamma":
         if not isinstance(method, HbvmSpec):
             raise TypeError("gamma mode requires an HbvmSpec")
-        bm = basis_matrices(abscissae(method), method.s)
+        _, bm, _ = _hbvm_build(method)
         k = method.k
         M = bm.P_s.T @ bm.Omega @ bm.I_s
 
@@ -595,14 +588,12 @@ def convergence_order(method, problem, t_end: float, h_list,
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV text with header t,y_1..y_2m,H,iters; 17 significant digits."""
+    """CSV text with header t,y_1..y_2m,H,iters; reals are written as their
+    shortest round-trip repr."""
     dim = traj.states.shape[1]
     header = "t," + ",".join(f"y_{i + 1}" for i in range(dim)) + ",H,iters"
+    rows = np.column_stack((traj.times, traj.states, traj.energies)).tolist()
     lines = [header]
-    for n in range(traj.times.size):
-        cells = [_format_real(traj.times[n])]
-        cells += [_format_real(v) for v in traj.states[n]]
-        cells.append(_format_real(traj.energies[n]))
-        cells.append(str(int(traj.iteration_counts[n])))
-        lines.append(",".join(cells))
+    lines += [",".join(map(repr, row)) + f",{n}"
+              for row, n in zip(rows, traj.iteration_counts.tolist())]
     return "\n".join(lines) + "\n"

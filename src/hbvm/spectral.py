@@ -127,12 +127,12 @@ def classify_spectrum(A: np.ndarray, s: int, family: str = "custom") -> Spectrum
     )
 
 
-def isospectral_check(spec: HbvmSpec, tol: float = 1e-10) -> SpectrumReport:
+def isospectral_check(spec: HbvmSpec) -> SpectrumReport:
     """Spectrum classification for the method's stage matrix.
 
     The report records, rather than hides, any mismatch: zero_count should
-    equal k - s and max_match_distance should not exceed tol; use
-    SpectrumReport.passes to evaluate both.
+    equal k - s and max_match_distance should not exceed a tolerance; use
+    SpectrumReport.passes(tol) to evaluate both.
     """
     tab = hbvm_tableau(spec)
     return classify_spectrum(tab.A, spec.s, spec.family.value)

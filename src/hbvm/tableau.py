@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,42 +252,24 @@ def xtilde_matrix(s: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialisation.  Reals are written with 17 significant digits so files
-# round-trip float64 exactly.
+# Serialisation.  Reals are written as their shortest round-trip repr, so
+# files round-trip float64 exactly.
 
 
-def _format_real(x: float) -> str:
-    return format(float(x), ".17g")
+def _jsonable(x):
+    """json default hook: arrays and numpy scalars as Python values,
+    complex numbers as [re, im]."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    raise TypeError(f"not serialisable: {type(x)}")
 
 
 def _dump_json(obj) -> str:
     """JSON text for dicts, lists, tuples, arrays, scalars and complex
     numbers ([re, im]); ends with a newline."""
-    # json never calls default() for floats, so round-trip formatting is
-    # applied by pre-rendering them as literals.
-    def render(x):
-        if isinstance(x, float):
-            if math.isfinite(x):
-                return _format_real(x)
-            return json.dumps(x)  # Infinity / NaN, json module convention
-        if isinstance(x, bool) or x is None:
-            return json.dumps(x)
-        if isinstance(x, (int, str)):
-            return json.dumps(x)
-        if isinstance(x, complex):
-            return render([x.real, x.imag])
-        if isinstance(x, (np.floating, np.integer, np.complexfloating)):
-            return render(x.item())
-        if isinstance(x, np.ndarray):
-            return render(x.tolist())
-        if isinstance(x, dict):
-            items = ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in x.items())
-            return "{" + items + "}"
-        if isinstance(x, (list, tuple)):
-            return "[" + ", ".join(render(v) for v in x) + "]"
-        raise TypeError(f"not serialisable: {type(x)}")
-
-    return render(obj) + "\n"
+    return json.dumps(obj, default=_jsonable) + "\n"
 
 
 def tableau_to_json(tab: ButcherTableau) -> str:
@@ -298,8 +279,20 @@ def tableau_to_json(tab: ButcherTableau) -> str:
 
 
 def tableau_from_json(text: str) -> ButcherTableau:
-    """Parse a tableau serialised by tableau_to_json."""
+    """Parse a tableau serialised by tableau_to_json.  A document that is
+    not an object, a k or s that is not an integer, or a family that is not
+    a string is a ValueError naming the field; s and family may be null."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("tableau JSON must be an object, "
+                         f"got {type(obj).__name__}")
+    for name, kind, nullable in (("k", int, False), ("s", int, True),
+                                 ("family", str, True)):
+        value = obj.get(name)
+        if not ((value is None and nullable)
+                or (isinstance(value, kind) and not isinstance(value, bool))):
+            raise ValueError(f"tableau field {name!r} must be "
+                             f"{kind.__name__}, got {value!r}")
     tab = ButcherTableau(c=obj["c"], A=obj["A"], b=obj["b"],
                          s=obj.get("s"), family=obj.get("family"))
     if tab.k != obj["k"]:

@@ -141,6 +141,39 @@ class TestVerifyCommand:
         assert res.returncode == 2
         assert "tableau entries must be finite: A[3, 4] = nan" in res.stderr
 
+    @pytest.mark.parametrize("text,named", [
+        ("[1, 2]", "must be an object"),
+        ('{"k": 1, "s": "x", "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'s' must be int"),
+    ])
+    def test_malformed_tableau_exits_2_naming_the_field(self, tmp_path,
+                                                        capsys, text, named):
+        tab_file = tmp_path / "tab.json"
+        tab_file.write_text(text)
+        out = tmp_path / "never.json"
+        assert cli.main(["verify", "--smax", "1", "--kmax", "1",
+                         "--tableau-file", str(tab_file),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        assert cli.main(["verify", "--smax", "1", "--kmax", "1",
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_real_fields_parse_as_floats(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--smax", "2", "--kmax", "4",
+                         "--out", str(out)]) == 0
+        for e in json.loads(out.read_text()):
+            reals = [e["max_match_distance"], e["subspace_residual"],
+                     e["filter_residual"], e["a_stability_max_deviation"]]
+            reals += e["wtransform_residuals"] or []
+            assert all(type(v) is float for v in reals), e
+
     def test_untampered_tableau_passes(self, tmp_path):
         tab_file = tmp_path / "tab.json"
         run_cli("tableau", "--k", "6", "--s", "2", "--out", str(tab_file))
@@ -171,6 +204,18 @@ class TestIntegrateCommand:
         H = np.array([float(r.split(",")[-2]) for r in rows])
         assert len(H) == 1001
         assert np.max(np.abs(H - H[0])) / abs(H[0]) <= 1e-11
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_weak_custom_quadrature_exits_2_in_both_modes(self, tmp_path,
+                                                          mode):
+        out = tmp_path / "never.csv"
+        res = run_cli("integrate", "--problem", "harmonic", "--k", "3",
+                      "--s", "2", "--family", "custom", "--nodes",
+                      "0.2,0.5,0.9", "--h", "0.1", "--steps", "5",
+                      "--mode", mode, "--out", str(out))
+        assert res.returncode == 2
+        assert "quadrature too weak" in res.stderr
+        assert not out.exists()
 
     def test_unknown_problem_exits_2(self, tmp_path):
         out = tmp_path / "never.csv"

@@ -11,6 +11,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("script", ["build_tableaux.py",
+                                    "convergence_order.py",
+                                    "energy_conservation.py",
                                     "isospectral_structure.py",
                                     "stability_scan.py"])
 def test_demo_runs(script):

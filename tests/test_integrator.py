@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hbvm import integrator
 from hbvm.integrator import (
@@ -496,6 +499,20 @@ class TestBatchedVectorField:
 
 
 class TestGammaStep:
+    WEAK = HbvmSpec(3, 2, NodeFamily.CUSTOM, nodes=(0.2, 0.5, 0.9))
+
+    def test_checks_quadrature_exactness(self):
+        harm = get_problem("harmonic")
+        with pytest.raises(ValueError, match="quadrature too weak"):
+            gamma_step(self.WEAK, harm.system, harm.default_y0, 0.1)
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_integrate_checks_quadrature_exactness(self, mode):
+        harm = get_problem("harmonic")
+        with pytest.raises(ValueError, match="quadrature too weak"):
+            integrate(self.WEAK, harm.system, harm.default_y0, 0.1, 5,
+                      mode=mode)
+
     def test_matches_rk_step_on_sextic(self):
         sext = get_problem("sextic")
         spec = HbvmSpec(6, 2)
@@ -702,11 +719,39 @@ def test_trajectory_csv_format():
     assert float(first[0]) == 0.0
     assert float(first[1]) == 1.0
     assert first[4] == "0"
-    # 17-significant-digit reals must round-trip exactly
+    # reals must round-trip exactly
     parsed = np.array([[float(v) for v in ln.split(",")[:4]] for ln in lines[1:]])
     assert np.array_equal(parsed[:, 0], traj.times)
     assert np.array_equal(parsed[:, 1:3], traj.states)
     assert np.array_equal(parsed[:, 3], traj.energies)
+
+
+def _float_bits(a: np.ndarray) -> np.ndarray:
+    """float64 bit patterns, with every NaN mapped to one pattern, since
+    text carries no NaN sign or payload."""
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 6),
+                                              st.just(4)),
+                       elements=st.floats(width=64)),
+       iters=st.lists(st.integers(0, 10 ** 6), min_size=6, max_size=6))
+@example(rows=np.array([[-0.0, 5e-324, np.inf, -np.inf],
+                        [1.0, np.nan, 0.1, -2.0]]), iters=[0] * 6)
+def test_trajectory_csv_round_trips_bit_exactly(rows, iters):
+    n = rows.shape[0]
+    traj = Trajectory(times=rows[:, 0], states=rows[:, 1:3],
+                      energies=rows[:, 3],
+                      iteration_counts=np.array(iters[:n]))
+    lines = trajectory_to_csv(traj).splitlines()
+    assert lines[0] == "t,y_1,y_2,H,iters"
+    cells = [line.split(",") for line in lines[1:]]
+    back = np.array([[float(v) for v in row[:4]] for row in cells])
+    assert np.array_equal(_float_bits(back), _float_bits(rows))
+    assert [int(row[4]) for row in cells] == iters[:n]
+    # no real is written as an integer
+    assert not any(v.lstrip("-").isdigit() for row in cells for v in row[:4])
 
 
 def test_solver_config_validation():

@@ -1,9 +1,10 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbvm.legendre import (
@@ -12,10 +13,11 @@ from hbvm.legendre import (
     lobatto_system,
     random_custom_system,
 )
-from hbvm.spectral import _greedy_match_distance
+from hbvm.spectral import _greedy_match_distance, spec_matrix
 from hbvm.tableau import (
     ButcherTableau,
     HbvmSpec,
+    _dump_json,
     abscissae,
     basis_matrices,
     collocation_matrix,
@@ -280,18 +282,82 @@ class TestGaussReduction:
 
 class TestSerialization:
     def test_round_trip_is_exact(self):
-        tab = hbvm_tableau(HbvmSpec(5, 2, NodeFamily.LOBATTO))
-        back = tableau_from_json(tableau_to_json(tab))
-        assert np.array_equal(tab.A, back.A)
-        assert np.array_equal(tab.b, back.b)
-        assert np.array_equal(tab.c, back.c)
-        assert back.s == 2 and back.family == "lobatto"
+        for spec, _ in spec_matrix(4, 10):
+            tab = hbvm_tableau(spec)
+            back = tableau_from_json(tableau_to_json(tab))
+            for name in ("c", "A", "b"):
+                assert getattr(back, name).tobytes() == \
+                    getattr(tab, name).tobytes(), (spec, name)
+            assert (back.s, back.family) == (spec.s, spec.family.value)
 
     def test_rejects_inconsistent_k(self):
         tab = hbvm_tableau(HbvmSpec(2, 1))
         text = tableau_to_json(tab).replace('"k": 2', '"k": 3')
         with pytest.raises(ValueError):
             tableau_from_json(text)
+
+    @pytest.mark.parametrize("text,named", [
+        ("[1, 2]", "must be an object, got list"),
+        ('"tableau"', "must be an object, got str"),
+        ('{"s": 1, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'k' must be int, got None"),
+        ('{"k": true, "s": 1, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'k' must be int, got True"),
+        ('{"k": 1.0, "s": 1, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'k' must be int, got 1.0"),
+        ('{"k": 1, "s": "x", "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'s' must be int, got 'x'"),
+        ('{"k": 1, "s": false, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'s' must be int, got False"),
+        ('{"k": 1, "s": 1, "family": 3, "c": [0.5], "A": [[0.5]], '
+         '"b": [1.0]}', "'family' must be str, got 3"),
+    ])
+    def test_malformed_document_names_the_field(self, text, named):
+        with pytest.raises(ValueError) as info:
+            tableau_from_json(text)
+        assert named in str(info.value)
+
+    def test_null_s_and_family_are_accepted(self):
+        tab = tableau_from_json('{"k": 1, "s": null, "family": null, '
+                                '"c": [0.5], "A": [[0.5]], "b": [1.0]}')
+        assert tab.s is None and tab.family is None
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Equal as float64 bit patterns; any NaN matches any NaN, since text
+    carries no NaN sign or payload."""
+    if math.isnan(a):
+        return math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestDumpJson:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(xs=st.lists(st.floats(width=64), max_size=20))
+    @example(xs=[-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.0, -3.0,
+                 1e300, 0.1, math.inf, -math.inf, math.nan])
+    def test_reals_round_trip_bit_exactly_as_floats(self, xs):
+        for payload in (xs, np.array(xs, dtype=float),
+                        [np.float64(x) for x in xs]):
+            back = json.loads(_dump_json(payload))
+            assert len(back) == len(xs)
+            assert all(type(v) is float for v in back)
+            assert all(_same_bits(x, v) for x, v in zip(xs, back))
+
+    def test_numpy_and_complex_values(self):
+        payload = {"i": np.int64(3), "ok": np.bool_(True), "z": 1 - 2j,
+                   "zs": np.array([0.5j, 2.0]), "t": (1, None)}
+        assert _dump_json(payload) == (
+            '{"i": 3, "ok": true, "z": [1.0, -2.0], '
+            '"zs": [[0.0, 0.5], [2.0, 0.0]], "t": [1, null]}\n')
+
+    def test_non_finite_reals_use_the_json_module_spelling(self):
+        assert _dump_json([math.nan, math.inf, -math.inf]) == \
+            "[NaN, Infinity, -Infinity]\n"
+
+    def test_unknown_objects_are_rejected(self):
+        with pytest.raises(TypeError, match="not serialisable"):
+            _dump_json({"x": object()})
 
 
 def test_abscissae_dispatch():
