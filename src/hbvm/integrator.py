@@ -35,14 +35,12 @@ next and builds a fresh pair only when
       propagates.
 A single `rk_step` or `gamma_step` always builds a fresh matrix.
 
-The Newton matrix is factored and solved straight through LAPACK getrf and
-getrs (`lu_factor`, `lu_solve`), the routines behind scipy.linalg's
-wrappers, without their per-call checks: the matrix is checked finite once
-when it is factored, and every right-hand side has already passed the
-non-finite residual check.  scipy is imported there, on the first Newton
-matrix, so fixed-point runs and everything outside this module never load
-it.  A non-finite Jacobian and an exactly singular Newton matrix each fail
-the step with a `StageConvergenceError` naming the cause.
+The Newton matrix is inverted once, when it is built (`lu_factor`), and
+each correction is one matrix-vector product with that inverse
+(`lu_solve`): the matrix is only r*2m square, and the same inverse serves
+every iteration of every step that keeps it.  A non-finite Jacobian, a
+non-finite Newton matrix and an exactly singular one each fail the step
+with a `StageConvergenceError` naming the cause.
 """
 
 from __future__ import annotations
@@ -228,39 +226,25 @@ def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray,
     return Jf
 
 
-def lu_factor(a: np.ndarray):
-    """LU factors (lu, piv) of a Newton matrix by LAPACK dgetrf, as
-    scipy.linalg.lu_factor returns them; an exactly singular matrix fails
-    the step."""
-    import scipy.linalg.lapack as lapack
-
+def lu_factor(a: np.ndarray) -> np.ndarray:
+    """Inverse of a Newton matrix; a non-finite or exactly singular matrix
+    fails the step.  This pair keeps its LU names because the benchmark
+    tracer times the Newton layers under them."""
     if not np.isfinite(a).all():
         raise StageConvergenceError("Newton matrix is non-finite",
                                     residual=math.nan, iterations=0)
-    if a.size == 0:  # LAPACK rejects a zero leading dimension
-        return a.copy(), np.zeros(0, dtype=np.int32)
-    lu, piv, info = lapack.dgetrf(a)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgetrf")
-    if info > 0:
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
         raise StageConvergenceError(
-            f"Newton matrix is singular: pivot {info} of {a.shape[0]} is "
-            f"exactly zero", residual=math.nan, iterations=0)
-    return lu, piv
+            f"Newton matrix is singular ({a.shape[0]} x {a.shape[0]})",
+            residual=math.nan, iterations=0) from exc
 
 
-def lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    """Solve with factors from `lu_factor` by LAPACK dgetrs.  b is not
-    checked: the stage solvers pass only residuals already checked finite."""
-    import scipy.linalg.lapack as lapack
-
-    lu, piv = factors
-    if b.size == 0:
-        return b.copy()
-    x, info = lapack.dgetrs(lu, piv, b)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgetrs")
-    return x
+def lu_solve(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve with an inverse from `lu_factor`.  b is not checked: the stage
+    solvers pass only residuals already checked finite."""
+    return inverse @ b
 
 
 def _check_finite(res: float, iterations: int) -> None:
@@ -342,10 +326,10 @@ def _newton_correction(M: np.ndarray, sys: HamiltonianSystem, y0, h,
     """Newton correction for u = R f(y0 + h L u) with M = R L: the inverse
     of I - h M (x) Jf, with Jf taken at y0."""
     Jf = _field_jacobian(sys, y0, cfg)
-    lu = lu_factor(np.eye(M.shape[0] * y0.size) - h * np.kron(M, Jf))
+    inverse = lu_factor(np.eye(M.shape[0] * y0.size) - h * np.kron(M, Jf))
 
     def correction(E):
-        return lu_solve(lu, E.reshape(-1)).reshape(E.shape)
+        return lu_solve(inverse, E.reshape(-1)).reshape(E.shape)
 
     return correction
 

@@ -246,15 +246,16 @@ def interpolatory_weights(tau) -> np.ndarray:
 
 
 def exactness_degree(sys: AbscissaeSystem, tol: float = 1e-9) -> int:
-    """Largest d with all monomial moments up to d reproduced within tol.
+    """Largest d such that the rule integrates every basis polynomial of
+    degree up to d within tol, scanning degrees up to 2k + 2; -1 if even
+    the constant fails.
 
-    Scans e = 0, 1, ... up to 2k + 2 and stops at the first failure of
-    |sum omega tau^e - 1/(e+1)| <= tol.  Returns -1 if even e = 0 fails.
+    The moments are taken in the orthonormal basis, omega @ P against e_1,
+    where an inexact moment stands far above rounding; monomial moments
+    1/(e+1) shrink with e, so an absolute tol on them passes inexact high
+    degrees.
     """
-    degree = -1
-    for e in range(2 * sys.k + 3):
-        moment = math.fsum(sys.omega * sys.tau ** e)
-        if abs(moment - 1.0 / (e + 1)) > tol:
-            break
-        degree = e
-    return degree
+    moments = sys.omega @ basis_values(sys.tau, 2 * sys.k + 3)
+    moments[0] -= 1.0
+    inexact = np.flatnonzero(np.abs(moments) > tol)
+    return int(inexact[0]) - 1 if inexact.size else moments.size - 1

@@ -46,9 +46,6 @@ __all__ = [
 MAX_STAGES = 12
 MAX_DEGREE = 6
 
-# Moment tolerance used when enforcing the quadrature-exactness hypothesis.
-EXACTNESS_TOL = 1e-9
-
 # Numerical rank cutoff for the stage matrix; read only by
 # ButcherTableau.low_rank.
 RANK_SV_TOL = 1e-10
@@ -169,7 +166,7 @@ def _require_exactness(sys: AbscissaeSystem, s: int) -> None:
             "quadrature too weak for B(2s): custom nodes guarantee exactness "
             f"k - 1 = {sys.k - 1} < {2 * s - 1}; need k >= 2s"
         )
-    degree = exactness_degree(sys, EXACTNESS_TOL)
+    degree = exactness_degree(sys)
     if degree < 2 * s - 1:
         raise ValueError(
             "quadrature too weak for B(2s): "
@@ -280,14 +277,16 @@ def tableau_to_json(tab: ButcherTableau) -> str:
 
 def tableau_from_json(text: str) -> ButcherTableau:
     """Parse a tableau serialised by tableau_to_json.  A document that is
-    not an object, a k or s that is not an integer, or a family that is not
-    a string is a ValueError naming the field; s and family may be null."""
+    not an object, a k or s that is not an integer, a family that is not a
+    string, or a c, A or b that is not an array is a ValueError naming the
+    field; s and family may be null."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("tableau JSON must be an object, "
                          f"got {type(obj).__name__}")
     for name, kind, nullable in (("k", int, False), ("s", int, True),
-                                 ("family", str, True)):
+                                 ("family", str, True), ("c", list, False),
+                                 ("A", list, False), ("b", list, False)):
         value = obj.get(name)
         if not ((value is None and nullable)
                 or (isinstance(value, kind) and not isinstance(value, bool))):

@@ -184,6 +184,14 @@ class TestExactnessDegree:
         sys = custom_system([1 / 3])
         assert exactness_degree(sys, 1e-11) == 0
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11])
+    def test_true_degree_at_large_k(self, tol):
+        # absolute monomial moments passed inexact degrees from k = 8 on
+        for k in range(1, 49):
+            assert exactness_degree(gauss_system(k), tol) == 2 * k - 1, k
+        for k in range(2, 25):
+            assert exactness_degree(lobatto_system(k), tol) == 2 * k - 3, k
+
 
 def test_orthonormality_under_gauss_16():
     sys = gauss_system(16)

@@ -311,6 +311,12 @@ class TestSerialization:
          "'s' must be int, got False"),
         ('{"k": 1, "s": 1, "family": 3, "c": [0.5], "A": [[0.5]], '
          '"b": [1.0]}', "'family' must be str, got 3"),
+        ('{"k": 1, "s": 1, "c": {"a": 1}, "A": [[0.5]], "b": [1.0]}',
+         "'c' must be list, got {'a': 1}"),
+        ('{"k": 1, "s": 1, "c": [0.5], "A": 0.5, "b": [1.0]}',
+         "'A' must be list, got 0.5"),
+        ('{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]]}',
+         "'b' must be list, got None"),
     ])
     def test_malformed_document_names_the_field(self, text, named):
         with pytest.raises(ValueError) as info:
