@@ -23,6 +23,17 @@ on u, and the Newton matrix is I - h (R L) (x) Jf, r*2m square.  Each form
 keeps its own stopping residual: the change in the stage states for the
 full-stage form, the change in the coefficients for the coefficient form.
 
+`integrate` builds a step plan once per run: h L, R, M = R L, the form's
+stopping residual and its update (y0 + h b^T f(Y) in the full-stage form,
+y0 + h u_1 in the coefficient form).  For an HbvmSpec the plan also holds
+an r x r shift that starts each step from the previous step's polynomial
+carried one step ahead: in the coefficient form S = P_s^T Omega V, with
+V[l, j] the j-th basis polynomial at 1 + c_l, exact for the degree s - 1
+derivative polynomial because the nodes integrate degree 2s - 1; in the
+full-stage form u = T gamma with T = L^+ I_s, so the shift is T S T^-1.
+The first step starts from u = 0, as does every `rk_step`, `gamma_step`
+and run of a bare ButcherTableau, which carries no polynomial.
+
 The converged stages do not depend on which matrix Newton iterates with, so
 `integrate` keeps the Jacobian and the factored matrix from one step to the
 next and builds a fresh pair only when
@@ -31,8 +42,8 @@ next and builds a fresh pair only when
       finite-difference Jacobian;
   (b) the last step's final residual ratio exceeds REFRESH_CONTRACTION; or
   (c) a step fails with the kept matrix: it is retried once from the same
-      state with a fresh one, and only a failure with a fresh matrix
-      propagates.
+      state and the same starting guess with a fresh one, and only a
+      failure with a fresh matrix propagates.
 A single `rk_step` or `gamma_step` always builds a fresh matrix.
 
 The Newton matrix is inverted once, when it is built (`lu_factor`), and
@@ -51,7 +62,8 @@ from typing import Callable
 
 import numpy as np
 
-from .tableau import ButcherTableau, HbvmSpec, _hbvm_build, hbvm_tableau
+from .legendre import _shift_matrix
+from .tableau import ButcherTableau, HbvmSpec, _hbvm_build
 
 __all__ = [
     "HamiltonianSystem",
@@ -334,62 +346,130 @@ def _newton_correction(M: np.ndarray, sys: HamiltonianSystem, y0, h,
     return correction
 
 
-def _stage_solve(L, R, sys: HamiltonianSystem, y0, h, cfg: SolverConfig,
-                 correction, residual):
-    """Solve u = R f(y0 + h L u) from u = 0; returns (u, stages, diagnostics)
-    with stages = y0 + h L u.
+@dataclass(frozen=True)
+class _StepPlan:
+    """What every step of a run shares: the stage equations
+    u = R f(y0 + hL u) with M = R L, the form's stopping residual of a
+    change E = G(u) - u, its update (y0, u, Y) -> y1, and the r x r shift
+    that carries one step's u to the next step's starting guess (None: each
+    step starts from u = 0)."""
 
-    residual(E) measures the change E = G(u) - u of one iteration.  Newton
-    iterates with the given correction or a fresh one built at y0.
-    """
-    hL = h * L
+    sys: HamiltonianSystem
+    h: float
+    cfg: SolverConfig
+    hL: np.ndarray
+    R: np.ndarray
+    M: np.ndarray
+    residual: Callable[[np.ndarray], float]
+    update: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    shift: np.ndarray | None = None
 
-    def stages(u):
-        return y0 + hL @ u
-
-    def residual_map(u):
-        G = R @ sys.f(stages(u))
-        return G, residual(G - u)
-
-    u0 = np.zeros((R.shape[0], y0.size))
-    if cfg.mode == "fixed_point":
-        u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
-    else:
-        if correction is None:
-            correction = _newton_correction(R @ L, sys, y0, h, cfg)
-        u, iters, res, ratio = _simplified_newton(residual_map, u0,
-                                                  correction, cfg)
-    return u, stages(u), StepDiagnostics(iterations=iters, residual=res,
-                                         mode=cfg.mode, contraction=ratio)
+    def cold(self) -> np.ndarray:
+        """The starting guess u = 0."""
+        return np.zeros((self.R.shape[0], self.sys.dim))
 
 
-def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
-            h: float, cfg: SolverConfig | None = None, correction=None):
-    """One step of the k-stage method from y0 with step size h.
-
-    Solves the stage states Y_i = y0 + h sum_j A_ij f(Y_j) to the configured
-    residual tolerance, then returns (y1, diagnostics) with
-    y1 = y0 + h sum_i b_i f(Y_i).  The unknowns are the r rows of
-    u = R f(Y), Y = y0 + h L u, with A = L R from `tab.low_rank`; the
-    residual is the change in Y.  Step sizes are normally positive; the
-    sign is not enforced so that reversibility experiments can step back.
-    Newton iterates with the given correction (a kept one from an earlier
-    step, same h) or, by default, a fresh one built at y0.
-    """
-    cfg = cfg or SolverConfig()
-    y0 = np.asarray(y0, dtype=float)
-    _check_state(sys, y0)
-    _check_step_size(h)
+def _rk_plan(tab: ButcherTableau, sys: HamiltonianSystem, h: float,
+             cfg: SolverConfig, shift=None) -> _StepPlan:
+    """Full-stage plan: (L, R) = tab.low_rank, the residual is the change in
+    the stage states and the update is y0 + h b^T f(Y)."""
     L, R = tab.low_rank
+    b = tab.b
 
     def stage_change(E):
         # |h| max |L E| is max |h L E| exactly: rounding is monotone and
         # symmetric in sign
         return abs(h) * float(np.abs(L @ E).max())
 
-    _, Y, diag = _stage_solve(L, R, sys, y0, h, cfg, correction,
-                              stage_change)
-    return y0 + h * (tab.b @ sys.f(Y)), diag
+    def update(y0, u, Y):
+        return y0 + h * (b @ sys.f(Y))
+
+    return _StepPlan(sys, h, cfg, h * L, R, R @ L, stage_change, update,
+                     shift)
+
+
+def _gamma_plan(bm, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
+                shift=None) -> _StepPlan:
+    """Coefficient-form plan: (L, R) = (I_s, P_s^T Omega), so u is the
+    coefficients gamma; the residual is the change in them and the update
+    is y0 + h gamma_1, since only the constant basis polynomial has nonzero
+    mean."""
+    R = bm.P_s.T @ bm.Omega
+
+    def coefficient_change(E):
+        return float(np.abs(E).max())
+
+    def update(y0, u, Y):
+        return y0 + h * u[0]
+
+    return _StepPlan(sys, h, cfg, h * bm.I_s, R, R @ bm.I_s,
+                     coefficient_change, update, shift)
+
+
+def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
+              mode: str) -> _StepPlan:
+    """The plan of an `integrate` run.  An HbvmSpec carries each step's
+    polynomial into the next: the coefficient form through the s x s shift
+    S of `legendre._shift_matrix`, the full-stage form through T S T^-1,
+    since there u = T gamma with T = L^+ I_s.  A bare ButcherTableau has no
+    polynomial to carry, so its steps start from u = 0."""
+    if mode == "gamma":
+        if not isinstance(method, HbvmSpec):
+            raise TypeError("gamma mode requires an HbvmSpec")
+        quad, bm, _ = _hbvm_build(method)
+        return _gamma_plan(bm, sys, h, cfg, _shift_matrix(quad, method.s))
+    if not isinstance(method, HbvmSpec):
+        return _rk_plan(method, sys, h, cfg)
+    quad, bm, tab = _hbvm_build(method)
+    T = np.linalg.lstsq(tab.low_rank[0], bm.I_s, rcond=None)[0]
+    shift = T @ _shift_matrix(quad, method.s) @ np.linalg.inv(T)
+    return _rk_plan(tab, sys, h, cfg, shift)
+
+
+def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
+    """One step of a plan from y0, iterating on u from u0; returns
+    (y1, u, stages, diagnostics) with stages = y0 + h L u.  Newton iterates
+    with the given correction or a fresh one built at y0.  It runs both
+    forms but keeps its coefficient-form name, because the benchmark tracer
+    times the step layer under it."""
+    sys, hL, R, cfg = plan.sys, plan.hL, plan.R, plan.cfg
+    residual = plan.residual
+
+    def residual_map(u):
+        G = R @ sys.f(y0 + hL @ u)
+        return G, residual(G - u)
+
+    if cfg.mode == "fixed_point":
+        u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
+    else:
+        if correction is None:
+            correction = _newton_correction(plan.M, sys, y0, plan.h, cfg)
+        u, iters, res, ratio = _simplified_newton(residual_map, u0,
+                                                  correction, cfg)
+    Y = y0 + hL @ u
+    return plan.update(y0, u, Y), u, Y, StepDiagnostics(
+        iterations=iters, residual=res, mode=cfg.mode, contraction=ratio)
+
+
+def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
+            h: float, cfg: SolverConfig | None = None):
+    """One step of the k-stage method from y0 with step size h.
+
+    Solves the stage states Y_i = y0 + h sum_j A_ij f(Y_j) to the configured
+    residual tolerance, then returns (y1, diagnostics) with
+    y1 = y0 + h sum_i b_i f(Y_i).  The unknowns are the r rows of
+    u = R f(Y), Y = y0 + h L u, with A = L R from `tab.low_rank`, iterated
+    from u = 0; the residual is the change in Y.  Step sizes are normally
+    positive; the sign is not enforced so that reversibility experiments
+    can step back.  Newton iterates with a fresh matrix built at y0.
+    """
+    cfg = cfg or SolverConfig()
+    y0 = np.asarray(y0, dtype=float)
+    _check_state(sys, y0)
+    _check_step_size(h)
+    plan = _rk_plan(tab, sys, h, cfg)
+    y1, _, _, diag = _gamma_step_matrices(plan, y0, plan.cold(), None)
+    return y1, diag
 
 
 def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
@@ -397,26 +477,17 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     """One step in the reduced coefficient formulation.
 
     The unknowns are the s coefficient vectors of the derivative expansion
-    of the underlying polynomial; stages are reconstructed from them through
-    the integral matrix, and the update is y1 = y0 + h * gamma_1 because
-    only the constant basis polynomial has nonzero mean.
+    of the underlying polynomial, iterated from zero; stages are
+    reconstructed from them through the integral matrix, and the update is
+    y1 = y0 + h * gamma_1 because only the constant basis polynomial has
+    nonzero mean.
     """
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
     _, bm, _ = _hbvm_build(spec)
-    return _gamma_step_matrices(bm, sys, y0, h, cfg or SolverConfig())
-
-
-def _gamma_step_matrices(bm, sys: HamiltonianSystem, y0, h, cfg,
-                         correction=None):
     _check_step_size(h)
-
-    def coefficient_change(E):
-        return float(np.abs(E).max())
-
-    gamma, Y, diag = _stage_solve(bm.I_s, bm.P_s.T @ bm.Omega, sys, y0, h,
-                                  cfg, correction, coefficient_change)
-    y1 = y0 + h * gamma[0]
+    plan = _gamma_plan(bm, sys, h, cfg or SolverConfig())
+    y1, gamma, Y, diag = _gamma_step_matrices(plan, y0, plan.cold(), None)
     return y1, GammaState(gamma=gamma, stage_values=Y), diag
 
 
@@ -425,9 +496,11 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     """March n_steps of size h > 0, recording states and energy per step.
 
     method is a ButcherTableau (mode 'rk') or an HbvmSpec (either mode).
-    Newton keeps its matrix across steps under the rules in the module
-    docstring.  Fails on the first step that does not converge with a fresh
-    matrix, marking the step index.
+    The step plan is built once; an HbvmSpec starts each step after the
+    first from the previous step's polynomial.  Newton keeps its matrix
+    across steps under the rules in the module docstring.  Fails on the
+    first step that does not converge with a fresh matrix, marking the step
+    index.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be finite and positive, got h={h}")
@@ -438,28 +511,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     cfg = cfg or SolverConfig()
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
-
-    if mode == "gamma":
-        if not isinstance(method, HbvmSpec):
-            raise TypeError("gamma mode requires an HbvmSpec")
-        _, bm, _ = _hbvm_build(method)
-        k = method.k
-        M = bm.P_s.T @ bm.Omega @ bm.I_s
-
-        def stepper(y, correction):
-            y1, _, diag = _gamma_step_matrices(bm, sys, y, h, cfg, correction)
-            return y1, diag
-    else:
-        tab = hbvm_tableau(method) if isinstance(method, HbvmSpec) else method
-        k = tab.k
-        L, R = tab.low_rank
-        M = R @ L
-
-        def stepper(y, correction):
-            return rk_step(tab, sys, y, h, cfg, correction)
-
-    def fresh(y):
-        return _newton_correction(M, sys, y, h, cfg)
+    plan = _run_plan(method, sys, h, cfg, mode)
 
     times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, y0.size))
@@ -470,26 +522,34 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     newton = cfg.mode == "newton"
     # f-evaluations a finite-difference Jacobian costs; extra iterations of
     # k f-evaluations each are charged against it (rule a).
+    k = plan.hL.shape[0]
     jacobian_cost = 2 * y0.size
     correction, refresh = None, newton
     fresh_iters = extra = 0
+    guess = plan.cold()
     for n in range(n_steps):
         try:
             if refresh:
-                correction, jacs[n + 1] = fresh(y), 1
+                correction = _newton_correction(plan.M, sys, y, h, cfg)
+                jacs[n + 1] = 1
             try:
-                y, diag = stepper(y, correction)
+                y, u, _, diag = _gamma_step_matrices(plan, y, guess,
+                                                     correction)
             except StageConvergenceError:
                 if not newton or jacs[n + 1]:
                     raise
-                correction, jacs[n + 1] = fresh(y), 2
-                y, diag = stepper(y, correction)
+                correction = _newton_correction(plan.M, sys, y, h, cfg)
+                jacs[n + 1] = 2
+                y, u, _, diag = _gamma_step_matrices(plan, y, guess,
+                                                     correction)
         except StageConvergenceError as exc:
             raise StageConvergenceError(
                 f"step {n + 1} failed: {exc}", residual=exc.residual,
                 iterations=exc.iterations) from exc
         states[n + 1] = y
         iters[n + 1] = diag.iterations
+        if plan.shift is not None:
+            guess = plan.shift @ u
         if newton:
             if jacs[n + 1]:
                 fresh_iters, extra = diag.iterations, 0

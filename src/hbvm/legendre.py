@@ -147,8 +147,14 @@ def basis_values(tau, n: int) -> np.ndarray:
         raise ValueError("need at least one basis polynomial")
     if np.any(tau < 0.0) or np.any(tau > 1.0):
         raise ValueError("t must lie in [0, 1]")
-    x = 2.0 * tau - 1.0
-    P = np.empty((tau.size, n))
+    return _recurrence_values(tau, n)
+
+
+def _recurrence_values(t: np.ndarray, n: int) -> np.ndarray:
+    """The first n basis polynomials at the 1-d points t, which may lie
+    outside [0, 1]; the recurrence of basis_values, unchecked."""
+    x = 2.0 * t - 1.0
+    P = np.empty((t.size, n))
     P[:, 0] = 1.0
     if n >= 2:
         P[:, 1] = math.sqrt(3.0) * x
@@ -172,6 +178,15 @@ def basis_integrals(tau, n: int) -> np.ndarray:
     for j in range(2, n + 1):
         out[:, j - 1] = xi(j) * P[:, j] - xi(j - 1) * P[:, j - 2]
     return out
+
+
+def _shift_matrix(sys: AbscissaeSystem, s: int) -> np.ndarray:
+    """(s, s) matrix S = P_s^T Omega V, V[l, j] the j-th basis polynomial
+    at 1 + tau_l: S maps the coefficients of p = sum_j gamma_j P_j to those
+    of p(1 + t), p carried one interval ahead.  Exact whenever the rule
+    integrates degree 2s - 2, as every HBVM rule (degree 2s - 1) does."""
+    P = basis_values(sys.tau, s)
+    return P.T @ (sys.omega[:, None] * _recurrence_values(1.0 + sys.tau, s))
 
 
 # ---------------------------------------------------------------------------

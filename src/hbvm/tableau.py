@@ -278,7 +278,8 @@ def tableau_to_json(tab: ButcherTableau) -> str:
 def tableau_from_json(text: str) -> ButcherTableau:
     """Parse a tableau serialised by tableau_to_json.  A document that is
     not an object, a k or s that is not an integer, a family that is not a
-    string, or a c, A or b that is not an array is a ValueError naming the
+    string, a c, A or b that is not an array, a row of A that is not an
+    array, or an entry that is not a number is a ValueError naming the
     field; s and family may be null."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
@@ -292,6 +293,15 @@ def tableau_from_json(text: str) -> ButcherTableau:
                 or (isinstance(value, kind) and not isinstance(value, bool))):
             raise ValueError(f"tableau field {name!r} must be "
                              f"{kind.__name__}, got {value!r}")
+    rows = [("c", obj["c"]), ("b", obj["b"])] + [("A", r) for r in obj["A"]]
+    for name, row in rows:
+        if not isinstance(row, list):
+            raise ValueError(f"tableau field 'A' must be a list of rows, "
+                             f"got row {row!r}")
+        for x in row:
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise ValueError(f"tableau field {name!r} must hold "
+                                 f"numbers, got {x!r}")
     tab = ButcherTableau(c=obj["c"], A=obj["A"], b=obj["b"],
                          s=obj.get("s"), family=obj.get("family"))
     if tab.k != obj["k"]:

@@ -19,3 +19,13 @@ def test_every_layer_has_a_target_that_resolves():
     unresolved = [layer for layer, targets in tracer.LAYER_TARGETS.items()
                   if all(tracer._resolve(t) is None for t in targets)]
     assert tracer.LAYER_TARGETS and unresolved == []
+
+
+def test_every_integrator_target_resolves():
+    # a refactor of the step path must not drop one of the integrator's
+    # layers while another target of the same layer still resolves
+    tracer = _load_tracer()
+    targets = [t for ts in tracer.LAYER_TARGETS.values() for t in ts
+               if t.startswith("hbvm.integrator:")]
+    assert targets
+    assert [t for t in targets if tracer._resolve(t) is None] == []

@@ -148,6 +148,12 @@ class TestVerifyCommand:
         ('{"k": 1, "s": 1, "c": {"a": 1}, "A": [[0.5]], "b": [1.0]}',
          "'c' must be list"),
         ('{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]]}', "'b' must be list"),
+        ('{"k": 1, "s": 1, "c": [{"a": 1}], "A": [[0.5]], "b": [1.0]}',
+         "'c' must hold numbers"),
+        ('{"k": 1, "s": 1, "c": [0.5], "A": [["x"]], "b": [1.0]}',
+         "'A' must hold numbers"),
+        ('{"k": 1, "s": 1, "c": [true], "A": [[0.5]], "b": [1.0]}',
+         "'c' must hold numbers"),
     ])
     def test_malformed_tableau_exits_2_naming_the_field(self, tmp_path,
                                                         capsys, text, named):

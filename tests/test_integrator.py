@@ -20,7 +20,7 @@ from hbvm.integrator import (
     rk_step,
     trajectory_to_csv,
 )
-from hbvm.legendre import NodeFamily, gauss_system
+from hbvm.legendre import NodeFamily, gauss_system, random_custom_system
 from hbvm.problems import catalog, get_problem
 from hbvm.tableau import (
     ButcherTableau,
@@ -362,17 +362,18 @@ class TestKeptNewtonMatrix:
         assert fresh_calls == [True, False, True]
 
     def test_fixed_point_counts_are_unchanged(self):
-        # fixed point builds no Newton matrix: keeping one must not change
-        # a single iteration count
+        # fixed point builds no Newton matrix, so keeping one must not change
+        # a single iteration count; the counts are those of the warm start,
+        # each step after the first starting from the previous polynomial
         sext = get_problem("sextic")
         traj = integrate(HbvmSpec(6, 2), sext.system, sext.default_y0, 0.1,
                          1000, SolverConfig())
         counts = traj.iteration_counts[1:]
-        assert counts[:20].tolist() == [12, 13, 14, 14, 14, 14, 13, 12, 12,
-                                        11, 11, 10, 9, 8, 7, 6, 6, 4, 5, 6]
-        assert counts.sum() == 9818
-        assert np.bincount(counts).tolist() == [0, 0, 0, 0, 38, 38, 132, 56,
-                                                94, 75, 94, 131, 114, 76, 152]
+        assert counts[:20].tolist() == [12, 11, 11, 12, 12, 12, 12, 11, 11,
+                                        10, 9, 9, 8, 7, 6, 5, 5, 3, 4, 5]
+        assert counts.sum() == 8572
+        assert np.bincount(counts).tolist() == [0, 0, 0, 19, 57, 113, 75, 94,
+                                                94, 94, 131, 170, 153]
         assert not np.any(traj.jacobian_counts)
 
     def test_contraction_is_the_final_residual_ratio(self):
@@ -383,6 +384,100 @@ class TestKeptNewtonMatrix:
         pend = get_problem("pendulum")
         _, diag = rk_step(tab, pend.system, np.zeros(2), 0.1, NEWTON)
         assert diag.iterations == 0 and diag.contraction == 0.0
+
+
+def _legendre_series(gamma):
+    """p(t) = sum_j gamma_j P_j(t) as a numpy Legendre series in x = 2t - 1;
+    the j-th orthonormal basis polynomial is sqrt(2j - 1) Leg_(j-1)."""
+    norms = np.sqrt(2 * np.arange(1, gamma.shape[0] + 1) - 1)
+    return np.polynomial.Legendre(gamma * norms), norms
+
+
+def _shifted_coefficients(gamma):
+    """Coefficients of p(1 + t) on [0, 1], by composing the Legendre series
+    with x -> x + 2, independent of any quadrature."""
+    series, norms = _legendre_series(gamma)
+    shifted = series(np.polynomial.Legendre([2.0, 1.0])).coef
+    out = np.zeros_like(gamma)
+    out[:shifted.size] = shifted
+    return out / norms
+
+
+SHIFT_SPECS = [HbvmSpec(s, s) for s in range(1, 5)] \
+    + [HbvmSpec(s + 3, s) for s in range(1, 5)] \
+    + [HbvmSpec(s + 1, s, NodeFamily.LOBATTO) for s in range(1, 5)] \
+    + [HbvmSpec(s + 4, s, NodeFamily.LOBATTO) for s in range(1, 5)] \
+    + [HbvmSpec(2 * s, s, NodeFamily.CUSTOM,
+                tuple(random_custom_system(2 * s, 7 + s).tau))
+       for s in range(1, 5)]
+
+
+class TestWarmStart:
+    @staticmethod
+    def _plan(spec, mode):
+        kep = get_problem("kepler")
+        return integrator._run_plan(spec, kep.system, 0.05, SolverConfig(),
+                                    mode)
+
+    @pytest.mark.parametrize("spec", SHIFT_SPECS, ids=str)
+    def test_coefficient_shift_is_exact(self, spec):
+        gamma = np.random.default_rng(spec.k).standard_normal(spec.s)
+        S = self._plan(spec, "gamma").shift
+        assert S.shape == (spec.s, spec.s)
+        assert np.max(np.abs(S @ gamma - _shifted_coefficients(gamma))) \
+            <= 1e-13
+
+    @pytest.mark.parametrize("spec", SHIFT_SPECS, ids=str)
+    def test_full_stage_shift_agrees_through_T(self, spec):
+        # u = R f(Y): with f(Y) the derivative polynomial at the nodes, the
+        # shift T S T^-1 must give R times its values one interval ahead
+        gamma = np.random.default_rng(spec.k).standard_normal(spec.s)
+        series, _ = _legendre_series(gamma)
+        tau = abscissae(spec).tau
+        plan = self._plan(spec, "rk")
+        u = plan.R @ series(2 * tau - 1)
+        ahead = plan.R @ series(2 * tau + 1)
+        assert plan.shift.shape == (spec.s, spec.s)
+        # the scale of u is the SVD's, so the bound is relative to it
+        assert np.max(np.abs(plan.shift @ u - ahead)) \
+            <= 1e-13 * np.max(np.abs(ahead))
+
+    def test_bare_tableau_has_no_shift(self):
+        assert self._plan(gauss_collocation_tableau(3), "rk").shift is None
+        assert self._plan(hbvm_tableau(HbvmSpec(6, 2)), "rk").shift is None
+
+    @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
+    def test_bare_tableau_run_is_a_loop_of_rk_step(self, monkeypatch, cfg):
+        # a negative threshold counts every step as contracting slowly, so
+        # Newton builds a fresh matrix at every step, as rk_step does
+        monkeypatch.setattr(integrator, "REFRESH_CONTRACTION", -1.0)
+        sext = get_problem("sextic")
+        tab = hbvm_tableau(HbvmSpec(6, 2))
+        traj = integrate(tab, sext.system, sext.default_y0, 0.1, 40, cfg)
+        y = sext.default_y0
+        for n in range(1, 41):
+            y, diag = rk_step(tab, sext.system, y, 0.1, cfg)
+            assert traj.states[n].tobytes() == y.tobytes()
+            assert traj.iteration_counts[n] == diag.iterations
+        if cfg.mode == "newton":
+            assert traj.jacobian_counts[1:].tolist() == [1] * 40
+
+    def test_warm_start_saves_iterations(self):
+        sext = get_problem("sextic")
+        spec = HbvmSpec(6, 2)
+        warm = integrate(spec, sext.system, sext.default_y0, 0.1, 1000)
+        cold = integrate(hbvm_tableau(spec), sext.system, sext.default_y0,
+                         0.1, 1000)
+        assert warm.iteration_counts[1] == cold.iteration_counts[1]
+        assert warm.iteration_counts.sum() < cold.iteration_counts.sum()
+        assert np.max(np.abs(warm.states - cold.states)) <= 1e-11
+
+    def test_kepler_newton_counts(self):
+        kep = get_problem("kepler")
+        traj = integrate(HbvmSpec(12, 4), kep.system, kep.default_y0, 0.05,
+                         500, SolverConfig(mode="newton"), mode="gamma")
+        assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
+        assert traj.iteration_counts.sum() == 1830
 
 
 class TestStateShape:

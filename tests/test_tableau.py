@@ -317,6 +317,16 @@ class TestSerialization:
          "'A' must be list, got 0.5"),
         ('{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]]}',
          "'b' must be list, got None"),
+        ('{"k": 1, "s": 1, "c": [{"a": 1}], "A": [[0.5]], "b": [1.0]}',
+         "'c' must hold numbers, got {'a': 1}"),
+        ('{"k": 1, "s": 1, "c": [0.5], "A": [["x"]], "b": [1.0]}',
+         "'A' must hold numbers, got 'x'"),
+        ('{"k": 1, "s": 1, "c": [true], "A": [[0.5]], "b": [1.0]}',
+         "'c' must hold numbers, got True"),
+        ('{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]], "b": [null]}',
+         "'b' must hold numbers, got None"),
+        ('{"k": 1, "s": 1, "c": [0.5], "A": [0.5], "b": [1.0]}',
+         "'A' must be a list of rows, got row 0.5"),
     ])
     def test_malformed_document_names_the_field(self, text, named):
         with pytest.raises(ValueError) as info:
