@@ -11,6 +11,7 @@ same basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +49,8 @@ class AbscissaeSystem:
     """k quadrature nodes tau on [0, 1] with weights omega summing to 1.
 
     Nodes are strictly increasing and positive, except that the Lobatto
-    family includes the endpoint 0.
+    family includes the endpoint 0.  tau and omega are private read-only
+    copies, so the cached basis table always describes the nodes.
     """
 
     tau: np.ndarray
@@ -56,10 +58,11 @@ class AbscissaeSystem:
     family: NodeFamily
 
     def __post_init__(self):
-        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "omega", omega)
+        tau = np.atleast_1d(np.array(self.tau, dtype=float))
+        omega = np.atleast_1d(np.array(self.omega, dtype=float))
+        for name, x in (("tau", tau), ("omega", omega)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
         if tau.ndim != 1 or tau.shape != omega.shape:
             raise ValueError("tau and omega must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(omega))):
@@ -75,6 +78,15 @@ class AbscissaeSystem:
     @property
     def k(self) -> int:
         return self.tau.size
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Read-only (k, 2k + 3) table of the first 2k + 3 basis polynomials
+        at the nodes; its first n columns are basis_values(tau, n), bit for
+        bit, for every n it holds."""
+        P = _recurrence_values(self.tau, 2 * self.k + 3)
+        P.setflags(write=False)
+        return P
 
 
 def eval_orthonormal(j: int, t):
@@ -172,11 +184,18 @@ def basis_integrals(tau, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one basis polynomial")
-    P = basis_values(tau, n + 1)
+    return _integrals(basis_values(tau, n + 1), n)
+
+
+def _integrals(P: np.ndarray, n: int) -> np.ndarray:
+    """The first n basis antiderivatives from a table P of at least n + 1
+    basis values (basis_integrals on a table already built).  Column j - 1
+    is xi(j) P_{j+1} - xi(j-1) P_{j-1}, with the same roundings as xi."""
+    j = np.arange(1, n + 1)
+    x = 1.0 / (2.0 * np.sqrt((2 * j + 1) * (2 * j - 1)))
     out = np.empty((P.shape[0], n))
-    out[:, 0] = 0.5 * P[:, 0] + xi(1) * P[:, 1]
-    for j in range(2, n + 1):
-        out[:, j - 1] = xi(j) * P[:, j] - xi(j - 1) * P[:, j - 2]
+    out[:, 0] = 0.5 * P[:, 0] + x[0] * P[:, 1]
+    out[:, 1:] = x[1:] * P[:, 2:n + 1] - x[:-1] * P[:, :n - 1]
     return out
 
 
@@ -185,16 +204,20 @@ def _shift_matrix(sys: AbscissaeSystem, s: int) -> np.ndarray:
     at 1 + tau_l: S maps the coefficients of p = sum_j gamma_j P_j to those
     of p(1 + t), p carried one interval ahead.  Exact whenever the rule
     integrates degree 2s - 2, as every HBVM rule (degree 2s - 1) does."""
-    P = basis_values(sys.tau, s)
+    # A contiguous copy: matmul over the strided slice rounds some entries
+    # differently from the same product on a fresh basis matrix.
+    P = np.ascontiguousarray(sys.basis[:, :s])
     return P.T @ (sys.omega[:, None] * _recurrence_values(1.0 + sys.tau, s))
 
 
 # ---------------------------------------------------------------------------
 # Node systems.  Gauss and Lobatto rules are computed on [-1, 1] from the
 # eigenvalues of symmetric Jacobi matrices (Golub-Welsch), then mapped to
-# [0, 1].
+# [0, 1].  A system is immutable, so each rule is built once per k and
+# shared, with its basis table.
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_system(k: int) -> AbscissaeSystem:
     """Gauss-Legendre nodes and weights on [0, 1]; exact through degree 2k-1."""
     if k < 1:
@@ -203,6 +226,7 @@ def gauss_system(k: int) -> AbscissaeSystem:
     return AbscissaeSystem((x + 1.0) / 2.0, w / 2.0, NodeFamily.GAUSS)
 
 
+@functools.lru_cache(maxsize=64)
 def lobatto_system(k: int) -> AbscissaeSystem:
     """Lobatto nodes on [0, 1] including both endpoints; exact through 2k-3."""
     if k < 2:
@@ -270,7 +294,7 @@ def exactness_degree(sys: AbscissaeSystem, tol: float = 1e-9) -> int:
     1/(e+1) shrink with e, so an absolute tol on them passes inexact high
     degrees.
     """
-    moments = sys.omega @ basis_values(sys.tau, 2 * sys.k + 3)
+    moments = sys.omega @ sys.basis
     moments[0] -= 1.0
     inexact = np.flatnonzero(np.abs(moments) > tol)
     return int(inexact[0]) - 1 if inexact.size else moments.size - 1

@@ -2,20 +2,23 @@
 against the order-2s reference matrix (eigenvalues from numpy), invariant-
 subspace and basis-transform residuals, and linear-stability scans.
 
-Stability values are evaluated at the rank r of the stage matrix, A = L R
-(ButcherTableau.low_rank): Sylvester's identity det(I - z A) =
-det(I_r - z R L) and the Woodbury identity reduce every point to one r x r
-solve, and r is s for an HBVM.
+The stability function is the determinant ratio
+R(z) = det(I - z (A - 1 b^T)) / det(I - z A).  With the stage matrix
+factored at its rank r, A = L R (ButcherTableau.low_rank), Sylvester's
+identity makes each determinant a product over the eigenvalues of one
+(r+1)-square matrix, so a whole scan costs two small spectra; r is s for
+an HBVM.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import AbscissaeSystem, NodeFamily, _random_nodes, basis_values
+from .legendre import AbscissaeSystem, NodeFamily, _random_nodes
 from .tableau import (
     ButcherTableau,
     HbvmSpec,
@@ -104,6 +107,12 @@ def _greedy_match_distance(found, reference) -> float:
     return worst
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_spectrum(s: int) -> tuple[complex, ...]:
+    """The sorted eigenvalues of xs_matrix(s), the order-2s Gauss spectrum."""
+    return _sorted_complex(eigenvalues(xs_matrix(s)))
+
+
 def classify_spectrum(A: np.ndarray, s: int, family: str = "custom") -> SpectrumReport:
     """Split the spectrum of A into zero and nonzero parts and pair the
     nonzero part with the degree-s reference spectrum."""
@@ -113,7 +122,7 @@ def classify_spectrum(A: np.ndarray, s: int, family: str = "custom") -> Spectrum
     threshold = ZERO_EIG_REL_TOL * max(1.0, float(np.linalg.norm(A, np.inf)))
     zero = [z for z in eigs if abs(z) <= threshold]
     nonzero = [z for z in eigs if abs(z) > threshold]
-    reference = eigenvalues(xs_matrix(s))
+    reference = _reference_spectrum(s)
     return SpectrumReport(
         k=k,
         s=s,
@@ -121,7 +130,7 @@ def classify_spectrum(A: np.ndarray, s: int, family: str = "custom") -> Spectrum
         eigenvalues=_sorted_complex(eigs),
         zero_count=len(zero),
         nonzero=_sorted_complex(nonzero),
-        reference=_sorted_complex(reference),
+        reference=reference,
         max_match_distance=_greedy_match_distance(nonzero, reference),
         zero_threshold=threshold,
     )
@@ -170,7 +179,7 @@ def _w_transform_residuals(sys: AbscissaeSystem, bm: BasisMatrices,
                            A: np.ndarray) -> tuple[float, float]:
     """w_transform_check for the stage matrix A built from bm."""
     k, s = sys.k, bm.P_s.shape[1]
-    P = basis_values(sys.tau, k)
+    P = sys.basis[:, :k]
     G = P.T @ np.diag(sys.omega) @ P
     E1 = np.zeros_like(G)
     E1[:s, :s] = np.eye(s)
@@ -191,30 +200,36 @@ def _w_transform_residuals(sys: AbscissaeSystem, bm: BasisMatrices,
 
 
 def _stability_values(tab: ButcherTableau, z: np.ndarray):
-    """R(z) = 1 + z b^T (I - z A)^{-1} 1 at every point of the 1-d array z,
-    from one stacked solve at the rank r of A.
+    """R(z) = det(I - z (A - 1 b^T)) / det(I - z A) at every point of the
+    1-d array z, from the eigenvalues of two (r+1)-square matrices.
 
-    With A = L R from tab.low_rank and M = R L (r x r), Sylvester's
-    identity det(I - z A) = det(I_r - z M) locates the poles, and Woodbury
-    gives R(z) = 1 + z sum(b) + z^2 (b^T L) (I_r - z M)^{-1} R 1.  r is s
-    for an HBVM, k for collocation, and 0 for a zero tableau, where
-    R(z) = 1 + z sum(b).
+    With A = L R from tab.low_rank (r the rank of A) and M = R L,
+    Sylvester's identity turns both k x k determinants into
+    det(I - z S) = prod_j (1 - z lambda_j) over the eigenvalues of
+    S0 = [[M, 0], [0, 0]] and S1 = [[M, R 1], [-b^T L, -sum(b)]].  r is s
+    for an HBVM, k for collocation, and 0 for a zero tableau.
 
-    Returns (R, pole): pole marks the points where I_r - z M is singular;
+    Returns (R, pole): pole marks the points where det(I - z A) is zero;
     R is NaN there.
     """
     L, R = tab.low_rank
-    M = np.eye(R.shape[0]) - z[:, None, None] * (R @ L)
-    pole = np.linalg.det(M) == 0
-    M, zp = M[~pole], z[~pole]
-    # The right-hand side is one r x 1 matrix with as many dimensions as M,
-    # broadcast over the stack, so every numpy version reads it the same way.
-    w = np.linalg.solve(M, np.sum(R, axis=1).reshape(1, -1, 1))
-    values = np.full(z.shape, np.nan, dtype=complex)
-    # Row sums rather than matmul: a point's value must not depend on the
-    # size of the batch it is solved in.
-    values[~pole] = (1.0 + zp * np.sum(tab.b)
-                     + zp * zp * np.sum(w[:, :, 0] * (tab.b @ L), axis=1))
+    r = R.shape[0]
+    S = np.zeros((2, r + 1, r + 1))
+    S[:, :r, :r] = R @ L
+    S[1, :r, r] = np.sum(R, axis=1)
+    S[1, r, :r] = -(tab.b @ L)
+    S[1, r, r] = -np.sum(tab.b)
+    # Row j of F holds the factors 1 - z lambda_j; the rows are multiplied
+    # in a fixed order, so that a point's value does not depend on the size
+    # of the batch it is evaluated in.
+    F = 1.0 - np.linalg.eigvals(S)[:, :, None] * z
+    den, num = F[:, 0]
+    for j in range(1, r + 1):
+        den = den * F[0, j]
+        num = num * F[1, j]
+    pole = den == 0
+    values = np.divide(num, den, out=np.full(z.shape, np.nan, dtype=complex),
+                       where=~pole)
     return values, pole
 
 
@@ -241,6 +256,18 @@ class StabilityScan:
                    max(self.lhp_max_modulus - 1.0, 0.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _scan_grid(n_imag: int, n_lhp: int) -> np.ndarray:
+    """Read-only sample points of a_stability_scan: the n_imag axis points,
+    then the n_lhp x (2 n_lhp + 1) half-plane points."""
+    im_half = np.logspace(-3.0, 3.0, n_lhp)
+    im = np.concatenate((-im_half[::-1], [0.0], im_half))
+    z = np.concatenate((1j * np.logspace(-3.0, 3.0, n_imag),
+                        (-im_half[:, None] + 1j * im).ravel()))
+    z.setflags(write=False)
+    return z
+
+
 def a_stability_scan(tab: ButcherTableau, n_imag: int = 200,
                      n_lhp: int = 15) -> StabilityScan:
     """Sample |R| on the imaginary axis and in the open left half-plane.
@@ -248,24 +275,18 @@ def a_stability_scan(tab: ButcherTableau, n_imag: int = 200,
     The imaginary axis uses n_imag log-spaced points with |y| in
     [1e-3, 1e3]; the half-plane grid crosses n_lhp log-spaced negative real
     parts with symmetric log-spaced imaginary parts.  Both grids are one
-    stacked r x r solve, r the rank of A (see _stability_values).  Points
-    where the resolvent is singular are left out of both statistics and
-    listed in poles, axis points first.
+    batch of _stability_values.  Points where det(I - z A) is zero are left
+    out of both statistics and listed in poles, axis points first.
     """
-    axis = 1j * np.logspace(-3.0, 3.0, n_imag)
-    im_half = np.logspace(-3.0, 3.0, n_lhp)
-    im = np.concatenate((-im_half[::-1], [0.0], im_half))
-    lhp = (-im_half[:, None] + 1j * im).ravel()
-    z = np.concatenate((axis, lhp))
+    z = _scan_grid(n_imag, n_lhp)
     values, pole = _stability_values(tab, z)
-    on_axis = np.arange(z.size) < axis.size
-    imag_dev = np.max(np.abs(np.abs(values[on_axis & ~pole]) - 1.0),
-                      initial=0.0)
-    lhp_max = np.max(np.abs(values[~on_axis & ~pole]), initial=0.0)
-    poles = z[pole]
+    modulus, finite = np.abs(values), ~pole
+    imag_dev = np.max(np.abs(modulus[:n_imag] - 1.0), initial=0.0,
+                      where=finite[:n_imag])
+    lhp_max = np.max(modulus[n_imag:], initial=0.0, where=finite[n_imag:])
     return StabilityScan(imag_axis_max_deviation=float(imag_dev),
                          lhp_max_modulus=float(lhp_max),
-                         poles=tuple(complex(p) for p in poles))
+                         poles=tuple(complex(p) for p in z[pole]))
 
 
 # ---------------------------------------------------------------------------

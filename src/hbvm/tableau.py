@@ -14,8 +14,7 @@ import numpy as np
 from .legendre import (
     AbscissaeSystem,
     NodeFamily,
-    basis_integrals,
-    basis_values,
+    _integrals,
     custom_system,
     exactness_degree,
     gauss_system,
@@ -150,11 +149,12 @@ def abscissae(spec: HbvmSpec) -> AbscissaeSystem:
 
 
 def basis_matrices(sys: AbscissaeSystem, s: int) -> BasisMatrices:
-    """Evaluate the basis and its antiderivatives on the node system."""
+    """Evaluate the basis and its antiderivatives on the node system,
+    from its cached basis table."""
     if not 1 <= s <= sys.k:
         raise ValueError("need 1 <= s <= k")
-    P_s1 = basis_values(sys.tau, s + 1)
-    return BasisMatrices(P_s=P_s1[:, :s], P_s1=P_s1, I_s=basis_integrals(sys.tau, s),
+    P = sys.basis
+    return BasisMatrices(P_s=P[:, :s], P_s1=P[:, :s + 1], I_s=_integrals(P, s),
                          Omega=np.diag(sys.omega))
 
 
@@ -204,8 +204,8 @@ def collocation_matrix(sys: AbscissaeSystem) -> np.ndarray:
     Collocation integrates every polynomial of degree < k exactly from 0 to
     each node, so A P_k = I_k for the full basis, and A = I_k P_k^{-1}.
     """
-    P = basis_values(sys.tau, sys.k)
-    return np.linalg.solve(P.T, basis_integrals(sys.tau, sys.k).T).T
+    P = sys.basis
+    return np.linalg.solve(P[:, :sys.k].T, _integrals(P, sys.k).T).T
 
 
 def _filtered_matrix(sys: AbscissaeSystem, bm: BasisMatrices) -> np.ndarray:

@@ -285,3 +285,37 @@ class TestAbscissaeSystemValidation:
         with pytest.raises(ValueError):
             AbscissaeSystem(np.array([0.25, 0.75]), np.array([0.5, 0.6]),
                             NodeFamily.CUSTOM)
+
+    def test_node_system_arrays_are_read_only_copies(self):
+        sys = gauss_system(4)
+        with pytest.raises(ValueError):
+            sys.tau[0] = 0.5
+        with pytest.raises(ValueError):
+            sys.omega[0] = 0.5
+        tau = np.array([0.25, 0.75])
+        sys = AbscissaeSystem(tau, np.array([0.5, 0.5]), NodeFamily.CUSTOM)
+        tau[0] = 0.5
+        assert sys.tau[0] == 0.25
+
+    def test_gauss_and_lobatto_systems_are_built_once_per_k(self):
+        assert gauss_system(5) is gauss_system(5)
+        assert lobatto_system(5) is lobatto_system(5)
+        assert gauss_system(5) is not gauss_system(6)
+
+
+def _node_systems():
+    yield from (gauss_system(k) for k in range(1, 13))
+    yield from (lobatto_system(k) for k in range(2, 13))
+    yield from (random_custom_system(k, seed)
+                for k in range(1, 13) for seed in (42, 43, 44))
+
+
+def test_basis_table_columns_are_basis_values_bit_for_bit():
+    for sys in _node_systems():
+        P = sys.basis
+        assert P.shape == (sys.k, 2 * sys.k + 3)
+        assert not P.flags.writeable
+        assert sys.basis is P
+        for n in range(1, 2 * sys.k + 4):
+            assert (np.ascontiguousarray(P[:, :n]).tobytes()
+                    == basis_values(sys.tau, n).tobytes())

@@ -11,6 +11,8 @@ from hbvm.legendre import (
 )
 from hbvm.spectral import (
     PoleError,
+    _reference_spectrum,
+    _scan_grid,
     _stability_values,
     a_stability_scan,
     classify_spectrum,
@@ -216,7 +218,7 @@ class TestStabilityFunction:
 
 
 class TestRankScan:
-    """The rank-r Woodbury form against the k x k resolvent solve."""
+    """The rank-r values against the k x k resolvent solve."""
 
     def assert_matches_full_solve(self, tab):
         z = scan_grid()
@@ -245,6 +247,48 @@ class TestRankScan:
         assert not pole.any()
         assert np.array_equal(values, 1.0 + z * np.sum(tab.b))
         assert a_stability_scan(tab).poles == ()
+
+
+class TestDeterminantRatio:
+    """Values from the two (r+1)-square spectra where A is far from
+    diagonalisable or has no structure at all."""
+
+    def test_classical_rk4_with_a_nilpotent_stage_matrix(self):
+        tab = ButcherTableau(c=[0.0, 0.5, 0.5, 1.0],
+                             A=[[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
+                                [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                             b=[1 / 6, 1 / 3, 1 / 3, 1 / 6])
+        assert tab.low_rank[1].shape[0] == 3
+        z = scan_grid()
+        values, pole = _stability_values(tab, z)
+        exact = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        assert not pole.any()
+        assert np.max(np.abs(values - exact) / np.abs(exact)) <= 1e-12
+
+    def test_random_full_tableaux_match_the_full_solve(self):
+        rng = np.random.default_rng(12)
+        z = scan_grid()
+        for _ in range(20):
+            A = rng.standard_normal((12, 12))
+            tab = ButcherTableau(c=A.sum(axis=1), A=A, b=rng.standard_normal(12))
+            values, pole = _stability_values(tab, z)
+            ref = full_solve_stability_values(tab, z)
+            assert not pole.any()
+            assert np.max(np.abs(values - ref)
+                          / np.maximum(1.0, np.abs(ref))) <= 1e-10
+
+    def test_scan_grid_is_built_once_and_read_only(self):
+        z = _scan_grid(200, 15)
+        assert _scan_grid(200, 15) is z
+        assert np.array_equal(z, scan_grid())
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+
+    def test_reference_spectrum_is_the_sorted_spectrum_of_xs(self):
+        for s in range(1, MAX_DEGREE + 1):
+            ref = _reference_spectrum(s)
+            assert ref == tuple(complex(v) for v in eigenvalues(xs_matrix(s)))
+            assert classify_spectrum(xs_matrix(s), s).reference == ref
 
 
 class TestAStability:
