@@ -108,14 +108,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    entries = verification_sweep(args.smax, args.kmax, args.tol, args.seed)
+    # a bad tableau file fails before the sweep runs
+    checked = []
     if args.tableau_file:
         with open(args.tableau_file) as fh:
             tab = tableau_from_json(fh.read())
         if tab.s is None:
             raise ValueError("tableau file does not declare s")
         report = classify_spectrum(tab.A, tab.s, tab.family or "file")
-        entries.append({
+        checked.append({
             "spec": {"k": tab.k, "s": tab.s,
                      "family": f"file:{args.tableau_file}", "seed": None},
             "zero_count": report.zero_count,
@@ -127,6 +128,8 @@ def cmd_verify(args) -> int:
             "a_stability_max_deviation": None,
             "passed": report.passes(args.tol),
         })
+    entries = verification_sweep(args.smax, args.kmax, args.tol,
+                                 args.seed) + checked
     _write(args.out, _dump_json(entries))
     n_fail = sum(not e["passed"] for e in entries)
     for e in entries:

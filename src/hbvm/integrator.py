@@ -14,25 +14,22 @@ with k; any other system is called one state at a time.
 
 Both forms are one iteration.  A stage matrix factored as A = L R, with L
 (k, r) and R (r, k), turns the stage equations into u = R f(y0 + h L u) for
-the r x 2m unknowns u, with stage states Y = y0 + h L u.  The full-stage
-form takes (L, R) from `ButcherTableau.low_rank`, a thin SVD; the
-coefficient form takes (I_s, P_s^T Omega), and u is the coefficients.  r is
-s for an HBVM in either form and k for collocation and other full-rank
-tableaux.  One solver core runs fixed-point iteration or simplified Newton
-on u, and the Newton matrix is I - h (R L) (x) Jf, r*2m square.  Each form
-keeps its own stopping residual: the change in the stage states for the
-full-stage form, the change in the coefficients for the coefficient form.
+the r x 2m unknowns u, with stage states Y = y0 + h L u.  Both forms of an
+HbvmSpec take its own factors (I_s, P_s^T Omega), so u is the s
+coefficients gamma and R L = X_s; a bare ButcherTableau takes the thin SVD
+factors of `ButcherTableau.low_rank`, with r = k for full-rank tableaux.
+One solver core runs fixed-point iteration or simplified Newton on u, and
+the Newton matrix is I - h (R L) (x) Jf, r*2m square.
 
-`integrate` builds a step plan once per run: h L, R, M = R L, the form's
-stopping residual and its update (y0 + h b^T f(Y) in the full-stage form,
-y0 + h u_1 in the coefficient form).  For an HbvmSpec the plan also holds
-an r x r shift that starts each step from the previous step's polynomial
-carried one step ahead: in the coefficient form S = P_s^T Omega V, with
-V[l, j] the j-th basis polynomial at 1 + c_l, exact for the degree s - 1
-derivative polynomial because the nodes integrate degree 2s - 1; in the
-full-stage form u = T gamma with T = L^+ I_s, so the shift is T S T^-1.
-The first step starts from u = 0, as does every `rk_step`, `gamma_step`
-and run of a bare ButcherTableau, which carries no polynomial.
+`integrate` builds a step plan once per run: h L, R, M = R L, the stopping
+residual and the update, which alone tell the forms apart (the change in Y
+and y0 + h b^T f(Y) in the full-stage form, the change in u and
+y0 + h gamma_1 in the coefficient form).  For an HbvmSpec the plan holds
+the s x s shift S = P_s^T Omega V, with V[l, j] the j-th basis polynomial
+at 1 + c_l, that starts each step from the previous step's polynomial
+carried one step ahead; it is exact because the nodes integrate degree
+2s - 1.  The first step starts from u = 0, as does every `rk_step`,
+`gamma_step` and run of a bare ButcherTableau, which carries no polynomial.
 
 The converged stages do not depend on which matrix Newton iterates with, so
 `integrate` keeps the Jacobian and the factored matrix from one step to the
@@ -369,12 +366,10 @@ class _StepPlan:
         return np.zeros((self.R.shape[0], self.sys.dim))
 
 
-def _rk_plan(tab: ButcherTableau, sys: HamiltonianSystem, h: float,
-             cfg: SolverConfig, shift=None) -> _StepPlan:
-    """Full-stage plan: (L, R) = tab.low_rank, the residual is the change in
-    the stage states and the update is y0 + h b^T f(Y)."""
-    L, R = tab.low_rank
-    b = tab.b
+def _rk_plan(L, R, b, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
+             shift=None) -> _StepPlan:
+    """Full-stage plan on the factors A = L R with weights b: the residual
+    is the change in the stage states and the update is y0 + h b^T f(Y)."""
 
     def stage_change(E):
         # |h| max |L E| is max |h L E| exactly: rounding is monotone and
@@ -388,13 +383,11 @@ def _rk_plan(tab: ButcherTableau, sys: HamiltonianSystem, h: float,
                      shift)
 
 
-def _gamma_plan(bm, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
+def _gamma_plan(L, R, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
                 shift=None) -> _StepPlan:
-    """Coefficient-form plan: (L, R) = (I_s, P_s^T Omega), so u is the
-    coefficients gamma; the residual is the change in them and the update
-    is y0 + h gamma_1, since only the constant basis polynomial has nonzero
-    mean."""
-    R = bm.P_s.T @ bm.Omega
+    """Coefficient-form plan on (L, R) = (I_s, P_s^T Omega): the residual is
+    the change in the coefficients and the update is y0 + h gamma_1, since
+    only the constant basis polynomial has nonzero mean."""
 
     def coefficient_change(E):
         return float(np.abs(E).max())
@@ -402,36 +395,34 @@ def _gamma_plan(bm, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
     def update(y0, u, Y):
         return y0 + h * u[0]
 
-    return _StepPlan(sys, h, cfg, h * bm.I_s, R, R @ bm.I_s,
-                     coefficient_change, update, shift)
+    return _StepPlan(sys, h, cfg, h * L, R, R @ L, coefficient_change,
+                     update, shift)
 
 
 def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
               mode: str) -> _StepPlan:
-    """The plan of an `integrate` run.  An HbvmSpec carries each step's
-    polynomial into the next: the coefficient form through the s x s shift
-    S of `legendre._shift_matrix`, the full-stage form through T S T^-1,
-    since there u = T gamma with T = L^+ I_s.  A bare ButcherTableau has no
-    polynomial to carry, so its steps start from u = 0."""
-    if mode == "gamma":
-        if not isinstance(method, HbvmSpec):
-            raise TypeError("gamma mode requires an HbvmSpec")
-        quad, bm, _ = _hbvm_build(method)
-        return _gamma_plan(bm, sys, h, cfg, _shift_matrix(quad, method.s))
+    """The plan of a run.  Both forms of an HbvmSpec run on its factors
+    (I_s, P_s^T Omega), so u = gamma, and share the s x s shift of
+    `legendre._shift_matrix`.  A bare ButcherTableau runs on its `low_rank`
+    factors and carries no polynomial, so its steps start from u = 0."""
     if not isinstance(method, HbvmSpec):
-        return _rk_plan(method, sys, h, cfg)
-    quad, bm, tab = _hbvm_build(method)
-    T = np.linalg.lstsq(tab.low_rank[0], bm.I_s, rcond=None)[0]
-    shift = T @ _shift_matrix(quad, method.s) @ np.linalg.inv(T)
-    return _rk_plan(tab, sys, h, cfg, shift)
+        if mode == "gamma":
+            raise TypeError("gamma mode requires an HbvmSpec")
+        return _rk_plan(*method.low_rank, method.b, sys, h, cfg)
+    quad, bm, _ = _hbvm_build(method)
+    L, R = bm.I_s, bm.P_s.T @ bm.Omega
+    shift = _shift_matrix(quad, method.s)
+    if mode == "gamma":
+        return _gamma_plan(L, R, sys, h, cfg, shift)
+    return _rk_plan(L, R, quad.omega, sys, h, cfg, shift)
 
 
 def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
     """One step of a plan from y0, iterating on u from u0; returns
     (y1, u, stages, diagnostics) with stages = y0 + h L u.  Newton iterates
-    with the given correction or a fresh one built at y0.  It runs both
-    forms but keeps its coefficient-form name, because the benchmark tracer
-    times the step layer under it."""
+    with the given correction or a fresh one built at y0.  Every HBVM step,
+    in either form, iterates here on the coefficients gamma; a bare
+    tableau's step iterates on its SVD unknowns."""
     sys, hL, R, cfg = plan.sys, plan.hL, plan.R, plan.cfg
     residual = plan.residual
 
@@ -467,7 +458,7 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
     _check_step_size(h)
-    plan = _rk_plan(tab, sys, h, cfg)
+    plan = _rk_plan(*tab.low_rank, tab.b, sys, h, cfg)
     y1, _, _, diag = _gamma_step_matrices(plan, y0, plan.cold(), None)
     return y1, diag
 
@@ -484,9 +475,8 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     """
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
-    _, bm, _ = _hbvm_build(spec)
+    plan = _run_plan(spec, sys, h, cfg or SolverConfig(), "gamma")
     _check_step_size(h)
-    plan = _gamma_plan(bm, sys, h, cfg or SolverConfig())
     y1, gamma, Y, diag = _gamma_step_matrices(plan, y0, plan.cold(), None)
     return y1, GammaState(gamma=gamma, stage_values=Y), diag
 

@@ -278,9 +278,9 @@ def tableau_to_json(tab: ButcherTableau) -> str:
 def tableau_from_json(text: str) -> ButcherTableau:
     """Parse a tableau serialised by tableau_to_json.  A document that is
     not an object, a k or s that is not an integer, a family that is not a
-    string, a c, A or b that is not an array, a row of A that is not an
-    array, or an entry that is not a number is a ValueError naming the
-    field; s and family may be null."""
+    string, an s outside 1 <= s <= k, a c, A or b that is not an array, a
+    row of A that is not an array, or an entry that is not a number is a
+    ValueError naming the field; s and family may be null."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("tableau JSON must be an object, "
@@ -293,6 +293,9 @@ def tableau_from_json(text: str) -> ButcherTableau:
                 or (isinstance(value, kind) and not isinstance(value, bool))):
             raise ValueError(f"tableau field {name!r} must be "
                              f"{kind.__name__}, got {value!r}")
+    if obj.get("s") is not None and not 1 <= obj["s"] <= obj["k"]:
+        raise ValueError(f"tableau field 's' must satisfy 1 <= s <= k = "
+                         f"{obj['k']}, got {obj['s']!r}")
     rows = [("c", obj["c"]), ("b", obj["b"])] + [("A", r) for r in obj["A"]]
     for name, row in rows:
         if not isinstance(row, list):

@@ -154,6 +154,12 @@ class TestVerifyCommand:
          "'A' must hold numbers"),
         ('{"k": 1, "s": 1, "c": [true], "A": [[0.5]], "b": [1.0]}',
          "'c' must hold numbers"),
+        ('{"k": 1, "s": 0, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'s' must satisfy 1 <= s <= k"),
+        ('{"k": 2, "s": 3, "c": [0.25, 0.75], "A": [[0.25, 0.0], '
+         '[0.5, 0.25]], "b": [0.5, 0.5]}', "'s' must satisfy 1 <= s <= k"),
+        ('{"k": 1, "s": 1500, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'s' must satisfy 1 <= s <= k"),
     ])
     def test_malformed_tableau_exits_2_naming_the_field(self, tmp_path,
                                                         capsys, text, named):

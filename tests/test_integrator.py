@@ -26,6 +26,7 @@ from hbvm.tableau import (
     ButcherTableau,
     HbvmSpec,
     abscissae,
+    basis_matrices,
     collocation_matrix,
     filtered_tableau,
     hbvm_tableau,
@@ -442,6 +443,17 @@ class TestWarmStart:
         assert np.max(np.abs(plan.shift @ u - ahead)) \
             <= 1e-13 * np.max(np.abs(ahead))
 
+    @pytest.mark.parametrize("spec", SHIFT_SPECS, ids=str)
+    def test_both_forms_share_one_plan(self, spec):
+        # both forms iterate on gamma with the spec's own factors; only the
+        # stopping residual and the update differ
+        rk, gamma = self._plan(spec, "rk"), self._plan(spec, "gamma")
+        for name in ("hL", "R", "M", "shift"):
+            a, b = getattr(rk, name), getattr(gamma, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        bm = basis_matrices(abscissae(spec), spec.s)
+        assert rk.R.tobytes() == (bm.P_s.T @ bm.Omega).tobytes()
+
     def test_bare_tableau_has_no_shift(self):
         assert self._plan(gauss_collocation_tableau(3), "rk").shift is None
         assert self._plan(hbvm_tableau(HbvmSpec(6, 2)), "rk").shift is None
@@ -478,6 +490,14 @@ class TestWarmStart:
                          500, SolverConfig(mode="newton"), mode="gamma")
         assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
         assert traj.iteration_counts.sum() == 1830
+
+    def test_full_stage_kepler_newton_counts(self):
+        # full-stage Newton on an HbvmSpec: one matrix for the whole run
+        kep = get_problem("kepler")
+        traj = integrate(HbvmSpec(12, 4), kep.system, kep.default_y0, 0.05,
+                         500, SolverConfig(mode="newton"))
+        assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
+        assert traj.iteration_counts.sum() == 1662
 
 
 class TestStateShape:

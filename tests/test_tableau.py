@@ -327,6 +327,13 @@ class TestSerialization:
          "'b' must hold numbers, got None"),
         ('{"k": 1, "s": 1, "c": [0.5], "A": [0.5], "b": [1.0]}',
          "'A' must be a list of rows, got row 0.5"),
+        ('{"k": 1, "s": 0, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'s' must satisfy 1 <= s <= k = 1, got 0"),
+        ('{"k": 2, "s": 3, "c": [0.25, 0.75], "A": [[0.25, 0.0], '
+         '[0.5, 0.25]], "b": [0.5, 0.5]}',
+         "'s' must satisfy 1 <= s <= k = 2, got 3"),
+        ('{"k": 1, "s": 1500, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
+         "'s' must satisfy 1 <= s <= k = 1, got 1500"),
     ])
     def test_malformed_document_names_the_field(self, text, named):
         with pytest.raises(ValueError) as info:
