@@ -14,12 +14,12 @@ with k; any other system is called one state at a time.
 
 Both forms are one iteration.  A stage matrix factored as A = L R, with L
 (k, r) and R (r, k), turns the stage equations into u = R f(y0 + h L u) for
-the r x 2m unknowns u, with stage states Y = y0 + h L u.  Both forms of an
-HbvmSpec take its own factors (I_s, P_s^T Omega), so u is the s
-coefficients gamma and R L = X_s; a bare ButcherTableau takes the thin SVD
-factors of `ButcherTableau.low_rank`, with r = k for full-rank tableaux.
-One solver core runs fixed-point iteration or simplified Newton on u, and
-the Newton matrix is I - h (R L) (x) Jf, r*2m square.
+the r x 2m unknowns u, with stage states Y = y0 + h L u.  Every method runs
+on `ButcherTableau.low_rank`: an HBVM tableau carries its own factors
+(I_s, P_s^T Omega), so u is the s coefficients gamma and R L = X_s; any
+other tableau takes the thin SVD factors of A, r = k for full rank.  One
+solver core runs fixed-point iteration or simplified Newton on u, and the
+Newton matrix is I - h (R L) (x) Jf, r*2m square.
 
 `integrate` builds a step plan once per run: h L, R, M = R L, the stopping
 residual and the update, which alone tell the forms apart (the change in Y
@@ -366,63 +366,46 @@ class _StepPlan:
         return np.zeros((self.R.shape[0], self.sys.dim))
 
 
-def _rk_plan(L, R, b, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
-             shift=None) -> _StepPlan:
-    """Full-stage plan on the factors A = L R with weights b: the residual
-    is the change in the stage states and the update is y0 + h b^T f(Y)."""
-
-    def stage_change(E):
-        # |h| max |L E| is max |h L E| exactly: rounding is monotone and
-        # symmetric in sign
-        return abs(h) * float(np.abs(L @ E).max())
-
-    def update(y0, u, Y):
-        return y0 + h * (b @ sys.f(Y))
-
-    return _StepPlan(sys, h, cfg, h * L, R, R @ L, stage_change, update,
-                     shift)
-
-
-def _gamma_plan(L, R, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
-                shift=None) -> _StepPlan:
-    """Coefficient-form plan on (L, R) = (I_s, P_s^T Omega): the residual is
-    the change in the coefficients and the update is y0 + h gamma_1, since
-    only the constant basis polynomial has nonzero mean."""
-
-    def coefficient_change(E):
-        return float(np.abs(E).max())
-
-    def update(y0, u, Y):
-        return y0 + h * u[0]
-
-    return _StepPlan(sys, h, cfg, h * L, R, R @ L, coefficient_change,
-                     update, shift)
-
-
 def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
               mode: str) -> _StepPlan:
-    """The plan of a run.  Both forms of an HbvmSpec run on its factors
-    (I_s, P_s^T Omega), so u = gamma, and share the s x s shift of
-    `legendre._shift_matrix`.  A bare ButcherTableau runs on its `low_rank`
-    factors and carries no polynomial, so its steps start from u = 0."""
-    if not isinstance(method, HbvmSpec):
-        if mode == "gamma":
-            raise TypeError("gamma mode requires an HbvmSpec")
-        return _rk_plan(*method.low_rank, method.b, sys, h, cfg)
-    quad, bm, _ = _hbvm_build(method)
-    L, R = bm.I_s, bm.P_s.T @ bm.Omega
-    shift = _shift_matrix(quad, method.s)
+    """The plan of a run on the `low_rank` factors A = L R and weights b of
+    a tableau, or of the one an HbvmSpec builds, which adds the s x s shift
+    of `legendre._shift_matrix`.  Mode 'rk' stops on the change in the
+    stages and updates with y0 + h b^T f(Y); 'gamma' stops on the change in
+    u = gamma and updates with y0 + h gamma_1, since only the constant basis
+    polynomial has nonzero mean."""
+    shift = None
+    if isinstance(method, HbvmSpec):
+        quad, _, method = _hbvm_build(method)
+        shift = _shift_matrix(quad, method.s)
+    elif mode == "gamma":
+        raise TypeError("gamma mode requires an HbvmSpec")
+    L, R = method.low_rank
+    b = method.b
+
     if mode == "gamma":
-        return _gamma_plan(L, R, sys, h, cfg, shift)
-    return _rk_plan(L, R, quad.omega, sys, h, cfg, shift)
+        def residual(E):
+            return float(np.abs(E).max())
+
+        def update(y0, u, Y):
+            return y0 + h * u[0]
+    else:
+        def residual(E):
+            # |h| max |L E| is max |h L E| exactly: rounding is monotone and
+            # symmetric in sign
+            return abs(h) * float(np.abs(L @ E).max())
+
+        def update(y0, u, Y):
+            return y0 + h * (b @ sys.f(Y))
+
+    return _StepPlan(sys, h, cfg, h * L, R, R @ L, residual, update, shift)
 
 
 def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
     """One step of a plan from y0, iterating on u from u0; returns
     (y1, u, stages, diagnostics) with stages = y0 + h L u.  Newton iterates
-    with the given correction or a fresh one built at y0.  Every HBVM step,
-    in either form, iterates here on the coefficients gamma; a bare
-    tableau's step iterates on its SVD unknowns."""
+    with the given correction or a fresh one built at y0; u = gamma for an
+    HBVM tableau, in either form."""
     sys, hL, R, cfg = plan.sys, plan.hL, plan.R, plan.cfg
     residual = plan.residual
 
@@ -442,6 +425,17 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
         iterations=iters, residual=res, mode=cfg.mode, contraction=ratio)
 
 
+def _single_step(method, sys: HamiltonianSystem, y0, h: float,
+                 cfg: SolverConfig | None, mode: str):
+    """One cold-started step of `rk_step` or `gamma_step`, its arguments
+    checked before the plan is built."""
+    y0 = np.asarray(y0, dtype=float)
+    _check_state(sys, y0)
+    _check_step_size(h)
+    plan = _run_plan(method, sys, h, cfg or SolverConfig(), mode)
+    return _gamma_step_matrices(plan, y0, plan.cold(), None)
+
+
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
             h: float, cfg: SolverConfig | None = None):
     """One step of the k-stage method from y0 with step size h.
@@ -454,12 +448,7 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     positive; the sign is not enforced so that reversibility experiments
     can step back.  Newton iterates with a fresh matrix built at y0.
     """
-    cfg = cfg or SolverConfig()
-    y0 = np.asarray(y0, dtype=float)
-    _check_state(sys, y0)
-    _check_step_size(h)
-    plan = _rk_plan(*tab.low_rank, tab.b, sys, h, cfg)
-    y1, _, _, diag = _gamma_step_matrices(plan, y0, plan.cold(), None)
+    y1, _, _, diag = _single_step(tab, sys, y0, h, cfg, "rk")
     return y1, diag
 
 
@@ -473,11 +462,7 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     y1 = y0 + h * gamma_1 because only the constant basis polynomial has
     nonzero mean.
     """
-    y0 = np.asarray(y0, dtype=float)
-    _check_state(sys, y0)
-    plan = _run_plan(spec, sys, h, cfg or SolverConfig(), "gamma")
-    _check_step_size(h)
-    y1, gamma, Y, diag = _gamma_step_matrices(plan, y0, plan.cold(), None)
+    y1, gamma, Y, diag = _single_step(spec, sys, y0, h, cfg, "gamma")
     return y1, GammaState(gamma=gamma, stage_values=Y), diag
 
 

@@ -246,10 +246,13 @@ def lobatto_system(k: int) -> AbscissaeSystem:
 
 
 def custom_system(nodes) -> AbscissaeSystem:
-    """Wrap user-supplied nodes in (0, 1] with interpolatory weights."""
+    """Wrap user-supplied nodes in (0, 1] with interpolatory weights, solved
+    on the first k columns of the system's basis table."""
     tau = np.sort(np.asarray(nodes, dtype=float))
-    omega = interpolatory_weights(tau)
-    return AbscissaeSystem(tau, omega, NodeFamily.CUSTOM)
+    omega, P = _interpolatory(tau, 2 * tau.size + 3)
+    system = AbscissaeSystem(tau, omega, NodeFamily.CUSTOM)
+    object.__setattr__(system, "basis", P)
+    return system
 
 
 def random_custom_system(k: int, seed: int) -> AbscissaeSystem:
@@ -275,13 +278,21 @@ def interpolatory_weights(tau) -> np.ndarray:
     P_k^T omega = e_1, since only the first basis polynomial has a nonzero
     mean on [0, 1]."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    return _interpolatory(tau, tau.size)[0]
+
+
+def _interpolatory(tau: np.ndarray, n: int):
+    """(weights, P) at user-supplied nodes: P the read-only table of the
+    first n >= k basis polynomials, the weights solved on its first k."""
     if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise ValueError("nodes must be finite and lie in [0, 1]")
     if np.unique(tau).size != tau.size:
         raise ValueError("nodes must be pairwise distinct")
+    P = _recurrence_values(tau, n)
+    P.setflags(write=False)
     e1 = np.zeros(tau.size)
     e1[0] = 1.0
-    return np.linalg.solve(basis_values(tau, tau.size).T, e1)
+    return np.linalg.solve(P[:, :tau.size].T, e1), P
 
 
 def exactness_degree(sys: AbscissaeSystem, tol: float = 1e-9) -> int:

@@ -7,7 +7,8 @@ R(z) = det(I - z (A - 1 b^T)) / det(I - z A).  With the stage matrix
 factored at its rank r, A = L R (ButcherTableau.low_rank), Sylvester's
 identity makes each determinant a product over the eigenvalues of one
 (r+1)-square matrix, so a whole scan costs two small spectra; r is s for
-an HBVM.
+an HBVM, whose tableau carries its own factors (I_s, P_s^T Omega), so no
+SVD of A is taken.
 """
 
 from __future__ import annotations

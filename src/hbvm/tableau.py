@@ -45,8 +45,8 @@ __all__ = [
 MAX_STAGES = 12
 MAX_DEGREE = 6
 
-# Numerical rank cutoff for the stage matrix; read only by
-# ButcherTableau.low_rank.
+# Numerical rank cutoff on singular values: of A in ButcherTableau.low_rank,
+# and of an HBVM's s x s product R L = X_s in its rank check.
 RANK_SV_TOL = 1e-10
 
 
@@ -70,8 +70,8 @@ class BasisMatrices:
 class ButcherTableau:
     """Nodes c, stage matrix A, and weights b of a k-stage implicit method.
 
-    The arrays are private read-only copies, so the cached low_rank factors
-    always describe A.
+    The arrays are private read-only copies, so the low_rank factors always
+    describe A.
     """
 
     c: np.ndarray
@@ -103,9 +103,10 @@ class ButcherTableau:
 
     @functools.cached_property
     def low_rank(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thin factors A = L R, L (k, r) and R (r, k), from the SVD of A:
-        L = U_r S_r and R = V_r^T, r the count of singular values above
-        RANK_SV_TOL.  r is s for an HBVM and k for collocation."""
+        """Thin factors A = L R, L (k, r) and R (r, k).  An HBVM tableau
+        carries its construction's read-only (I_s, P_s^T Omega), r = s; any
+        other takes them once from the SVD of A: L = U_r S_r, R = V_r^T, r
+        the count of singular values above RANK_SV_TOL (k for collocation)."""
         U, sv, Vt = np.linalg.svd(self.A)
         r = int(np.sum(sv > RANK_SV_TOL))
         return U[:, :r] * sv[:r], Vt[:r]
@@ -177,15 +178,20 @@ def _require_exactness(sys: AbscissaeSystem, s: int) -> None:
 def _hbvm_build(spec: HbvmSpec) -> tuple[AbscissaeSystem, BasisMatrices,
                                           ButcherTableau]:
     """Node system, basis matrices and tableau of a spec, each built once,
-    after the exactness check and with the rank check."""
+    after the exactness check and with the rank check, made on the s x s
+    R L of the factors L = I_s, R = P_s^T Omega the tableau carries."""
     sys = abscissae(spec)
     _require_exactness(sys, spec.s)
     bm = basis_matrices(sys, spec.s)
     tab = ButcherTableau(c=sys.tau, A=bm.I_s @ bm.P_s.T @ bm.Omega,
                          b=sys.omega, s=spec.s, family=spec.family.value)
-    rank = tab.low_rank[1].shape[0]
+    L, R = bm.I_s, bm.P_s.T @ bm.Omega
+    rank = int(np.sum(np.linalg.svd(R @ L, compute_uv=False) > RANK_SV_TOL))
     if rank != spec.s:
         raise RuntimeError(f"stage matrix rank {rank} != s = {spec.s}")
+    for x in (L, R):
+        x.setflags(write=False)
+    object.__setattr__(tab, "low_rank", (L, R))
     return sys, bm, tab
 
 

@@ -22,6 +22,7 @@ from hbvm.integrator import (
 )
 from hbvm.legendre import NodeFamily, gauss_system, random_custom_system
 from hbvm.problems import catalog, get_problem
+from hbvm.spectral import spec_matrix
 from hbvm.tableau import (
     ButcherTableau,
     HbvmSpec,
@@ -30,6 +31,8 @@ from hbvm.tableau import (
     collocation_matrix,
     filtered_tableau,
     hbvm_tableau,
+    tableau_from_json,
+    tableau_to_json,
 )
 
 TIGHT = SolverConfig(tol=1e-15)
@@ -431,7 +434,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("spec", SHIFT_SPECS, ids=str)
     def test_full_stage_shift_agrees_through_T(self, spec):
         # u = R f(Y): with f(Y) the derivative polynomial at the nodes, the
-        # shift T S T^-1 must give R times its values one interval ahead
+        # shift must give R times its values one interval ahead
         gamma = np.random.default_rng(spec.k).standard_normal(spec.s)
         series, _ = _legendre_series(gamma)
         tau = abscissae(spec).tau
@@ -439,7 +442,8 @@ class TestWarmStart:
         u = plan.R @ series(2 * tau - 1)
         ahead = plan.R @ series(2 * tau + 1)
         assert plan.shift.shape == (spec.s, spec.s)
-        # the scale of u is the SVD's, so the bound is relative to it
+        # u holds the coefficients gamma, on the scale of f, so the bound
+        # is relative to it
         assert np.max(np.abs(plan.shift @ u - ahead)) \
             <= 1e-13 * np.max(np.abs(ahead))
 
@@ -498,6 +502,35 @@ class TestWarmStart:
                          500, SolverConfig(mode="newton"))
         assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
         assert traj.iteration_counts.sum() == 1662
+
+
+class TestBuiltTableauSteps:
+    # hbvm_tableau(spec) carries the spec's own factors, so a step of the
+    # bare tableau runs the plan of the spec's first step
+    SPECS = [spec for spec, _ in spec_matrix(4, 8)]
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(),
+                                     SolverConfig(mode="newton")],
+                             ids=["fixed", "newton"])
+    @pytest.mark.parametrize("name", ["henon-heiles", "kepler"])
+    def test_rk_step_is_step_one_of_integrate(self, name, cfg):
+        prob = get_problem(name)
+        for spec in self.SPECS:
+            y1, _ = rk_step(hbvm_tableau(spec), prob.system, prob.default_y0,
+                            0.05, cfg)
+            traj = integrate(spec, prob.system, prob.default_y0, 0.05, 1, cfg)
+            assert y1.tobytes() == traj.states[1].tobytes(), spec
+
+    @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
+    def test_json_round_trip_steps_agree(self, cfg):
+        # the parsed tableau has no factors of its own and takes the SVD's
+        kep = get_problem("kepler")
+        for spec in self.SPECS:
+            tab = hbvm_tableau(spec)
+            back = tableau_from_json(tableau_to_json(tab))
+            y_built, _ = rk_step(tab, kep.system, kep.default_y0, 0.05, cfg)
+            y_back, _ = rk_step(back, kep.system, kep.default_y0, 0.05, cfg)
+            assert np.max(np.abs(y_back - y_built)) <= 1e-13, spec
 
 
 class TestStateShape:
@@ -621,6 +654,14 @@ class TestGammaStep:
         harm = get_problem("harmonic")
         with pytest.raises(ValueError, match="quadrature too weak"):
             gamma_step(self.WEAK, harm.system, harm.default_y0, 0.1)
+
+    def test_checks_step_size_before_building(self):
+        # a weak rule and a zero step: the step size is named, as rk_step
+        # and integrate name it
+        harm = get_problem("harmonic")
+        spec = HbvmSpec(2, 2, NodeFamily.CUSTOM, nodes=(0.3, 0.7))
+        with pytest.raises(ValueError, match="step size"):
+            gamma_step(spec, harm.system, harm.default_y0, 0.0)
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     def test_integrate_checks_quadrature_exactness(self, mode):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hbvm import legendre
 from hbvm.legendre import (
     AbscissaeSystem,
     NodeFamily,
@@ -171,6 +172,23 @@ class TestInterpolatoryWeights:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             interpolatory_weights([0.3, 0.3, 0.8])
+
+    def test_custom_system_runs_the_recurrence_once(self, monkeypatch):
+        # the weights are solved on the first k columns of the basis table
+        tau = (0.1, 0.35, 0.6, 0.9)
+        weights = interpolatory_weights(tau)
+        calls = []
+        recurrence = legendre._recurrence_values
+
+        def counting(t, n):
+            calls.append(n)
+            return recurrence(t, n)
+
+        monkeypatch.setattr(legendre, "_recurrence_values", counting)
+        sys = custom_system(tau)
+        assert sys.basis.shape == (4, 11)
+        assert calls == [11]
+        assert sys.omega.tobytes() == weights.tobytes()
 
 
 class TestExactnessDegree:

@@ -33,6 +33,8 @@ from hbvm.tableau import (
     collocation_matrix,
     filtered_tableau,
     hbvm_tableau,
+    tableau_from_json,
+    tableau_to_json,
     xs_matrix,
 )
 
@@ -238,6 +240,17 @@ class TestRankScan:
         tab = ButcherTableau(c=sys.tau, A=collocation_matrix(sys), b=sys.omega)
         assert tab.low_rank[1].shape[0] == k
         self.assert_matches_full_solve(tab)
+
+    def test_json_round_trip_scan_agrees(self):
+        # the parsed tableau takes the SVD factors, the built one its own
+        for spec, _ in spec_matrix(4, 8):
+            tab = hbvm_tableau(spec)
+            back = tableau_from_json(tableau_to_json(tab))
+            built, parsed = a_stability_scan(tab), a_stability_scan(back)
+            assert parsed.poles == built.poles
+            assert abs(parsed.imag_axis_max_deviation
+                       - built.imag_axis_max_deviation) <= 1e-13
+            assert abs(parsed.lhp_max_modulus - built.lhp_max_modulus) <= 1e-13
 
     def test_rank_zero_tableau(self):
         tab = ButcherTableau(c=[0.5], A=[[0.0]], b=[1.0])

@@ -15,9 +15,12 @@ from hbvm.legendre import (
 )
 from hbvm.spectral import _greedy_match_distance, spec_matrix
 from hbvm.tableau import (
+    MAX_DEGREE,
+    MAX_STAGES,
     ButcherTableau,
     HbvmSpec,
     _dump_json,
+    _hbvm_build,
     abscissae,
     basis_matrices,
     collocation_matrix,
@@ -154,6 +157,39 @@ class TestLowRank:
     def test_is_computed_once(self):
         tab = hbvm_tableau(HbvmSpec(6, 2))
         assert tab.low_rank is tab.low_rank
+
+    def test_hbvm_carries_its_construction_factors(self):
+        for spec, _ in spec_matrix(MAX_DEGREE, MAX_STAGES):
+            tab = hbvm_tableau(spec)
+            bm = basis_matrices(abscissae(spec), spec.s)
+            L, R = tab.low_rank
+            assert L.tobytes() == bm.I_s.tobytes()
+            assert R.tobytes() == (bm.P_s.T @ bm.Omega).tobytes()
+            assert (L.shape, R.shape) == ((spec.k, spec.s), (spec.s, spec.k))
+            for x in (L, R):
+                with pytest.raises(ValueError, match="read-only"):
+                    x[:] = 0.0
+
+    def test_hbvm_build_takes_no_svd_larger_than_s(self, monkeypatch):
+        # the rank is checked on the s x s product R L, not on the k x k A
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        for spec, _ in spec_matrix(MAX_DEGREE, MAX_STAGES):
+            shapes.clear()
+            _hbvm_build(spec)
+            assert shapes == [(spec.s, spec.s)], spec
+
+    def test_json_round_trip_keeps_rank_s(self):
+        # a parsed tableau has no construction factors and takes the SVD
+        for spec, _ in spec_matrix(MAX_DEGREE, MAX_STAGES):
+            back = tableau_from_json(tableau_to_json(hbvm_tableau(spec)))
+            assert back.low_rank[1].shape == (spec.s, spec.k)
 
 
 class TestReadOnlyArrays:
