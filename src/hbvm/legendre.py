@@ -1,7 +1,8 @@
 """Orthonormal shifted-Legendre basis on [0, 1] and quadrature node systems.
 
 The basis is indexed from 1: the j-th member has degree j - 1 and unit L2
-norm on [0, 1].  Everything downstream (tableau construction, spectral
+norm on [0, 1].  One three-term recurrence evaluates it, a whole table of
+columns per pass.  Everything downstream (tableau construction, spectral
 checks) is built on the matrices of these evaluations and of their exact
 antiderivatives at the nodes (basis_values, basis_integrals).  Gauss and
 Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
@@ -21,8 +22,6 @@ import numpy as np
 __all__ = [
     "NodeFamily",
     "AbscissaeSystem",
-    "eval_orthonormal",
-    "integral_orthonormal",
     "basis_values",
     "basis_integrals",
     "xi",
@@ -89,71 +88,18 @@ class AbscissaeSystem:
         return P
 
 
-def eval_orthonormal(j: int, t):
-    """Evaluate the j-th orthonormal shifted-Legendre polynomial at t.
-
-    Three-term recurrence, starting from the constant 1 and sqrt(3)(2t - 1).
-    Accepts a scalar or an ndarray in [0, 1].
-    """
-    _check_index(j)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    x = 2.0 * t_arr - 1.0
-    p_prev = np.ones_like(t_arr)
-    if j == 1:
-        return p_prev if t_arr.ndim else float(p_prev)
-    p_cur = math.sqrt(3.0) * x
-    for m in range(1, j - 1):
-        a, b = _recurrence(m)
-        p_prev, p_cur = p_cur, a * x * p_cur - b * p_prev
-    return p_cur if t_arr.ndim else float(p_cur)
-
-
-def _recurrence(m: int) -> tuple[float, float]:
-    """(a, b) in p_{m+2} = a x p_{m+1} - b p_m, x = 2t - 1, for m >= 1."""
-    a = (2 * m + 1) / (m + 1) * math.sqrt((2 * m + 3) / (2 * m + 1))
-    b = m / (m + 1) * math.sqrt((2 * m + 3) / (2 * m - 1))
-    return a, b
-
-
-def integral_orthonormal(j: int, c):
-    """Exact antiderivative of the j-th basis polynomial from 0 to c.
-
-    Closed form in terms of neighbouring basis values: the integral of the
-    first polynomial is c itself, and for j >= 2 it telescopes to
-    xi(j) P_{j+1}(c) - xi(j-1) P_{j-1}(c).  No quadrature is involved, so
-    tableau entries built from this are exact to rounding.
-    """
-    _check_index(j)
-    c_arr = np.asarray(c, dtype=float)
-    if np.any(c_arr < 0.0) or np.any(c_arr > 1.0):
-        raise ValueError("c must lie in [0, 1]")
-    if j == 1:
-        out = 0.5 * eval_orthonormal(1, c) + xi(1) * eval_orthonormal(2, c)
-    else:
-        out = xi(j) * eval_orthonormal(j + 1, c) - xi(j - 1) * eval_orthonormal(j - 1, c)
-    return out
-
-
 def xi(j: int) -> float:
     """Off-diagonal coupling coefficient 1 / (2 sqrt((2j+1)(2j-1)))."""
-    _check_index(j)
+    if not isinstance(j, (int, np.integer)) or j < 1:
+        raise ValueError(f"basis index must be an integer >= 1, got {j!r}")
     return 1.0 / (2.0 * math.sqrt((2 * j + 1) * (2 * j - 1)))
 
 
-def _check_index(j: int) -> None:
-    if not isinstance(j, (int, np.integer)) or j < 1:
-        raise ValueError(f"basis index must be an integer >= 1, got {j!r}")
-
-
 def basis_values(tau, n: int) -> np.ndarray:
-    """(len(tau), n) matrix of the first n basis polynomials at the points tau.
-
-    One pass of the recurrence of eval_orthonormal fills every column, with
-    the same operations in the same order, so the columns are bit-identical
-    to eval_orthonormal(j, tau).
-    """
+    """(len(tau), n) matrix of the first n basis polynomials at the points
+    tau in [0, 1]; column j - 1 holds the j-th polynomial.  One pass of the
+    recurrence fills every column, and each column is the same for every
+    n that holds it."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if n < 1:
         raise ValueError("need at least one basis polynomial")
@@ -164,14 +110,17 @@ def basis_values(tau, n: int) -> np.ndarray:
 
 def _recurrence_values(t: np.ndarray, n: int) -> np.ndarray:
     """The first n basis polynomials at the 1-d points t, which may lie
-    outside [0, 1]; the recurrence of basis_values, unchecked."""
+    outside [0, 1]: basis_values unchecked.  The one evaluation of the
+    basis, by the three-term recurrence p_{m+2} = a x p_{m+1} - b p_m in
+    x = 2t - 1, from the constant 1 and sqrt(3) x."""
     x = 2.0 * t - 1.0
     P = np.empty((t.size, n))
     P[:, 0] = 1.0
     if n >= 2:
         P[:, 1] = math.sqrt(3.0) * x
     for m in range(1, n - 1):
-        a, b = _recurrence(m)
+        a = (2 * m + 1) / (m + 1) * math.sqrt((2 * m + 3) / (2 * m + 1))
+        b = m / (m + 1) * math.sqrt((2 * m + 3) / (2 * m - 1))
         P[:, m + 1] = a * x * P[:, m] - b * P[:, m - 1]
     return P
 
@@ -179,8 +128,10 @@ def _recurrence_values(t: np.ndarray, n: int) -> np.ndarray:
 def basis_integrals(tau, n: int) -> np.ndarray:
     """(len(tau), n) matrix of the first n basis antiderivatives from 0 to tau.
 
-    Built from one basis_values matrix with the closed form of
-    integral_orthonormal, so the columns are bit-identical to it.
+    Closed form on one basis_values table: the integral of the first
+    polynomial is c = P_1(c)/2 + xi(1) P_2(c), and for j >= 2 it telescopes
+    to xi(j) P_{j+1}(c) - xi(j-1) P_{j-1}(c).  No quadrature is involved,
+    so tableau entries built from it are exact to rounding.
     """
     if n < 1:
         raise ValueError("need at least one basis polynomial")

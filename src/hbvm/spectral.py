@@ -257,34 +257,39 @@ class StabilityScan:
                    max(self.lhp_max_modulus - 1.0, 0.0))
 
 
+# Sample counts of a_stability_scan: log-spaced points on the imaginary
+# axis, and log-spaced real and imaginary parts of the half-plane grid.
+SCAN_N_IMAG = 200
+SCAN_N_LHP = 15
+
+
 @functools.lru_cache(maxsize=None)
-def _scan_grid(n_imag: int, n_lhp: int) -> np.ndarray:
-    """Read-only sample points of a_stability_scan: the n_imag axis points,
-    then the n_lhp x (2 n_lhp + 1) half-plane points."""
-    im_half = np.logspace(-3.0, 3.0, n_lhp)
+def _scan_grid() -> np.ndarray:
+    """Read-only sample points of a_stability_scan: the SCAN_N_IMAG axis
+    points, then the SCAN_N_LHP x (2 SCAN_N_LHP + 1) half-plane points."""
+    im_half = np.logspace(-3.0, 3.0, SCAN_N_LHP)
     im = np.concatenate((-im_half[::-1], [0.0], im_half))
-    z = np.concatenate((1j * np.logspace(-3.0, 3.0, n_imag),
+    z = np.concatenate((1j * np.logspace(-3.0, 3.0, SCAN_N_IMAG),
                         (-im_half[:, None] + 1j * im).ravel()))
     z.setflags(write=False)
     return z
 
 
-def a_stability_scan(tab: ButcherTableau, n_imag: int = 200,
-                     n_lhp: int = 15) -> StabilityScan:
+def a_stability_scan(tab: ButcherTableau) -> StabilityScan:
     """Sample |R| on the imaginary axis and in the open left half-plane.
 
-    The imaginary axis uses n_imag log-spaced points with |y| in
-    [1e-3, 1e3]; the half-plane grid crosses n_lhp log-spaced negative real
-    parts with symmetric log-spaced imaginary parts.  Both grids are one
-    batch of _stability_values.  Points where det(I - z A) is zero are left
-    out of both statistics and listed in poles, axis points first.
+    The imaginary axis uses SCAN_N_IMAG log-spaced points with |y| in
+    [1e-3, 1e3]; the half-plane grid crosses SCAN_N_LHP log-spaced negative
+    real parts with symmetric log-spaced imaginary parts.  Both grids are
+    one batch of _stability_values.  Points where det(I - z A) is zero are
+    left out of both statistics and listed in poles, axis points first.
     """
-    z = _scan_grid(n_imag, n_lhp)
+    z = _scan_grid()
     values, pole = _stability_values(tab, z)
     modulus, finite = np.abs(values), ~pole
-    imag_dev = np.max(np.abs(modulus[:n_imag] - 1.0), initial=0.0,
-                      where=finite[:n_imag])
-    lhp_max = np.max(modulus[n_imag:], initial=0.0, where=finite[n_imag:])
+    n = SCAN_N_IMAG
+    imag_dev = np.max(np.abs(modulus[:n] - 1.0), initial=0.0, where=finite[:n])
+    lhp_max = np.max(modulus[n:], initial=0.0, where=finite[n:])
     return StabilityScan(imag_axis_max_deviation=float(imag_dev),
                          lhp_max_modulus=float(lhp_max),
                          poles=tuple(complex(p) for p in z[pole]))

@@ -103,13 +103,16 @@ class ButcherTableau:
 
     @functools.cached_property
     def low_rank(self) -> tuple[np.ndarray, np.ndarray]:
-        """Thin factors A = L R, L (k, r) and R (r, k).  An HBVM tableau
-        carries its construction's read-only (I_s, P_s^T Omega), r = s; any
+        """Read-only thin factors A = L R, L (k, r) and R (r, k).  An HBVM
+        tableau carries its construction's (I_s, P_s^T Omega), r = s; any
         other takes them once from the SVD of A: L = U_r S_r, R = V_r^T, r
         the count of singular values above RANK_SV_TOL (k for collocation)."""
         U, sv, Vt = np.linalg.svd(self.A)
         r = int(np.sum(sv > RANK_SV_TOL))
-        return U[:, :r] * sv[:r], Vt[:r]
+        L, R = U[:, :r] * sv[:r], Vt[:r]
+        for x in (L, R):
+            x.setflags(write=False)
+        return L, R
 
 
 @dataclass(frozen=True)
@@ -227,30 +230,31 @@ def filtered_tableau(sys: AbscissaeSystem, s: int) -> ButcherTableau:
                           family=sys.family.value)
 
 
+# xs_matrix and xhat_matrix are contiguous copies of blocks of the one
+# xtilde_matrix build: matmul over a strided slice can round differently.
+
+
 def xs_matrix(s: int) -> np.ndarray:
     """s x s tridiagonal matrix carrying the order-2s Gauss spectrum."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    X = np.zeros((s, s))
-    X[0, 0] = 0.5
-    for j in range(1, s):
-        X[j - 1, j] = -xi(j)
-        X[j, j - 1] = xi(j)
-    return X
+    return xtilde_matrix(s)[:s, :s].copy()
 
 
 def xhat_matrix(s: int) -> np.ndarray:
     """(s+1) x s extension of xs_matrix with a final row (0, ..., 0, xi(s))."""
-    X = np.zeros((s + 1, s))
-    X[:s, :] = xs_matrix(s)
-    X[s, s - 1] = xi(s)
-    return X
+    return xtilde_matrix(s)[:, :s].copy()
 
 
 def xtilde_matrix(s: int) -> np.ndarray:
-    """xhat_matrix with an appended zero column, (s+1) x (s+1)."""
+    """xhat_matrix with an appended zero column, (s+1) x (s+1): 1/2 at
+    (0, 0), xi(j) at (j, j-1) for j <= s and -xi(j) at (j-1, j) for j < s."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
     X = np.zeros((s + 1, s + 1))
-    X[:, :s] = xhat_matrix(s)
+    X[0, 0] = 0.5
+    for j in range(1, s):
+        X[j - 1, j] = -xi(j)
+        X[j, j - 1] = xi(j)
+    X[s, s - 1] = xi(s)
     return X
 
 

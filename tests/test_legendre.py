@@ -1,4 +1,6 @@
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +13,8 @@ from hbvm.legendre import (
     basis_integrals,
     basis_values,
     custom_system,
-    eval_orthonormal,
     exactness_degree,
     gauss_system,
-    integral_orthonormal,
     interpolatory_weights,
     lobatto_system,
     random_custom_system,
@@ -24,18 +24,23 @@ from hbvm.legendre import (
 # Monomial coefficients (ascending) of the classical shifted Legendre
 # polynomials on [0, 1]; the orthonormal basis is sqrt(2j - 1) times these.
 SHIFTED_MONOMIALS = {
-    1: [1.0],
-    2: [-1.0, 2.0],
-    3: [1.0, -6.0, 6.0],
-    4: [-1.0, 12.0, -30.0, 20.0],
-    5: [1.0, -20.0, 90.0, -140.0, 70.0],
-    6: [-1.0, 30.0, -210.0, 560.0, -630.0, 252.0],
+    1: [1],
+    2: [-1, 2],
+    3: [1, -6, 6],
+    4: [-1, 12, -30, 20],
+    5: [1, -20, 90, -140, 70],
+    6: [-1, 30, -210, 560, -630, 252],
+    7: [1, -42, 420, -1680, 3150, -2772, 924],
+    8: [-1, 56, -756, 4200, -11550, 16632, -12012, 3432],
 }
 
 
 def monomial_eval(j, t):
-    return math.sqrt(2 * j - 1) * sum(
-        c * t ** d for d, c in enumerate(SHIFTED_MONOMIALS[j]))
+    # exact rational sum, rounded once: the large alternating coefficients
+    # of the higher degrees would otherwise cancel to ~1e-11
+    x = Fraction(float(t))
+    return math.sqrt(2 * j - 1) * float(
+        sum(c * x ** d for d, c in enumerate(SHIFTED_MONOMIALS[j])))
 
 
 def quad_01(f, a, b, n=20):
@@ -44,52 +49,55 @@ def quad_01(f, a, b, n=20):
     return half * np.sum(w * np.array([f(mid + half * xx) for xx in x]))
 
 
-class TestEvalOrthonormal:
+class TestBasisValues:
     def test_first_is_constant_one(self):
-        assert eval_orthonormal(1, 0.73) == 1.0
+        assert basis_values(0.73, 1)[0, 0] == 1.0
 
     def test_second_at_right_endpoint(self):
-        assert eval_orthonormal(2, 1.0) == pytest.approx(math.sqrt(3), abs=1e-15)
+        assert basis_values(1.0, 2)[0, 1] == pytest.approx(math.sqrt(3), abs=1e-15)
 
     def test_second_vanishes_at_center(self):
-        assert eval_orthonormal(2, 0.5) == 0.0
+        assert basis_values(0.5, 2)[0, 1] == 0.0
 
     def test_degree_three_against_monomial_expansion(self):
         # oracle: sqrt(7) * (20 t^3 - 30 t^2 + 12 t - 1) at t = 0.3
-        assert eval_orthonormal(4, 0.3) == pytest.approx(1.1641305768684203,
-                                                         abs=1e-12)
+        assert basis_values(0.3, 4)[0, 3] == pytest.approx(1.1641305768684203,
+                                                           abs=1e-12)
 
     def test_recurrence_matches_monomials_on_grid(self):
         t = np.linspace(0.0, 1.0, 50)
-        for j in range(1, 7):
+        P = basis_values(t, 8)
+        for j in range(1, 9):
             ref = np.array([monomial_eval(j, tt) for tt in t])
-            assert np.max(np.abs(eval_orthonormal(j, t) - ref)) <= 1e-12
+            assert np.max(np.abs(P[:, j - 1] - ref)) <= 1e-12
 
     def test_rejects_bad_index_and_domain(self):
-        with pytest.raises(ValueError):
-            eval_orthonormal(0, 0.5)
-        with pytest.raises(ValueError):
-            eval_orthonormal(2, 1.5)
+        with pytest.raises(ValueError, match="at least one"):
+            basis_values(0.5, 0)
+        with pytest.raises(ValueError, match="lie in"):
+            basis_values(1.5, 2)
 
 
-class TestIntegralOrthonormal:
+class TestBasisIntegrals:
     def test_constant_integrates_to_c(self):
-        for c in np.linspace(0.0, 1.0, 11):
-            assert integral_orthonormal(1, c) == pytest.approx(c, abs=1e-15)
+        c = np.linspace(0.0, 1.0, 11)
+        assert basis_integrals(c, 1)[:, 0] == pytest.approx(c, abs=1e-15)
 
     def test_orthogonality_against_constant(self):
-        assert integral_orthonormal(2, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert basis_integrals(1.0, 2)[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_against_numerical_quadrature(self):
-        # oracle: 20-point Gauss quadrature of the evaluated polynomial
-        val = quad_01(lambda t: eval_orthonormal(3, t), 0.0, 0.4)
-        assert integral_orthonormal(3, 0.4) == pytest.approx(val, abs=1e-13)
+        # oracle: 20-point Gauss quadrature of the monomial expansion
+        val = quad_01(lambda t: monomial_eval(3, t), 0.0, 0.4)
+        assert basis_integrals(0.4, 3)[0, 2] == pytest.approx(val, abs=1e-13)
 
     def test_identity_over_grid(self):
+        c = np.arange(0.1, 1.05, 0.1)
+        I = basis_integrals(c, 8)
         for j in range(1, 9):
-            for c in np.arange(0.1, 1.05, 0.1):
-                ref = quad_01(lambda t: eval_orthonormal(j, t), 0.0, c)
-                assert integral_orthonormal(j, c) == pytest.approx(ref, abs=1e-12)
+            for cc, val in zip(c, I[:, j - 1]):
+                ref = quad_01(lambda t: monomial_eval(j, t), 0.0, cc)
+                assert val == pytest.approx(ref, abs=1e-12)
 
 
 def test_xi_values():
@@ -213,18 +221,22 @@ class TestExactnessDegree:
 
 def test_orthonormality_under_gauss_16():
     sys = gauss_system(16)
-    vals = np.column_stack([eval_orthonormal(j, sys.tau) for j in range(1, 9)])
+    vals = basis_values(sys.tau, 8)
     gram = vals.T @ np.diag(sys.omega) @ vals
     assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
 
 
 class TestBasisMatrices:
-    def test_columns_are_basis_values(self):
+    def test_columns_do_not_depend_on_the_column_count(self):
         t = np.linspace(0.0, 1.0, 7)
         P = basis_values(t, 5)
-        assert P.shape == (7, 5)
-        for j in range(1, 6):
-            assert np.array_equal(P[:, j - 1], eval_orthonormal(j, t))
+        I = basis_integrals(t, 4)
+        assert P.shape == (7, 5) and I.shape == (7, 4)
+        for n in (1, 3, 12, 40):
+            assert (np.ascontiguousarray(basis_values(t, n + 5)[:, :5]).tobytes()
+                    == P.tobytes())
+            assert (np.ascontiguousarray(basis_integrals(t, n + 4)[:, :4])
+                    .tobytes() == I.tobytes())
 
     def test_columns_are_antiderivatives(self):
         t = np.array([0.0, 0.3, 1.0])
@@ -232,20 +244,23 @@ class TestBasisMatrices:
         assert I.shape == (3, 4)
         for j in range(1, 5):
             for c, val in zip(t, I[:, j - 1]):
-                ref = quad_01(lambda u: eval_orthonormal(j, u), 0.0, c)
+                ref = quad_01(lambda u: monomial_eval(j, u), 0.0, c)
                 assert val == pytest.approx(ref, abs=1e-14)
 
-
-    @pytest.mark.parametrize("n", [1, 2, 12, 100])
-    def test_one_pass_matrices_equal_per_column_functions(self, n):
-        t = np.concatenate(([0.0, 1.0], gauss_system(n).tau))
-        np.testing.assert_array_equal(
-            basis_values(t, n),
-            np.column_stack([eval_orthonormal(j, t) for j in range(1, n + 1)]))
-        np.testing.assert_array_equal(
-            basis_integrals(t, n),
-            np.column_stack([integral_orthonormal(j, t)
-                             for j in range(1, n + 1)]))
+    def test_tables_are_bit_identical_to_golden(self):
+        # SHA-256 of the little-endian float64 bytes.  The tables come from
+        # elementwise operations only, so their bits do not depend on BLAS.
+        t = (0.0, 0.125, 0.2, 0.3, 0.5, 2 / 3, 0.9, 1.0)
+        golden = {
+            "values": "538ec6b2ab500a088f1b3cff2e1e2983"
+                      "b23675c1076b86ee428473b697dfaa07",
+            "integrals": "6be8c56ddf1c51ce8470ccab02c71bdd"
+                         "35f2e8adb511a30d70b213cc86112b24",
+        }
+        for name, table in (("values", basis_values(t, 14)),
+                            ("integrals", basis_integrals(t, 13))):
+            digest = hashlib.sha256(table.astype("<f8").tobytes()).hexdigest()
+            assert digest == golden[name], name
 
     def test_rejects_points_outside_the_interval_and_empty_basis(self):
         with pytest.raises(ValueError, match="lie in"):

@@ -291,8 +291,8 @@ class TestDeterminantRatio:
                           / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
     def test_scan_grid_is_built_once_and_read_only(self):
-        z = _scan_grid(200, 15)
-        assert _scan_grid(200, 15) is z
+        z = _scan_grid()
+        assert _scan_grid() is z
         assert np.array_equal(z, scan_grid())
         with pytest.raises(ValueError):
             z[0] = 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -202,6 +203,16 @@ class TestReadOnlyArrays:
                 x[:] = 0.0
         assert np.abs(L @ R - tab.A).max() <= 1e-13
 
+    def test_svd_factors_are_read_only(self):
+        # a tableau without construction factors takes them from its SVD
+        sys = gauss_system(3)
+        tab = ButcherTableau(c=sys.tau, A=collocation_matrix(sys), b=sys.omega)
+        L, R = tab.low_rank
+        for x in (L, R):
+            with pytest.raises(ValueError, match="read-only"):
+                x[:] = 0.0
+        assert np.abs(L @ R - tab.A).max() <= 1e-13
+
     def test_caller_arrays_are_copied(self):
         c, A, b = np.array([0.25, 0.75]), GAUSS2_A.copy(), np.array([0.5, 0.5])
         tab = ButcherTableau(c=c, A=A, b=b)
@@ -292,6 +303,29 @@ class TestStructuralMatrices:
         assert X.shape == (3, 3)
         assert np.all(X[:, 2] == 0.0)
         assert X[2, 1] == pytest.approx(1 / (2 * math.sqrt(15)))
+
+    def test_xs_and_xhat_are_blocks_of_xtilde(self):
+        for s in range(1, 13):
+            X = xtilde_matrix(s)
+            for part, block in ((xs_matrix(s), X[:s, :s]),
+                                (xhat_matrix(s), X[:, :s])):
+                assert part.shape == block.shape
+                assert part.tobytes() == np.ascontiguousarray(block).tobytes()
+                assert part.flags.c_contiguous
+            assert not X[:, s].any()
+
+    def test_reject_s_below_one(self):
+        for build in (xs_matrix, xhat_matrix, xtilde_matrix):
+            with pytest.raises(ValueError, match="s must be >= 1"):
+                build(0)
+
+    def test_xtilde_is_bit_identical_to_golden(self):
+        # SHA-256 of the little-endian float64 bytes of xtilde_matrix(1..6),
+        # row-major and concatenated.
+        data = np.concatenate([xtilde_matrix(s).ravel() for s in range(1, 7)])
+        assert (hashlib.sha256(data.astype("<f8").tobytes()).hexdigest()
+                == "bc25f1fc22f5f018325043fd16fa8416"
+                   "070993a9c9369e6012c9295406521c99")
 
     def test_transfer_identity_across_matrix(self):
         for sys, s in both_family_systems():
