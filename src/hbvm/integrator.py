@@ -1,4 +1,4 @@
-"""Implicit Runge-Kutta stepping for canonical systems dy/dt = J grad H(y).
+"""Implicit Runge-Kutta stepping for Hamiltonian systems dy/dt = J grad H(y).
 
 Two equivalent formulations are provided: the full k-stage form driven by a
 Butcher tableau, and the reduced form that solves for the s expansion
@@ -125,26 +125,21 @@ class HamiltonianSystem:
 
     def __post_init__(self):
         J = canonical_symplectic_matrix(self.dim) if self.J is None \
-            else np.asarray(self.J, dtype=float)
+            else np.array(self.J, dtype=float)
         if J.shape != (self.dim, self.dim):
             raise ValueError("J must be dim x dim")
         if np.any(J != -J.T):
             raise ValueError("J must be exactly skew-symmetric")
+        J.setflags(write=False)
         object.__setattr__(self, "J", J)
-        object.__setattr__(self, "_canonical", self.dim % 2 == 0 and
-                           np.array_equal(J, canonical_symplectic_matrix(self.dim)))
 
     def f(self, y: np.ndarray) -> np.ndarray:
         """Vector field J grad H at one state or at each row of an (n, dim)
-        block.  A canonical J swaps the halves of the gradient and negates
-        one, which gives exactly the values of J @ grad H."""
+        block, applied as one product with J for every structure matrix."""
         if self.vectorized or y.ndim == 1:
             g = self.grad_H(y)
         else:
             g = np.array([self.grad_H(row) for row in y])
-        if self._canonical:
-            m = self.dim // 2
-            return np.concatenate((g[..., m:], -g[..., :m]), axis=-1)
         return g @ self.J.T
 
     def energies(self, Y: np.ndarray) -> np.ndarray:
@@ -175,12 +170,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Stage-solve outcome; contraction is the final residual ratio
-    res_j / res_(j-1), 0.0 when the first residual already met tol."""
+    """Stage-solve outcome: iterations, the final residual, and the final
+    residual ratio res_j / res_(j-1) as contraction (0.0 when the first
+    residual already met tol)."""
 
     iterations: int
     residual: float
-    mode: str
     contraction: float = 0.0
 
 
@@ -422,7 +417,7 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
                                                   correction, cfg)
     Y = y0 + hL @ u
     return plan.update(y0, u, Y), u, Y, StepDiagnostics(
-        iterations=iters, residual=res, mode=cfg.mode, contraction=ratio)
+        iterations=iters, residual=res, contraction=ratio)
 
 
 def _single_step(method, sys: HamiltonianSystem, y0, h: float,

@@ -141,9 +141,8 @@ def basis_integrals(tau, n: int) -> np.ndarray:
 def _integrals(P: np.ndarray, n: int) -> np.ndarray:
     """The first n basis antiderivatives from a table P of at least n + 1
     basis values (basis_integrals on a table already built).  Column j - 1
-    is xi(j) P_{j+1} - xi(j-1) P_{j-1}, with the same roundings as xi."""
-    j = np.arange(1, n + 1)
-    x = 1.0 / (2.0 * np.sqrt((2 * j + 1) * (2 * j - 1)))
+    is xi(j) P_{j+1} - xi(j-1) P_{j-1}."""
+    x = np.array([xi(j) for j in range(1, n + 1)])
     out = np.empty((P.shape[0], n))
     out[:, 0] = 0.5 * P[:, 0] + x[0] * P[:, 1]
     out[:, 1:] = x[1:] * P[:, 2:n + 1] - x[:-1] * P[:, :n - 1]

@@ -622,6 +622,23 @@ class TestBatchedVectorField:
             assert np.array_equal(row, J @ y)
             assert np.array_equal(system.f(y), row)
 
+    @pytest.mark.parametrize("J", [None, [[0.0, 2.0], [-2.0, 0.0]]],
+                             ids=["canonical", "scaled"])
+    def test_structure_matrix_is_a_private_read_only_copy(self, J):
+        harm = get_problem("harmonic").system
+        caller = integrator.canonical_symplectic_matrix(2) if J is None \
+            else np.array(J)
+        system = dataclasses.replace(harm, J=caller)
+        y = np.array([1.0, 2.0])
+        before = system.f(y)
+        caller[0, 1], caller[1, 0] = 7.0, -5.0
+        assert np.array_equal(system.f(y), before)
+        with pytest.raises(ValueError):
+            system.J[0, 1] = 5.0
+        again = dataclasses.replace(system)
+        assert not again.J.flags.writeable
+        assert np.array_equal(again.f(y), before)
+
     def test_field_jacobian_is_one_block_call(self):
         kep = get_problem("kepler")
         calls = []
@@ -739,6 +756,20 @@ class TestIntegrate:
         traj = integrate(HbvmSpec(2, 2), hh.system, hh.default_y0,
                          0.05, 1000, TIGHT)
         assert energy_drift(traj)[0] > 1e-9
+
+    # J = [[0, I], [-I, C]] with a skew C: the line-integral argument needs
+    # only a constant skew J, so the degree-3 threshold k >= 3 s / 2 holds.
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    @pytest.mark.parametrize("k,conserved", [(3, True), (2, False)])
+    def test_henon_heiles_non_canonical_threshold(self, mode, k, conserved):
+        hh = get_problem("henon-heiles")
+        C = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        J = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), C]])
+        system = dataclasses.replace(hh.system, J=J)
+        traj = integrate(HbvmSpec(k, 2), system, hh.default_y0, 0.1, 1000,
+                         TIGHT, mode=mode)
+        drift = energy_drift(traj)[0]
+        assert drift <= 1e-13 if conserved else drift > 1e-9
 
     def test_gamma_mode_trajectory(self):
         sext = get_problem("sextic")

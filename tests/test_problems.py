@@ -180,7 +180,7 @@ def test_block_evaluation_matches_rows(prob):
 
 
 def test_canonical_field_matches_matrix_product():
-    # swapping and negating the gradient's halves is exactly J @ grad H
+    # one nonzero product per entry, so grad H @ J.T is exactly J @ grad H
     rng = np.random.default_rng(21)
     for prob in catalog():
         sys = prob.system
