@@ -152,7 +152,7 @@ def cmd_integrate(args) -> int:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
     _write(args.out, trajectory_to_csv(traj))
-    max_dev, final_dev = energy_drift(traj)
+    max_dev, _ = energy_drift(traj)
     h0 = abs(traj.energies[0])
     rel = max_dev / h0 if h0 > 0 else max_dev
     print(f"integrate {problem.name} k={spec.k} s={spec.s} mode={args.mode}: "

@@ -299,7 +299,7 @@ def _simplified_newton(residual_map, U0, correction, cfg: SolverConfig):
     Returns (U, iterations, residual, final residual ratio).  Overflow is
     left to the non-finite check rather than warned about.
     """
-    U = U0.copy()
+    U = U0
     last = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.max_iter + 1):

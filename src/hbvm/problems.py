@@ -6,9 +6,12 @@ form reference solutions, where present, correspond to the catalog's
 default initial state.
 
 Every energy and gradient is vectorized: it indexes components with
-``y[..., i]`` and builds its result with ``np.stack(..., axis=-1)``, so it
-acts on the last axis of a single state or of any ``(..., dim)`` block, and
-the integrator evaluates all stages of an iteration in one call.
+``y[..., i]``, so it acts on the last axis of a single state or of any
+``(..., dim)`` block, and the integrator evaluates all stages of an
+iteration in one call.  Each energy is ``|p|^2/2 + V(q)``, so the momentum
+half of its gradient is ``p`` itself: a gradient starts from a float copy
+of the state block and overwrites only the coordinate columns.  It never
+writes into, or returns a view of, its input.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _harmonic() -> ProblemSpec:
         return 0.5 * (p * p + q * q)
 
     def grad(y):
-        return y.copy()
+        return y.astype(float)
 
     q0, p0 = 1.0, 0.0
 
@@ -72,7 +75,9 @@ def _quartic() -> ProblemSpec:
         return 0.5 * p * p + 0.25 * q ** 4
 
     def grad(y):
-        return np.stack((y[..., 0] ** 3, y[..., 1]), axis=-1)
+        g = y.astype(float)
+        g[..., 0] **= 3
+        return g
 
     return ProblemSpec(
         name="quartic",
@@ -89,7 +94,9 @@ def _sextic() -> ProblemSpec:
         return 0.5 * p * p + q ** 6 / 6.0
 
     def grad(y):
-        return np.stack((y[..., 0] ** 5, y[..., 1]), axis=-1)
+        g = y.astype(float)
+        g[..., 0] **= 5
+        return g
 
     return ProblemSpec(
         name="sextic",
@@ -106,7 +113,9 @@ def _pendulum() -> ProblemSpec:
         return 0.5 * p * p - np.cos(q)
 
     def grad(y):
-        return np.stack((np.sin(y[..., 0]), y[..., 1]), axis=-1)
+        g = y.astype(float)
+        g[..., 0] = np.sin(g[..., 0])
+        return g
 
     return ProblemSpec(
         name="pendulum",
@@ -126,10 +135,10 @@ def _henon_heiles() -> ProblemSpec:
                 + q1 * q1 * q2 - q2 ** 3 / 3.0)
 
     def grad(y):
-        q1, q2 = y[..., 0], y[..., 1]
-        return np.stack((q1 + 2.0 * q1 * q2,
-                         q2 + q1 * q1 - q2 * q2,
-                         y[..., 2], y[..., 3]), axis=-1)
+        g = y.astype(float)
+        q1, q2 = g[..., 0], g[..., 1]
+        g[..., 0], g[..., 1] = q1 + 2.0 * q1 * q2, q2 + q1 * q1 - q2 * q2
+        return g
 
     return ProblemSpec(
         name="henon-heiles",
@@ -168,9 +177,11 @@ def _kepler() -> ProblemSpec:
         return 0.5 * (p1 * p1 + p2 * p2) - 1.0 / np.sqrt(q1 * q1 + q2 * q2)
 
     def grad(y):
-        q1, q2 = y[..., 0], y[..., 1]
+        g = y.astype(float)
+        q1, q2 = g[..., 0], g[..., 1]
         r3 = (q1 * q1 + q2 * q2) ** 1.5
-        return np.stack((q1 / r3, q2 / r3, y[..., 2], y[..., 3]), axis=-1)
+        g[..., :2] /= r3[..., None]
+        return g
 
     e = KEPLER_ECCENTRICITY
     y0 = [1.0 - e, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e))]

@@ -187,3 +187,22 @@ def test_canonical_field_matches_matrix_product():
         for _ in range(50):
             y = rng.uniform(0.3, 1.5, size=sys.dim)
             assert np.array_equal(sys.f(y), sys.J @ sys.grad_H(y)), prob.name
+
+
+@pytest.mark.parametrize("prob", catalog(), ids=lambda p: p.name)
+def test_gradient_is_a_fresh_float_block(prob):
+    # q^3 and q^5 at q = 3e6 wrap in int64: integer states must be promoted
+    # before any power is taken
+    grad = prob.system.grad_H
+    state = np.array([3_000_000, -2, 5, 1])[:prob.system.dim]
+    for y_int in (state, np.stack((state, -state, state + 1))):
+        for y in (y_int, y_int.astype(float)):
+            before = y.copy()
+            g = grad(y)
+            assert g.dtype == np.float64
+            assert g.shape == y.shape
+            assert not np.shares_memory(g, y)
+            assert np.array_equal(y, before)
+            g[...] = -7.0
+            assert np.array_equal(y, before)
+        assert np.array_equal(grad(y_int), grad(y_int.astype(float)))
