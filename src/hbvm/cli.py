@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
             tab = tableau_from_json(fh.read())
         if tab.s is None:
             raise ValueError("tableau file does not declare s")
-        report = classify_spectrum(tab.A, tab.s, tab.family or "file")
+        report = classify_spectrum(tab.A, tab.s)
         checked.append({
             "spec": {"k": tab.k, "s": tab.s,
                      "family": f"file:{args.tableau_file}", "seed": None},

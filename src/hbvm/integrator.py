@@ -151,12 +151,12 @@ class HamiltonianSystem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stage-solver settings; tol is an absolute max-norm residual bound."""
+    """Stage-solver settings; tol is an absolute max-norm residual bound.
+    Newton always takes the central finite-difference Jacobian of f."""
 
     mode: str = "fixed_point"  # or "newton"
     tol: float = 1e-13
     max_iter: int = 100
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.mode not in ("fixed_point", "newton"):
@@ -207,22 +207,19 @@ class Trajectory:
             self.jacobian_counts = np.zeros(len(self.times), dtype=int)
 
 
-def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray,
-                    cfg: SolverConfig) -> np.ndarray:
-    """Jacobian of f at y: user-supplied or central finite differences.
+def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
+    """Jacobian of f at y by central finite differences, from one f call on
+    the block of 2*dim perturbed states.
 
     A non-finite Jacobian fails the step here, with the cause named, rather
     than as a non-finite Newton matrix.
     """
-    if cfg.jacobian is not None:
-        Jf = np.asarray(cfg.jacobian(y), dtype=float)
-    else:
-        n = y.size
-        steps = _SQRT_EPS * (1.0 + np.abs(y))
-        D = np.diag(steps)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            F = sys.f(np.concatenate((y + D, y - D)))
-            Jf = (F[:n] - F[n:]).T / (2.0 * steps)
+    n = y.size
+    steps = _SQRT_EPS * (1.0 + np.abs(y))
+    D = np.diag(steps)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        F = sys.f(np.concatenate((y + D, y - D)))
+        Jf = (F[:n] - F[n:]).T / (2.0 * steps)
     if not np.isfinite(Jf).all():
         raise StageConvergenceError(
             "Jacobian of f is non-finite at the step's initial state",
@@ -325,11 +322,10 @@ def _check_state(sys: HamiltonianSystem, y0: np.ndarray) -> None:
                          f"system has dim {sys.dim}")
 
 
-def _newton_correction(M: np.ndarray, sys: HamiltonianSystem, y0, h,
-                       cfg: SolverConfig):
+def _newton_correction(M: np.ndarray, sys: HamiltonianSystem, y0, h):
     """Newton correction for u = R f(y0 + h L u) with M = R L: the inverse
     of I - h M (x) Jf, with Jf taken at y0."""
-    Jf = _field_jacobian(sys, y0, cfg)
+    Jf = _field_jacobian(sys, y0)
     inverse = lu_factor(np.eye(M.shape[0] * y0.size) - h * np.kron(M, Jf))
 
     def correction(E):
@@ -412,7 +408,7 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
         u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
     else:
         if correction is None:
-            correction = _newton_correction(plan.M, sys, y0, plan.h, cfg)
+            correction = _newton_correction(plan.M, sys, y0, plan.h)
         u, iters, res, ratio = _simplified_newton(residual_map, u0,
                                                   correction, cfg)
     Y = y0 + hL @ u
@@ -500,7 +496,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     for n in range(n_steps):
         try:
             if refresh:
-                correction = _newton_correction(plan.M, sys, y, h, cfg)
+                correction = _newton_correction(plan.M, sys, y, h)
                 jacs[n + 1] = 1
             try:
                 y, u, _, diag = _gamma_step_matrices(plan, y, guess,
@@ -508,7 +504,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
             except StageConvergenceError:
                 if not newton or jacs[n + 1]:
                     raise
-                correction = _newton_correction(plan.M, sys, y, h, cfg)
+                correction = _newton_correction(plan.M, sys, y, h)
                 jacs[n + 1] = 2
                 y, u, _, diag = _gamma_step_matrices(plan, y, guess,
                                                      correction)
@@ -532,12 +528,12 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
                       iteration_counts=iters, jacobian_counts=jacs)
 
 
-def energy_drift(traj: Trajectory, sys: HamiltonianSystem | None = None):
-    """(max_n |H(y_n) - H(y_0)|, |H(y_N) - H(y_0)|) along a trajectory."""
+def energy_drift(traj: Trajectory):
+    """(max_n |H(y_n) - H(y_0)|, |H(y_N) - H(y_0)|) from a trajectory's
+    recorded energies."""
     if traj.states.shape[0] == 0:
         raise ValueError("trajectory is empty")
-    energies = traj.energies if sys is None else sys.energies(traj.states)
-    dev = np.abs(energies - energies[0])
+    dev = np.abs(traj.energies - traj.energies[0])
     return float(np.max(dev)), float(dev[-1])
 
 
@@ -579,8 +575,7 @@ def convergence_order(method, problem, t_end: float, h_list,
     else:
         h_ref = h_list[-1] / 8.0
         ref_cfg = SolverConfig(mode=cfg.mode, tol=1e-14,
-                               max_iter=max(cfg.max_iter, 100),
-                               jacobian=cfg.jacobian)
+                               max_iter=max(cfg.max_iter, 100))
         traj = integrate(method, sys, y0, h_ref,
                          int(round(horizon / h_ref)), ref_cfg, mode=mode)
         y_ref = traj.states[-1]

@@ -11,7 +11,9 @@ Every energy and gradient is vectorized: it indexes components with
 iteration in one call.  Each energy is ``|p|^2/2 + V(q)``, so the momentum
 half of its gradient is ``p`` itself: a gradient starts from a float copy
 of the state block and overwrites only the coordinate columns.  It never
-writes into, or returns a view of, its input.
+writes into, or returns a view of, its input.  Energies and gradients
+both compute in float64, so an integer state gets the same value as the
+equal float state instead of wrapping around in integer powers.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ KEPLER_ECCENTRICITY = 0.6
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A named system, its default initial state and, where known, the
+    closed-form solution from that state as a function of t."""
+
     name: str
     system: HamiltonianSystem
     default_y0: np.ndarray
     reference_solution: Callable[[float], np.ndarray] | None = None
-    notes: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "default_y0",
@@ -46,7 +50,9 @@ class ProblemSpec:
 
 
 def _harmonic() -> ProblemSpec:
+    """Unit-frequency oscillator; exact solution is a rotation."""
     def H(y):
+        y = np.asarray(y, dtype=float)
         q, p = y[..., 0], y[..., 1]
         return 0.5 * (p * p + q * q)
 
@@ -65,12 +71,13 @@ def _harmonic() -> ProblemSpec:
                                  vectorized=True),
         default_y0=[q0, p0],
         reference_solution=exact,
-        notes="unit-frequency oscillator; exact solution is a rotation",
     )
 
 
 def _quartic() -> ProblemSpec:
+    """Stiffening quartic potential; degree-4 energy."""
     def H(y):
+        y = np.asarray(y, dtype=float)
         q, p = y[..., 0], y[..., 1]
         return 0.5 * p * p + 0.25 * q ** 4
 
@@ -84,12 +91,13 @@ def _quartic() -> ProblemSpec:
         system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=4,
                                  vectorized=True),
         default_y0=[1.0, 1.0],
-        notes="stiffening quartic potential; degree-4 energy",
     )
 
 
 def _sextic() -> ProblemSpec:
+    """Degree-6 confinement; the standard high-degree conservation case."""
     def H(y):
+        y = np.asarray(y, dtype=float)
         q, p = y[..., 0], y[..., 1]
         return 0.5 * p * p + q ** 6 / 6.0
 
@@ -103,12 +111,13 @@ def _sextic() -> ProblemSpec:
         system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=6,
                                  vectorized=True),
         default_y0=[1.0, 1.0],
-        notes="degree-6 confinement; the standard high-degree conservation case",
     )
 
 
 def _pendulum() -> ProblemSpec:
+    """Non-polynomial energy; libration orbit well inside the separatrix."""
     def H(y):
+        y = np.asarray(y, dtype=float)
         q, p = y[..., 0], y[..., 1]
         return 0.5 * p * p - np.cos(q)
 
@@ -121,7 +130,6 @@ def _pendulum() -> ProblemSpec:
         name="pendulum",
         system=HamiltonianSystem(dim=2, H=H, grad_H=grad, vectorized=True),
         default_y0=[1.5, 0.5],
-        notes="non-polynomial energy; libration orbit well inside the separatrix",
     )
 
 
@@ -129,7 +137,9 @@ def _pendulum() -> ProblemSpec:
 
 
 def _henon_heiles() -> ProblemSpec:
+    """Cubic coupling of two oscillators at a bounded energy level."""
     def H(y):
+        y = np.asarray(y, dtype=float)
         q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
         return (0.5 * (p1 * p1 + p2 * p2) + 0.5 * (q1 * q1 + q2 * q2)
                 + q1 * q1 * q2 - q2 ** 3 / 3.0)
@@ -145,7 +155,6 @@ def _henon_heiles() -> ProblemSpec:
         system=HamiltonianSystem(dim=4, H=H, grad_H=grad, poly_degree=3,
                                  vectorized=True),
         default_y0=[0.1, -0.1, 0.4, 0.1],
-        notes="cubic coupling of two oscillators at a bounded energy level",
     )
 
 
@@ -172,7 +181,10 @@ def _kepler_reference(t: float, e: float) -> np.ndarray:
 
 
 def _kepler() -> ProblemSpec:
+    """Two-body orbit, eccentricity KEPLER_ECCENTRICITY, period 2*pi,
+    perihelion start; reference via the eccentric anomaly."""
     def H(y):
+        y = np.asarray(y, dtype=float)
         q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
         return 0.5 * (p1 * p1 + p2 * p2) - 1.0 / np.sqrt(q1 * q1 + q2 * q2)
 
@@ -190,8 +202,6 @@ def _kepler() -> ProblemSpec:
         system=HamiltonianSystem(dim=4, H=H, grad_H=grad, vectorized=True),
         default_y0=y0,
         reference_solution=lambda t: _kepler_reference(t, e),
-        notes=f"two-body orbit, eccentricity {e}, period 2*pi, "
-              "perihelion start; reference via the eccentric anomaly",
     )
 
 

@@ -69,38 +69,33 @@ def eigenvalues(M) -> np.ndarray:
 class SpectrumReport:
     """Classified spectrum of a stage matrix against its reference.
 
-    The k eigenvalues split into zero_count values below the zero threshold
-    and the rest, which are greedily paired with the reference spectrum;
-    max_match_distance is the worst pairing distance (inf on a count
-    mismatch).
+    The k eigenvalues, sorted by (real, imag), split into zero_count values
+    at or below ZERO_EIG_REL_TOL * max(1, ||A||_inf) and the rest, which
+    are greedily paired with the reference spectrum; max_match_distance is
+    the worst pairing distance (inf on a count mismatch).
     """
 
     k: int
     s: int
-    family: str
     eigenvalues: tuple[complex, ...]
     zero_count: int
     nonzero: tuple[complex, ...]
     reference: tuple[complex, ...]
     max_match_distance: float
-    zero_threshold: float
 
     def passes(self, tol: float) -> bool:
         return (self.zero_count == self.k - self.s
                 and self.max_match_distance <= tol)
 
 
-def _sorted_complex(values) -> tuple[complex, ...]:
-    return tuple(sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag)))
-
-
 def _greedy_match_distance(found, reference) -> float:
-    """Worst nearest-pair distance after sorting both sets by (real, imag)."""
+    """Worst distance when each reference value in turn takes the nearest
+    found value not yet taken."""
     if len(found) != len(reference):
         return math.inf
-    remaining = list(_sorted_complex(found))
+    remaining = list(found)
     worst = 0.0
-    for ref in _sorted_complex(reference):
+    for ref in reference:
         dists = [abs(z - ref) for z in remaining]
         i = int(np.argmin(dists))
         worst = max(worst, dists[i])
@@ -111,29 +106,26 @@ def _greedy_match_distance(found, reference) -> float:
 @functools.lru_cache(maxsize=None)
 def _reference_spectrum(s: int) -> tuple[complex, ...]:
     """The sorted eigenvalues of xs_matrix(s), the order-2s Gauss spectrum."""
-    return _sorted_complex(eigenvalues(xs_matrix(s)))
+    return tuple(map(complex, eigenvalues(xs_matrix(s))))
 
 
-def classify_spectrum(A: np.ndarray, s: int, family: str = "custom") -> SpectrumReport:
+def classify_spectrum(A: np.ndarray, s: int) -> SpectrumReport:
     """Split the spectrum of A into zero and nonzero parts and pair the
     nonzero part with the degree-s reference spectrum."""
     A = np.asarray(A, dtype=float)
     k = A.shape[0]
-    eigs = eigenvalues(A)
+    eigs = tuple(map(complex, eigenvalues(A)))
     threshold = ZERO_EIG_REL_TOL * max(1.0, float(np.linalg.norm(A, np.inf)))
-    zero = [z for z in eigs if abs(z) <= threshold]
-    nonzero = [z for z in eigs if abs(z) > threshold]
+    nonzero = tuple(z for z in eigs if abs(z) > threshold)
     reference = _reference_spectrum(s)
     return SpectrumReport(
         k=k,
         s=s,
-        family=family,
-        eigenvalues=_sorted_complex(eigs),
-        zero_count=len(zero),
-        nonzero=_sorted_complex(nonzero),
+        eigenvalues=eigs,
+        zero_count=sum(abs(z) <= threshold for z in eigs),
+        nonzero=nonzero,
         reference=reference,
         max_match_distance=_greedy_match_distance(nonzero, reference),
-        zero_threshold=threshold,
     )
 
 
@@ -145,7 +137,7 @@ def isospectral_check(spec: HbvmSpec) -> SpectrumReport:
     SpectrumReport.passes(tol) to evaluate both.
     """
     tab = hbvm_tableau(spec)
-    return classify_spectrum(tab.A, spec.s, spec.family.value)
+    return classify_spectrum(tab.A, spec.s)
 
 
 def _subspace_residual(A: np.ndarray, bm: BasisMatrices) -> float:
@@ -334,7 +326,7 @@ def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
         # Each spec's node system, basis matrices and tableau are built
         # once and shared by the checks below.
         sys, bm, tab = _hbvm_build(spec)
-        report = classify_spectrum(tab.A, spec.s, spec.family.value)
+        report = classify_spectrum(tab.A, spec.s)
         subspace = _subspace_residual(tab.A, bm)
         filter_residual = float(np.max(np.abs(_filtered_matrix(sys, bm)
                                               - tab.A)))

@@ -13,6 +13,7 @@ from hbvm.integrator import (
     SolverConfig,
     StageConvergenceError,
     Trajectory,
+    canonical_symplectic_matrix,
     convergence_order,
     energy_drift,
     gamma_step,
@@ -193,21 +194,23 @@ class TestLapackLU:
 class TestNamedNewtonFailures:
     # R L = 0.5 and h Jf = 2 I, so I - h (R L) (x) Jf is exactly zero
     SINGULAR = ButcherTableau(c=[0.5], A=[[0.5]], b=[1.0])
-    FOUR_I = SolverConfig(mode="newton", jacobian=lambda y: 4 * np.eye(2))
 
     def test_singular_matrix_fails_the_step_without_warning(self):
-        harm = get_problem("harmonic")
+        # f = 4 y; from y0 = 0 every finite-difference step is 2^-26, so
+        # the finite-difference Jacobian is exactly 4 I
+        J = canonical_symplectic_matrix(2)
+        four_y = HamiltonianSystem(dim=2, H=lambda y: 0.0,
+                                   grad_H=lambda y: 4.0 * (y @ J))
+        y0 = np.zeros(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StageConvergenceError,
                                match="Newton matrix is singular"):
-                rk_step(self.SINGULAR, harm.system, harm.default_y0, 0.5,
-                        self.FOUR_I)
+                rk_step(self.SINGULAR, four_y, y0, 0.5, NEWTON)
             with pytest.raises(StageConvergenceError,
                                match="step 1 failed: Newton matrix is "
                                      "singular"):
-                integrate(self.SINGULAR, harm.system, harm.default_y0, 0.5,
-                          3, self.FOUR_I)
+                integrate(self.SINGULAR, four_y, y0, 0.5, 3, NEWTON)
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     def test_non_finite_jacobian_names_its_cause(self, mode):
@@ -219,14 +222,29 @@ class TestNamedNewtonFailures:
             integrate(HbvmSpec(4, 2), kep.system, [0.0, 0.0, 0.0, 1.0], 0.05,
                       3, SolverConfig(mode="newton"), mode=mode)
 
-    def test_non_finite_supplied_jacobian_names_its_cause(self):
-        harm = get_problem("harmonic")
-        cfg = SolverConfig(mode="newton",
-                           jacobian=lambda y: np.full((2, 2), np.nan))
+
+class TestIterationLimit:
+    # sextic (6, 2) at h = 0.1 takes ~10 fixed-point iterations, and more
+    # than one Newton correction, to reach tol = 1e-15
+    @pytest.mark.parametrize("solver,max_iter,solver_name", [
+        ("fixed_point", 2, "fixed-point"),
+        ("newton", 1, "Newton"),
+    ])
+    def test_names_the_solver_and_the_limit(self, solver, max_iter,
+                                            solver_name):
+        sext = get_problem("sextic")
+        spec = HbvmSpec(6, 2)
+        cfg = SolverConfig(mode=solver, tol=1e-15, max_iter=max_iter)
+        limit = (rf"{solver_name} iteration did not reach tol=1e-15 in "
+                 rf"{max_iter} iterations$")
         with pytest.raises(StageConvergenceError,
-                           match="Jacobian of f is non-finite"):
-            rk_step(hbvm_tableau(HbvmSpec(2, 1)), harm.system,
-                    harm.default_y0, 0.1, cfg)
+                           match="^step 1 failed: " + limit) as info:
+            integrate(spec, sext.system, sext.default_y0, 0.1, 3, cfg)
+        assert info.value.iterations == max_iter
+        assert info.value.residual > cfg.tol
+        with pytest.raises(StageConvergenceError, match="^" + limit):
+            rk_step(hbvm_tableau(spec), sext.system, sext.default_y0, 0.1,
+                    cfg)
 
 
 class TestLowRankStageCore:
@@ -649,13 +667,13 @@ class TestBatchedVectorField:
 
         system = dataclasses.replace(kep.system, grad_H=counted)
         y = kep.default_y0
-        Jf = integrator._field_jacobian(system, y, NEWTON)
+        Jf = integrator._field_jacobian(system, y)
         assert calls == [(8, 4)]
         per_point = self._per_point_sextic()
         sext = get_problem("sextic")
         assert np.array_equal(
-            integrator._field_jacobian(per_point, sext.default_y0, NEWTON),
-            integrator._field_jacobian(sext.system, sext.default_y0, NEWTON))
+            integrator._field_jacobian(per_point, sext.default_y0),
+            integrator._field_jacobian(sext.system, sext.default_y0))
         # Kepler at perihelion: d(p)/dt = -q / |q|^3 has Jacobian block
         # -(I - 3 q q^T / |q|^2) / |q|^3, here diag(2, -1) / |q|^3
         r3 = y[0] ** 3
@@ -821,6 +839,9 @@ class TestIntegrate:
         with pytest.raises(TypeError):
             integrate(hbvm_tableau(HbvmSpec(2, 2)), harm.system,
                       harm.default_y0, 0.1, 5, mode="gamma")
+        with pytest.raises(ValueError, match="mode must be 'rk' or 'gamma'"):
+            integrate(HbvmSpec(2, 2), harm.system, harm.default_y0, 0.1, 5,
+                      mode="coefficients")
 
 
 class TestConservationThreshold:
@@ -859,6 +880,13 @@ class TestEnergyDrift:
                           iteration_counts=np.zeros(3, dtype=int))
         assert energy_drift(traj) == (0.0, 0.0)
 
+    def test_empty_trajectory_is_rejected(self):
+        traj = Trajectory(times=np.zeros(0), states=np.zeros((0, 2)),
+                          energies=np.zeros(0),
+                          iteration_counts=np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="trajectory is empty"):
+            energy_drift(traj)
+
     def test_quartic_below_threshold_shows_drift(self):
         quart = get_problem("quartic")
         traj = integrate(HbvmSpec(2, 2), quart.system, quart.default_y0,
@@ -868,7 +896,8 @@ class TestEnergyDrift:
     def test_recompute_matches_recorded(self):
         harm = get_problem("harmonic")
         traj = integrate(HbvmSpec(2, 2), harm.system, harm.default_y0, 0.1, 10)
-        assert energy_drift(traj) == energy_drift(traj, harm.system)
+        assert np.array_equal(traj.energies,
+                              harm.system.energies(traj.states))
 
 
 class TestConvergenceOrder:
@@ -894,6 +923,17 @@ class TestConvergenceOrder:
         harm = get_problem("harmonic")
         with pytest.raises(ValueError):
             convergence_order(HbvmSpec(2, 2), harm, 1.0, [0.4, 0.3, 0.2])
+
+    @pytest.mark.parametrize("spec,h_list,cause", [
+        (HbvmSpec(2, 2), [0.4, 0.2], "need at least 3 step sizes"),
+        # order 6 from h = 1e-3: every error is below 100 eps
+        (HbvmSpec(6, 3), [1e-3, 5e-4, 2.5e-4],
+         "all errors are at the rounding floor"),
+    ], ids=["two-steps", "floor"])
+    def test_names_an_unusable_step_list(self, spec, h_list, cause):
+        harm = get_problem("harmonic")
+        with pytest.raises(ValueError, match=cause):
+            convergence_order(spec, harm, 0.1, h_list)
 
 
 def test_trajectory_csv_format():
@@ -949,6 +989,16 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("dim,J,cause", [
+    (2, np.eye(4), "J must be dim x dim"),
+    (2, [[0.0, 1.0], [-2.0, 0.0]], "J must be exactly skew-symmetric"),
+    (3, None, "state dimension must be even"),
+], ids=["shape", "skew", "odd-dim"])
+def test_hamiltonian_system_rejects_bad_structure(dim, J, cause):
+    with pytest.raises(ValueError, match=cause):
+        HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y, J=J)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-13])

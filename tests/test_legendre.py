@@ -295,6 +295,15 @@ def test_random_nodes_are_those_of_random_custom_system():
 
 
 class TestAbscissaeSystemValidation:
+    @pytest.mark.parametrize("tau,omega", [
+        ([0.25, 0.75], [1.0]),
+        ([[0.25, 0.75]], [[0.5, 0.5]]),
+    ], ids=["lengths", "2-d"])
+    def test_rejects_mismatched_shapes(self, tau, omega):
+        with pytest.raises(ValueError, match="tau and omega must be 1-d "
+                                             "arrays of equal length"):
+            AbscissaeSystem(np.array(tau), np.array(omega), NodeFamily.CUSTOM)
+
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ValueError):
             AbscissaeSystem(np.array([0.8, 0.2]), np.array([0.5, 0.5]),

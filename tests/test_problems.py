@@ -206,3 +206,15 @@ def test_gradient_is_a_fresh_float_block(prob):
             g[...] = -7.0
             assert np.array_equal(y, before)
         assert np.array_equal(grad(y_int), grad(y_int.astype(float)))
+
+
+@pytest.mark.parametrize("prob", catalog(), ids=lambda p: p.name)
+def test_energy_of_integer_state_equals_float(prob):
+    # q^4, q^6 and q1^2 q2 at q = (3e6, 2e6) wrap in int64: integer states
+    # must be promoted before any product is taken
+    H = prob.system.H
+    state = np.array([3_000_000, 2_000_000, 1, 1])[:prob.system.dim]
+    for y_int in (state, np.stack((state, -state, state + 1))):
+        energy = H(y_int)
+        assert np.asarray(energy).dtype == np.float64
+        assert np.array_equal(energy, H(y_int.astype(float)))

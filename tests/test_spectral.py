@@ -151,7 +151,7 @@ class TestIsospectral:
         tab = hbvm_tableau(HbvmSpec(6, 2))
         A = tab.A.copy()
         A[0, 0] += 1e-6
-        rep = classify_spectrum(A, 2, "tampered")
+        rep = classify_spectrum(A, 2)
         assert not rep.passes(1e-10)
 
 
@@ -185,6 +185,11 @@ class TestWTransform:
     def test_lobatto_6_2(self):
         r1, r2 = w_transform_check(lobatto_system(6), 2)
         assert r1 <= 1e-12 and r2 <= 1e-12
+
+    @pytest.mark.parametrize("s", [0, 4])
+    def test_rejects_s_outside_1_to_k(self, s):
+        with pytest.raises(ValueError, match="need 1 <= s <= k"):
+            w_transform_check(gauss_system(3), s)
 
 
 class TestStabilityFunction:

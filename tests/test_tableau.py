@@ -110,6 +110,12 @@ class TestHbvmTableau:
         with pytest.raises(ValueError, match="quadrature too weak for B"):
             hbvm_tableau(spec)
 
+    def test_rejects_weak_lobatto_quadrature(self):
+        # the numeric check: Lobatto k = 3 integrates degree 3 < 2s - 1 = 5
+        with pytest.raises(ValueError, match=r"quadrature too weak for "
+                                             r"B\(2s\): exactness degree 3 < 5"):
+            hbvm_tableau(HbvmSpec(3, 3, NodeFamily.LOBATTO))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             HbvmSpec(2, 3)
@@ -240,6 +246,15 @@ class TestNonFiniteEntries:
         obj["A"][2][1] = math.nan
         with pytest.raises(ValueError, match=r"finite: A\[2, 1\] = nan$"):
             tableau_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("c,A,b", [
+    ([0.5], [[0.5, 0.0]], [1.0]),
+    ([0.25, 0.75], np.full((2, 2), 0.25), [1.0]),
+], ids=["A", "b"])
+def test_tableau_rejects_inconsistent_dimensions(c, A, b):
+    with pytest.raises(ValueError, match="inconsistent tableau dimensions"):
+        ButcherTableau(c=c, A=A, b=b)
 
 
 class TestCollocationMatrix:
