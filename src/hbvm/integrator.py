@@ -320,6 +320,9 @@ def _check_state(sys: HamiltonianSystem, y0: np.ndarray) -> None:
     if y0.shape != (sys.dim,):
         raise ValueError(f"initial state has shape {y0.shape}, but the "
                          f"system has dim {sys.dim}")
+    bad = [f"y0[{i}] = {y0[i]}" for i in np.flatnonzero(~np.isfinite(y0))]
+    if bad:
+        raise ValueError("initial state must be finite: " + ", ".join(bad))
 
 
 def _newton_correction(M: np.ndarray, sys: HamiltonianSystem, y0, h):
@@ -552,14 +555,23 @@ def convergence_order(method, problem, t_end: float, h_list,
                       mode: str = "rk") -> OrderFit:
     """Measured order on a problem with a known (or proxy) solution.
 
-    Each successive h must halve the previous one.  The horizon is snapped
-    to a whole number of coarsest steps, so every run shares the same
-    endpoint.  The reference state there is the problem's closed-form
-    solution when available, otherwise a run at an eighth of the smallest h
-    with a 1e-14 solver tolerance.  Errors that have hit the rounding floor
-    are trimmed before the fit.
+    t_end and every h must be finite and positive, and each successive h
+    must halve the previous one.  The horizon is snapped to a whole number
+    of coarsest steps, so every run shares the same endpoint.  The reference
+    state there is the problem's closed-form solution when available,
+    otherwise a run at an eighth of the smallest h with a 1e-14 solver
+    tolerance.  Errors that have hit the rounding floor are trimmed before
+    the fit.
     """
-    h_list = np.asarray(sorted(h_list, reverse=True), dtype=float)
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ValueError(f"t_end must be finite and positive, "
+                         f"got t_end={t_end}")
+    h_list = [float(h) for h in h_list]
+    for h in h_list:
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ValueError(f"step sizes must be finite and positive, "
+                             f"got h={h}")
+    h_list = np.asarray(sorted(h_list, reverse=True))
     if h_list.size < 3:
         raise ValueError("need at least 3 step sizes")
     if np.max(np.abs(h_list[1:] / h_list[:-1] - 0.5)) > 1e-12:

@@ -103,8 +103,8 @@ def basis_values(tau, n: int) -> np.ndarray:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if n < 1:
         raise ValueError("need at least one basis polynomial")
-    if np.any(tau < 0.0) or np.any(tau > 1.0):
-        raise ValueError("t must lie in [0, 1]")
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
+        raise ValueError("t must be finite and lie in [0, 1]")
     return _recurrence_values(tau, n)
 
 

@@ -5,15 +5,16 @@ structure matrix.  Polynomial energies record their total degree; closed
 form reference solutions, where present, correspond to the catalog's
 default initial state.
 
-Every energy and gradient is vectorized: it indexes components with
-``y[..., i]``, so it acts on the last axis of a single state or of any
-``(..., dim)`` block, and the integrator evaluates all stages of an
-iteration in one call.  Each energy is ``|p|^2/2 + V(q)``, so the momentum
-half of its gradient is ``p`` itself: a gradient starts from a float copy
-of the state block and overwrites only the coordinate columns.  It never
-writes into, or returns a view of, its input.  Energies and gradients
-both compute in float64, so an integer state gets the same value as the
-equal float state instead of wrapping around in integer powers.
+Every catalog problem is separable, H = |p|^2/2 + V(q), and is one
+``_separable`` call on its potential V and that potential's gradient
+grad_V.  ``_separable`` computes the energy as the kinetic term plus V on
+``np.asarray(y, dtype=float)``; the gradient starts from a float copy
+``g = y.astype(float)`` of the state block, whose momentum half is already
+p, and grad_V overwrites the coordinate columns of g.  So a gradient never
+writes into, or returns a view of, its input, and an integer state gets
+the value of the equal float state.  V and grad_V index with ``y[..., i]``,
+so energies and gradients act on the last axis of one state or of any
+``(..., dim)`` block, and all stages of an iteration cost one call.
 """
 
 from __future__ import annotations
@@ -46,18 +47,39 @@ class ProblemSpec:
                            np.asarray(self.default_y0, dtype=float))
 
 
+def _separable(name: str, V, grad_V, y0, poly_degree: int | None = None,
+               reference: Callable[[float], np.ndarray] | None = None
+               ) -> ProblemSpec:
+    """The problem H = |p|^2/2 + V(q) on the canonical structure.
+
+    V reads the coordinate columns of a float64 ``(..., dim)`` block;
+    grad_V overwrites them, in that block, with the gradient of V, so the
+    momentum columns keep p, the momentum half of grad H.
+    """
+    m = len(y0) // 2
+
+    def H(y):
+        y = np.asarray(y, dtype=float)
+        p = y[..., m:]
+        return 0.5 * np.sum(p * p, axis=-1) + V(y)
+
+    def grad_H(y):
+        g = y.astype(float)
+        grad_V(g)
+        return g
+
+    system = HamiltonianSystem(dim=len(y0), H=H, grad_H=grad_H,
+                               poly_degree=poly_degree, vectorized=True)
+    return ProblemSpec(name, system, y0, reference)
+
+
 # -- one-degree-of-freedom oscillators --------------------------------------
 
 
 def _harmonic() -> ProblemSpec:
     """Unit-frequency oscillator; exact solution is a rotation."""
-    def H(y):
-        y = np.asarray(y, dtype=float)
-        q, p = y[..., 0], y[..., 1]
-        return 0.5 * (p * p + q * q)
-
-    def grad(y):
-        return y.astype(float)
+    def grad_V(g):
+        pass  # grad V = q, already in the copy
 
     q0, p0 = 1.0, 0.0
 
@@ -65,72 +87,35 @@ def _harmonic() -> ProblemSpec:
         return np.array([q0 * math.cos(t) + p0 * math.sin(t),
                          -q0 * math.sin(t) + p0 * math.cos(t)])
 
-    return ProblemSpec(
-        name="harmonic",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=2,
-                                 vectorized=True),
-        default_y0=[q0, p0],
-        reference_solution=exact,
-    )
+    return _separable("harmonic", lambda y: 0.5 * y[..., 0] ** 2, grad_V,
+                      [q0, p0], poly_degree=2, reference=exact)
 
 
 def _quartic() -> ProblemSpec:
     """Stiffening quartic potential; degree-4 energy."""
-    def H(y):
-        y = np.asarray(y, dtype=float)
-        q, p = y[..., 0], y[..., 1]
-        return 0.5 * p * p + 0.25 * q ** 4
-
-    def grad(y):
-        g = y.astype(float)
+    def grad_V(g):
         g[..., 0] **= 3
-        return g
 
-    return ProblemSpec(
-        name="quartic",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=4,
-                                 vectorized=True),
-        default_y0=[1.0, 1.0],
-    )
+    return _separable("quartic", lambda y: 0.25 * y[..., 0] ** 4, grad_V,
+                      [1.0, 1.0], poly_degree=4)
 
 
 def _sextic() -> ProblemSpec:
     """Degree-6 confinement; the standard high-degree conservation case."""
-    def H(y):
-        y = np.asarray(y, dtype=float)
-        q, p = y[..., 0], y[..., 1]
-        return 0.5 * p * p + q ** 6 / 6.0
-
-    def grad(y):
-        g = y.astype(float)
+    def grad_V(g):
         g[..., 0] **= 5
-        return g
 
-    return ProblemSpec(
-        name="sextic",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, poly_degree=6,
-                                 vectorized=True),
-        default_y0=[1.0, 1.0],
-    )
+    return _separable("sextic", lambda y: y[..., 0] ** 6 / 6.0, grad_V,
+                      [1.0, 1.0], poly_degree=6)
 
 
 def _pendulum() -> ProblemSpec:
     """Non-polynomial energy; libration orbit well inside the separatrix."""
-    def H(y):
-        y = np.asarray(y, dtype=float)
-        q, p = y[..., 0], y[..., 1]
-        return 0.5 * p * p - np.cos(q)
-
-    def grad(y):
-        g = y.astype(float)
+    def grad_V(g):
         g[..., 0] = np.sin(g[..., 0])
-        return g
 
-    return ProblemSpec(
-        name="pendulum",
-        system=HamiltonianSystem(dim=2, H=H, grad_H=grad, vectorized=True),
-        default_y0=[1.5, 0.5],
-    )
+    return _separable("pendulum", lambda y: -np.cos(y[..., 0]), grad_V,
+                      [1.5, 0.5])
 
 
 # -- two degrees of freedom --------------------------------------------------
@@ -138,24 +123,16 @@ def _pendulum() -> ProblemSpec:
 
 def _henon_heiles() -> ProblemSpec:
     """Cubic coupling of two oscillators at a bounded energy level."""
-    def H(y):
-        y = np.asarray(y, dtype=float)
-        q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-        return (0.5 * (p1 * p1 + p2 * p2) + 0.5 * (q1 * q1 + q2 * q2)
-                + q1 * q1 * q2 - q2 ** 3 / 3.0)
+    def V(y):
+        q1, q2 = y[..., 0], y[..., 1]
+        return 0.5 * (q1 * q1 + q2 * q2) + q1 * q1 * q2 - q2 ** 3 / 3.0
 
-    def grad(y):
-        g = y.astype(float)
+    def grad_V(g):
         q1, q2 = g[..., 0], g[..., 1]
         g[..., 0], g[..., 1] = q1 + 2.0 * q1 * q2, q2 + q1 * q1 - q2 * q2
-        return g
 
-    return ProblemSpec(
-        name="henon-heiles",
-        system=HamiltonianSystem(dim=4, H=H, grad_H=grad, poly_degree=3,
-                                 vectorized=True),
-        default_y0=[0.1, -0.1, 0.4, 0.1],
-    )
+    return _separable("henon-heiles", V, grad_V, [0.1, -0.1, 0.4, 0.1],
+                      poly_degree=3)
 
 
 def _kepler_reference(t: float, e: float) -> np.ndarray:
@@ -183,26 +160,18 @@ def _kepler_reference(t: float, e: float) -> np.ndarray:
 def _kepler() -> ProblemSpec:
     """Two-body orbit, eccentricity KEPLER_ECCENTRICITY, period 2*pi,
     perihelion start; reference via the eccentric anomaly."""
-    def H(y):
-        y = np.asarray(y, dtype=float)
-        q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-        return 0.5 * (p1 * p1 + p2 * p2) - 1.0 / np.sqrt(q1 * q1 + q2 * q2)
+    def V(y):
+        q1, q2 = y[..., 0], y[..., 1]
+        return -1.0 / np.sqrt(q1 * q1 + q2 * q2)
 
-    def grad(y):
-        g = y.astype(float)
+    def grad_V(g):
         q1, q2 = g[..., 0], g[..., 1]
-        r3 = (q1 * q1 + q2 * q2) ** 1.5
-        g[..., :2] /= r3[..., None]
-        return g
+        g[..., :2] /= ((q1 * q1 + q2 * q2) ** 1.5)[..., None]
 
     e = KEPLER_ECCENTRICITY
     y0 = [1.0 - e, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e))]
-    return ProblemSpec(
-        name="kepler",
-        system=HamiltonianSystem(dim=4, H=H, grad_H=grad, vectorized=True),
-        default_y0=y0,
-        reference_solution=lambda t: _kepler_reference(t, e),
-    )
+    return _separable("kepler", V, grad_V, y0,
+                      reference=lambda t: _kepler_reference(t, e))
 
 
 def catalog() -> list[ProblemSpec]:

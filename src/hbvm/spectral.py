@@ -298,6 +298,9 @@ def spec_matrix(smax: int, kmax: int, seed: int = 42):
     2s - 1, and three seeded random node sets once k >= 2s keeps their
     interpolatory exactness k - 1 sufficient.
     """
+    if smax < 1 or kmax < 1:
+        raise ValueError(f"need smax >= 1 and kmax >= 1, got smax={smax}, "
+                         f"kmax={kmax}")
     specs = []
     for s in range(1, smax + 1):
         for k in range(s, kmax + 1):

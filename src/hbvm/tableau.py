@@ -120,8 +120,9 @@ class HbvmSpec:
     """Method selector: k stages, polynomial degree s, node family.
 
     Custom families carry their node list; Gauss and Lobatto generate
-    theirs.  Construction refuses k < s and anything past the supported
-    k <= 12, s <= 6 envelope.
+    theirs.  Construction refuses a k or s that is a bool or not an
+    integer (numpy integers are accepted), k < s, and anything past the
+    supported k <= 12, s <= 6 envelope.
     """
 
     k: int
@@ -130,6 +131,11 @@ class HbvmSpec:
     nodes: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("k", "s"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "family", NodeFamily(self.family))
         if self.s < 1 or self.k < self.s:
             raise ValueError("need 1 <= s <= k")

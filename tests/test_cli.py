@@ -115,6 +115,22 @@ class TestVerifyCommand:
         assert entries[0]["spec"] == {"k": 1, "s": 1, "family": "gauss",
                                       "seed": None}
 
+    @pytest.mark.parametrize("flag", ["--smax", "--kmax"])
+    def test_empty_spec_matrix_exits_2(self, tmp_path, flag):
+        out = tmp_path / "never.json"
+        res = run_cli("verify", flag, "0", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == ("error: need smax >= 1 and kmax >= 1, got "
+                              + ("smax=0, kmax=10\n" if flag == "--smax"
+                                 else "smax=4, kmax=0\n"))
+        assert not out.exists()
+
+    def test_kmax_below_smax_still_runs(self, tmp_path):
+        out = tmp_path / "report.json"
+        res = run_cli("verify", "--smax", "3", "--kmax", "2", "--out", str(out))
+        assert res.returncode == 0
+        assert len(json.loads(out.read_text())) == 7
+
     def test_tampered_tableau_fails(self, tmp_path):
         tab_file = tmp_path / "tab.json"
         run_cli("tableau", "--k", "6", "--s", "2", "--out", str(tab_file))
@@ -313,6 +329,26 @@ class TestOrderCommand:
                       "--hmax", "0.2")
         assert res.returncode == 0
         assert "expected 2" in res.stdout
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--hmax", "0", "got h=0.0"),
+        ("--hmax", "nan", "got h=nan"),
+        ("--hmax", "inf", "got h=inf"),
+        ("--hmax", "-0.1", "got h=-0.1"),
+        ("--t-end", "0", "got t_end=0.0"),
+        ("--t-end", "-3", "got t_end=-3.0"),
+    ])
+    def test_bad_step_size_or_horizon_exits_2(self, tmp_path, flag, value,
+                                              named):
+        out = tmp_path / "never.json"
+        res = run_cli("order", "--problem", "harmonic", "--k", "2", "--s", "1",
+                      "--levels", "3", flag, value, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert named in res.stderr
+        assert res.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSpectrumCommand:

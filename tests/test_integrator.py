@@ -300,6 +300,27 @@ class TestNonFiniteStages:
         assert not np.isfinite(info.value.residual)
 
 
+@pytest.mark.parametrize("y0,named", [
+    ([np.nan, 0.0], r"y0\[0\] = nan"),
+    ([1.0, np.inf], r"y0\[1\] = inf"),
+    ([-np.inf, np.nan], r"y0\[0\] = -inf, y0\[1\] = nan"),
+], ids=["nan", "inf", "both"])
+@pytest.mark.parametrize("entry", ["integrate", "rk_step", "gamma_step"])
+def test_non_finite_initial_state_is_named(entry, y0, named):
+    # the state is rejected before the solver runs, so the message names
+    # the initial state rather than non-finite stage values
+    harm, spec = get_problem("harmonic"), HbvmSpec(2, 1)
+    run = {"integrate": lambda: integrate(spec, harm.system, y0, 0.1, 3),
+           "rk_step": lambda: rk_step(hbvm_tableau(spec), harm.system, y0,
+                                      0.1),
+           "gamma_step": lambda: gamma_step(spec, harm.system, y0, 0.1)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="initial state must be finite: " + named):
+            run[entry]()
+
+
 class TestKeptNewtonMatrix:
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     def test_reuses_matrix_and_matches_fixed_point(self, lu_orders, mode):
@@ -934,6 +955,25 @@ class TestConvergenceOrder:
         harm = get_problem("harmonic")
         with pytest.raises(ValueError, match=cause):
             convergence_order(spec, harm, 0.1, h_list)
+
+    @pytest.mark.parametrize("t_end,hmax,named", [
+        (1.0, 0.0, "step sizes must be finite and positive, got h=0.0"),
+        (1.0, np.nan, "step sizes must be finite and positive, got h=nan"),
+        (1.0, np.inf, "step sizes must be finite and positive, got h=inf"),
+        (1.0, -0.1, "step sizes must be finite and positive, got h=-0.1"),
+        (0.0, 0.1, "t_end must be finite and positive, got t_end=0.0"),
+        (-3.0, 0.1, "t_end must be finite and positive, got t_end=-3.0"),
+        (np.nan, 0.1, "t_end must be finite and positive, got t_end=nan"),
+        (np.inf, 0.1, "t_end must be finite and positive, got t_end=inf"),
+    ], ids=["h-zero", "h-nan", "h-inf", "h-negative", "t-zero",
+            "t-negative", "t-nan", "t-inf"])
+    def test_names_a_bad_step_size_or_horizon(self, t_end, hmax, named):
+        harm = get_problem("harmonic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                convergence_order(HbvmSpec(2, 1), harm, t_end,
+                                  [hmax, hmax / 2, hmax / 4])
 
 
 def test_trajectory_csv_format():

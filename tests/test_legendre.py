@@ -76,6 +76,9 @@ class TestBasisValues:
             basis_values(0.5, 0)
         with pytest.raises(ValueError, match="lie in"):
             basis_values(1.5, 2)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                basis_values([0.5, t], 3)
 
 
 class TestBasisIntegrals:

@@ -376,6 +376,12 @@ def test_spec_matrix_custom_nodes_are_those_of_random_custom_system():
         assert spec.nodes == tuple(random_custom_system(spec.k, seed).tau)
 
 
+@pytest.mark.parametrize("smax,kmax", [(0, 10), (4, 0), (-1, -1)])
+def test_spec_matrix_rejects_an_empty_range(smax, kmax):
+    with pytest.raises(ValueError, match=f"got smax={smax}, kmax={kmax}"):
+        spec_matrix(smax, kmax)
+
+
 def test_verification_sweep_covers_whole_envelope():
     entries = verification_sweep(MAX_DEGREE, MAX_STAGES)
     assert len(entries) == 216

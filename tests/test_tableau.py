@@ -105,6 +105,21 @@ class TestHbvmTableau:
             assert np.max(np.abs(tab.A @ np.ones(tab.k) - tab.c)) <= 1e-12
             assert math.fsum(tab.b) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("k,s,field", [
+        (2.5, 1, "k"), (2.0, 1, "k"), (True, 1, "k"), ("2", 1, "k"),
+        (2, True, "s"), (2, 1.0, "s"), (2, np.float64(1.0), "s"),
+    ], ids=["k-fraction", "k-float", "k-bool", "k-str", "s-bool", "s-float",
+            "s-numpy-float"])
+    def test_rejects_k_or_s_that_is_not_an_integer(self, k, s, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            HbvmSpec(k, s)
+
+    def test_numpy_integers_are_accepted(self):
+        spec = HbvmSpec(np.int64(4), np.int32(2))
+        assert spec == HbvmSpec(4, 2)
+        assert (hbvm_tableau(spec).A.tobytes()
+                == hbvm_tableau(HbvmSpec(4, 2)).A.tobytes())
+
     def test_rejects_weak_custom_quadrature(self):
         spec = HbvmSpec(3, 2, NodeFamily.CUSTOM, nodes=(0.2, 0.5, 0.8))
         with pytest.raises(ValueError, match="quadrature too weak for B"):
