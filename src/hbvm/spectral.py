@@ -65,6 +65,11 @@ def eigenvalues(M) -> np.ndarray:
     return np.sort_complex(np.linalg.eigvals(M))
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got tol={tol}")
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Classified spectrum of a stage matrix against its reference.
@@ -84,6 +89,7 @@ class SpectrumReport:
     max_match_distance: float
 
     def passes(self, tol: float) -> bool:
+        _check_tol(tol)
         return (self.zero_count == self.k - self.s
                 and self.max_match_distance <= tol)
 
@@ -248,6 +254,12 @@ class StabilityScan:
         return max(self.imag_axis_max_deviation,
                    max(self.lhp_max_modulus - 1.0, 0.0))
 
+    def passes(self, tol: float) -> bool:
+        """Both statistics within tol of perfect A-stability; NaN fails."""
+        _check_tol(tol)
+        return (self.imag_axis_max_deviation <= tol
+                and self.lhp_max_modulus - 1.0 <= tol)
+
 
 # Sample counts of a_stability_scan: log-spaced points on the imaginary
 # axis, and log-spaced real and imaginary parts of the half-plane grid.
@@ -315,6 +327,25 @@ def spec_matrix(smax: int, kmax: int, seed: int = 42):
     return specs
 
 
+def _entry(spec: dict, report: SpectrumReport, tol: float, subspace=None,
+           filter_residual=None, wres=None, stab=None) -> dict:
+    """One verify record: the zero count must be k - s, and every residual
+    given must be within tol, so a NaN residual fails."""
+    residuals = [subspace, filter_residual, *(wres or ())]
+    return {
+        "spec": spec,
+        "zero_count": report.zero_count,
+        "expected_zero_count": report.k - report.s,
+        "max_match_distance": report.max_match_distance,
+        "subspace_residual": subspace,
+        "filter_residual": filter_residual,
+        "wtransform_residuals": None if wres is None else list(wres),
+        "a_stability_max_deviation": stab.max_deviation if stab else None,
+        "passed": (report.passes(tol) and (not stab or stab.passes(tol))
+                   and all(r <= tol for r in residuals if r is not None)),
+    }
+
+
 def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
                        seed: int = 42) -> list[dict]:
     """Run every structural check over the spec matrix.
@@ -324,36 +355,22 @@ def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
     transform residuals are only evaluated for Gauss and Lobatto nodes,
     whose quadrature is exact for the basis products the identity needs.
     """
+    _check_tol(tol)
     entries = []
     for spec, used_seed in spec_matrix(smax, kmax, seed):
         # Each spec's node system, basis matrices and tableau are built
         # once and shared by the checks below.
         sys, bm, tab = _hbvm_build(spec)
-        report = classify_spectrum(tab.A, spec.s)
-        subspace = _subspace_residual(tab.A, bm)
-        filter_residual = float(np.max(np.abs(_filtered_matrix(sys, bm)
-                                              - tab.A)))
-        if spec.family is NodeFamily.CUSTOM:
-            wres = None
-        else:
-            wres = _w_transform_residuals(sys, bm, tab.A)
-        stab = a_stability_scan(tab)
-        checks = [report.passes(tol), subspace <= tol, filter_residual <= tol,
-                  stab.max_deviation <= tol]
-        if wres is not None:
-            checks.append(max(wres) <= tol)
-        entries.append({
-            "spec": {"k": spec.k, "s": spec.s, "family": spec.family.value,
-                     "seed": used_seed},
-            "zero_count": report.zero_count,
-            "expected_zero_count": spec.k - spec.s,
-            "max_match_distance": report.max_match_distance,
-            "subspace_residual": subspace,
-            "filter_residual": filter_residual,
-            "wtransform_residuals": None if wres is None else list(wres),
-            "a_stability_max_deviation": stab.max_deviation,
-            "passed": all(checks),
-        })
+        filtered = _filtered_matrix(sys, bm)
+        entries.append(_entry(
+            {"k": spec.k, "s": spec.s, "family": spec.family.value,
+             "seed": used_seed},
+            classify_spectrum(tab.A, spec.s), tol,
+            subspace=_subspace_residual(tab.A, bm),
+            filter_residual=float(np.max(np.abs(filtered - tab.A))),
+            wres=(None if spec.family is NodeFamily.CUSTOM
+                  else _w_transform_residuals(sys, bm, tab.A)),
+            stab=a_stability_scan(tab)))
     entries.sort(key=lambda e: (e["spec"]["s"], e["spec"]["k"],
                                 e["spec"]["family"], e["spec"]["seed"] or 0))
     return entries

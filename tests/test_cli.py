@@ -205,6 +205,47 @@ class TestVerifyCommand:
             reals += e["wtransform_residuals"] or []
             assert all(type(v) is float for v in reals), e
 
+    def test_tampered_tableau_line_names_the_zero_count(self, tmp_path,
+                                                        capsys):
+        tab_file = tmp_path / "tab.json"
+        assert cli.main(["tableau", "--k", "6", "--s", "2",
+                         "--out", str(tab_file)]) == 0
+        obj = json.loads(tab_file.read_text())
+        obj["A"][0][0] += 1e-6
+        tab_file.write_text(json.dumps(obj))
+        assert cli.main(["verify", "--smax", "1", "--kmax", "1",
+                         "--tableau-file", str(tab_file),
+                         "--out", str(tmp_path / "r.json")]) == 1
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if "FAIL (" in ln]
+        assert line.endswith("FAIL (zero_count 3, expected_zero_count 4, "
+                             "max_match_distance inf)")
+
+    def test_failing_sweep_line_shows_every_residual(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert cli.main(["verify", "--smax", "1", "--kmax", "1",
+                         "--tol", "1e-300", "--out", str(out)]) == 1
+        (e,) = json.loads(out.read_text())
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith(f"  {e['spec']}: FAIL (zero_count 0, "
+                               "expected_zero_count 0, max_match_distance ")
+        for key in list(e)[3:-1]:
+            assert f" {key} " in line
+        assert re.search(r"wtransform_residuals \[\S+e[-+]\d\d \S+\]", line)
+
+    def test_tableau_record_has_the_sweep_keys_in_order(self, tmp_path):
+        tab_file = tmp_path / "tab.json"
+        assert cli.main(["tableau", "--k", "6", "--s", "2",
+                         "--out", str(tab_file)]) == 0
+        out = tmp_path / "r.json"
+        assert cli.main(["verify", "--smax", "1", "--kmax", "1",
+                         "--tableau-file", str(tab_file),
+                         "--out", str(out)]) == 0
+        swept, checked = json.loads(out.read_text())
+        assert list(checked) == list(swept)
+        assert checked["spec"] == {"k": 6, "s": 2,
+                                   "family": f"file:{tab_file}", "seed": None}
+
     def test_untampered_tableau_passes(self, tmp_path):
         tab_file = tmp_path / "tab.json"
         run_cli("tableau", "--k", "6", "--s", "2", "--out", str(tab_file))
@@ -349,6 +390,22 @@ class TestOrderCommand:
         assert named in res.stderr
         assert res.stderr.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("args", [
+    ("verify", "--smax", "1", "--kmax", "1"),
+    ("spectrum", "--k", "6", "--s", "2"),
+    ("stability", "--k", "4", "--s", "2"),
+], ids=["verify", "spectrum", "stability"])
+def test_bad_check_tol_exits_2_without_output(tmp_path, capsys, args, tol):
+    out = tmp_path / "never.json"
+    assert cli.main([*args, f"--tol={tol}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: tol must be finite and positive, got "
+                            f"tol={float(tol)}\n")
+    assert not out.exists()
 
 
 class TestSpectrumCommand:

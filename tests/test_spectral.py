@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from hbvm.legendre import (
 )
 from hbvm.spectral import (
     PoleError,
+    StabilityScan,
+    _entry,
     _reference_spectrum,
     _scan_grid,
     _stability_values,
@@ -386,3 +389,88 @@ def test_verification_sweep_covers_whole_envelope():
     entries = verification_sweep(MAX_DEGREE, MAX_STAGES)
     assert len(entries) == 216
     assert all(e["passed"] for e in entries)
+
+
+class TestVerifyRecord:
+    """The one builder of `hbvm verify` records and their pass rule."""
+
+    GIVEN = dict(subspace=1e-16, filter_residual=1e-16, wres=(1e-16, 1e-16),
+                 stab=StabilityScan(imag_axis_max_deviation=1e-16,
+                                    lhp_max_modulus=1.0))
+
+    @staticmethod
+    def report():
+        return classify_spectrum(hbvm_tableau(HbvmSpec(4, 2)).A, 2)
+
+    def test_small_residuals_pass_and_keys_are_the_sweep_keys(self):
+        e = _entry({"k": 4, "s": 2}, self.report(), 1e-10, **self.GIVEN)
+        assert e["passed"] is True
+        assert list(e) == list(verification_sweep(1, 1)[0])
+        assert e["wtransform_residuals"] == [1e-16, 1e-16]
+        assert e["a_stability_max_deviation"] == 1e-16
+
+    def test_spectrum_only_record(self):
+        e = _entry({"k": 4, "s": 2}, self.report(), 1e-10)
+        assert e["passed"] is True
+        assert e["expected_zero_count"] == 2
+        assert [e[key] for key in ("subspace_residual", "filter_residual",
+                                   "wtransform_residuals",
+                                   "a_stability_max_deviation")] == [None] * 4
+
+    @pytest.mark.parametrize("position", [
+        "match", "subspace", "filter_residual", "wres0", "wres1",
+        "imag_axis", "lhp"])
+    def test_nan_residual_in_any_position_fails(self, position):
+        nan = float("nan")
+        report, given = self.report(), dict(self.GIVEN)
+        if position == "match":
+            report = dataclasses.replace(report, max_match_distance=nan)
+        elif position.startswith("wres"):
+            wres = list(given["wres"])
+            wres[int(position[-1])] = nan
+            given["wres"] = tuple(wres)
+        elif position == "imag_axis":
+            given["stab"] = StabilityScan(nan, 1.0)
+        elif position == "lhp":
+            given["stab"] = StabilityScan(1e-16, nan)
+        else:
+            given[position] = nan
+        assert _entry({}, report, 1e-10, **given)["passed"] is False
+
+    def test_wrong_zero_count_fails(self):
+        report = dataclasses.replace(self.report(), zero_count=1)
+        assert _entry({}, report, 1e-10, **self.GIVEN)["passed"] is False
+
+
+class TestToleranceIsChecked:
+    BAD = [float("nan"), float("inf"), 0.0, -1.0]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_verification_sweep(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and "
+                                             f"positive, got tol={tol}"):
+            verification_sweep(1, 1, tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_spectrum_report_passes(self, tol):
+        with pytest.raises(ValueError, match=f"got tol={tol}"):
+            isospectral_check(HbvmSpec(4, 2)).passes(tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_stability_scan_passes(self, tol):
+        with pytest.raises(ValueError, match=f"got tol={tol}"):
+            StabilityScan(0.0, 1.0).passes(tol)
+
+
+class TestStabilityScanPasses:
+    @pytest.mark.parametrize("imag,lhp", [
+        (0.0, 1.0), (1e-10, 1.0), (2e-10, 1.0), (0.0, 1.0 + 2e-10),
+        (0.0, 0.5), (5e-11, 1.0 + 5e-11)])
+    def test_agrees_with_max_deviation(self, imag, lhp):
+        scan = StabilityScan(imag, lhp)
+        assert scan.passes(1e-10) is (scan.max_deviation <= 1e-10)
+
+    @pytest.mark.parametrize("imag,lhp", [(float("nan"), 1.0),
+                                          (0.0, float("nan"))])
+    def test_nan_statistic_fails(self, imag, lhp):
+        assert StabilityScan(imag, lhp).passes(1e-10) is False
