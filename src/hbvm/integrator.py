@@ -19,12 +19,15 @@ on `ButcherTableau.low_rank`: an HBVM tableau carries its own factors
 (I_s, P_s^T Omega), so u is the s coefficients gamma and R L = X_s; any
 other tableau takes the thin SVD factors of A, r = k for full rank.  One
 solver core runs fixed-point iteration or simplified Newton on u, and the
-Newton matrix is I - h (R L) (x) Jf, r*2m square.
+Newton matrix is I - h M (x) Jf with M = R L, r*2m square.
 
 `integrate` builds a step plan once per run: h L, R, M = R L, the stopping
 residual and the update, which alone tell the forms apart (the change in Y
 and y0 + h b^T f(Y) in the full-stage form, the change in u and
-y0 + h gamma_1 in the coefficient form).  For an HbvmSpec the plan holds
+y0 + h gamma_1 in the coefficient form).  Newton returns the u whose
+stages its last residual evaluated, so the full-stage update reads that
+f(Y) instead of calling f again; fixed point returns G(u), whose stages
+no iteration evaluated.  For an HbvmSpec the plan holds
 the s x s shift S = P_s^T Omega V, with V[l, j] the j-th basis polynomial
 at 1 + c_l, that starts each step from the previous step's polynomial
 carried one step ahead; it is exact because the nodes integrate degree
@@ -43,12 +46,26 @@ next and builds a fresh pair only when
       failure with a fresh matrix propagates.
 A single `rk_step` or `gamma_step` always builds a fresh matrix.
 
-The Newton matrix is inverted once, when it is built (`lu_factor`), and
-each correction is one matrix-vector product with that inverse
-(`lu_solve`): the matrix is only r*2m square, and the same inverse serves
-every iteration of every step that keeps it.  A non-finite Jacobian, a
-non-finite Newton matrix and an exactly singular one each fail the step
-with a `StageConvergenceError` naming the cause.
+The Newton matrix is inverted once, when it is built, and each
+correction is one matrix-vector product with that inverse (`lu_solve`):
+the same inverse serves every iteration of every step that keeps it.  The
+inverse is assembled from the eigen-split M = V diag(lam) V^-1, taken once
+per Newton run (Butcher, BIT 16, 1976):
+  (I - h M (x) Jf)^-1 = I + sum_j P_j (x) (I - h lam_j Jf)^-1 h lam_j Jf,
+with P_j = V[:, j] V^-1[j, :].  A conjugate pair gives conjugate terms, so
+only its eigenvalue with Im > 0 is solved for, at weight 2, and
+`lu_factor` sees one 2m-square block per pair (complex) and per real
+eigenvalue (real).  An HBVM's M = X_s has the s-stage Gauss spectrum
+whatever its k, so its matrix costs ceil(s/2) blocks.  With I split off,
+the rest is O(h |lam Jf|), and so is the rounding of its sum over the
+P_j, whose norms grow with cond(V) (563 at s = 6).  Summing the
+P_j (x) (I - h lam_j Jf)^-1 themselves, the s = 6 inverse was off by
+~8e-13, enough to cost some runs an extra iteration.  An M that is
+empty, or whose eigenbasis has cond(V) > 1/sqrt(eps), as for a defective
+M (classical RK4, an SDIRK's double eigenvalue), has its whole
+r*2m-square matrix inverted instead.
+A non-finite Jacobian, a non-finite Newton matrix and an exactly singular
+block each fail the step with a `StageConvergenceError` naming the cause.
 """
 
 from __future__ import annotations
@@ -227,18 +244,20 @@ def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
     return Jf
 
 
-def lu_factor(a: np.ndarray) -> np.ndarray:
-    """Inverse of a Newton matrix; a non-finite or exactly singular matrix
-    fails the step.  This pair keeps its LU names because the benchmark
-    tracer times the Newton layers under them."""
+def lu_factor(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a^-1 b, or the inverse of a when b is None, for a 2m-square block
+    I - h lam Jf of the Newton matrix or the whole matrix; a non-finite or
+    exactly singular a fails the step.  This pair keeps its LU names
+    because the benchmark tracer times the Newton layers under them."""
     if not np.isfinite(a).all():
         raise StageConvergenceError("Newton matrix is non-finite",
                                     residual=math.nan, iterations=0)
     try:
-        return np.linalg.inv(a)
+        return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise StageConvergenceError(
-            f"Newton matrix is singular ({a.shape[0]} x {a.shape[0]})",
+            f"Newton matrix is singular (factored block {a.shape[0]} x "
+            f"{a.shape[0]})",
             residual=math.nan, iterations=0) from exc
 
 
@@ -325,25 +344,35 @@ def _check_state(sys: HamiltonianSystem, y0: np.ndarray) -> None:
         raise ValueError("initial state must be finite: " + ", ".join(bad))
 
 
-def _newton_correction(M: np.ndarray, sys: HamiltonianSystem, y0, h):
-    """Newton correction for u = R f(y0 + h L u) with M = R L: the inverse
-    of I - h M (x) Jf, with Jf taken at y0."""
-    Jf = _field_jacobian(sys, y0)
-    inverse = lu_factor(np.eye(M.shape[0] * y0.size) - h * np.kron(M, Jf))
-
-    def correction(E):
-        return lu_solve(inverse, E.reshape(-1)).reshape(E.shape)
-
-    return correction
+def _eigen_split(M: np.ndarray):
+    """The eigen-split of M = V diag(lam) V^-1 that Newton assembles its
+    inverse from: one (lam_j, w_j P_j) pair per kept eigenvalue, with
+    P_j = V[:, j] V^-1[j, :], keeping from each conjugate pair the one with
+    Im > 0 at weight w_j = 2, and every real one at weight 1 as a real
+    (lam_j, Re P_j), so that its block is solved in real arithmetic.  None
+    when M is empty or its eigenbasis is ill-conditioned
+    (cond(V) > 1/sqrt(eps)), as for a defective M."""
+    if M.size == 0:
+        return None
+    lam, V = np.linalg.eig(M)
+    if not np.linalg.cond(V) <= 1.0 / _SQRT_EPS:
+        return None
+    Vinv = np.linalg.inv(V)
+    return tuple((lam[j], 2.0 * np.outer(V[:, j], Vinv[j]))
+                 if lam[j].imag > 0
+                 else (lam[j].real, np.outer(V[:, j], Vinv[j]).real)
+                 for j in np.flatnonzero(lam.imag >= 0))
 
 
 @dataclass(frozen=True)
 class _StepPlan:
     """What every step of a run shares: the stage equations
     u = R f(y0 + hL u) with M = R L, the form's stopping residual of a
-    change E = G(u) - u, its update (y0, u, Y) -> y1, and the r x r shift
-    that carries one step's u to the next step's starting guess (None: each
-    step starts from u = 0)."""
+    change E = G(u) - u, its update (y0, u, Y, F) -> y1 with F = f(Y) when
+    already evaluated (else None), the r x r shift that carries one step's
+    u to the next step's starting guess (None: each step starts from
+    u = 0), and the eigen-split of M that Newton inverts through (None: it
+    inverts the whole matrix; always None for fixed point)."""
 
     sys: HamiltonianSystem
     h: float
@@ -352,8 +381,10 @@ class _StepPlan:
     R: np.ndarray
     M: np.ndarray
     residual: Callable[[np.ndarray], float]
-    update: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    update: Callable[[np.ndarray, np.ndarray, np.ndarray,
+                      np.ndarray | None], np.ndarray]
     shift: np.ndarray | None = None
+    split: tuple | None = None
 
     def cold(self) -> np.ndarray:
         """The starting guess u = 0."""
@@ -381,7 +412,7 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
         def residual(E):
             return float(np.abs(E).max())
 
-        def update(y0, u, Y):
+        def update(y0, u, Y, F):
             return y0 + h * u[0]
     else:
         def residual(E):
@@ -389,10 +420,37 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
             # symmetric in sign
             return abs(h) * float(np.abs(L @ E).max())
 
-        def update(y0, u, Y):
-            return y0 + h * (b @ sys.f(Y))
+        def update(y0, u, Y, F):
+            return y0 + h * (b @ (sys.f(Y) if F is None else F))
 
-    return _StepPlan(sys, h, cfg, h * L, R, R @ L, residual, update, shift)
+    M = R @ L
+    split = _eigen_split(M) if cfg.mode == "newton" else None
+    return _StepPlan(sys, h, cfg, h * L, R, M, residual, update, shift,
+                     split)
+
+
+def _newton_correction(plan: _StepPlan, y0):
+    """Newton correction for u = R f(y0 + h L u) with M = R L: the inverse
+    of I - h M (x) Jf, with Jf taken at y0.  With the plan's eigen-split it
+    is I + sum_j Re[w_j P_j (x) (I - h lam_j Jf)^-1 h lam_j Jf], one
+    2m-square solve per kept eigenvalue; without one the whole matrix is
+    inverted."""
+    Jf = _field_jacobian(plan.sys, y0)
+    n = plan.M.shape[0] * y0.size
+    if plan.split is None:
+        inverse = lu_factor(np.eye(n) - plan.h * np.kron(plan.M, Jf))
+    else:
+        # accumulated into a C-contiguous real array: the real part of a
+        # complex product is a strided view, slower to multiply with
+        inverse = np.eye(n)
+        for lam, P in plan.split:
+            hJ = (plan.h * lam) * Jf
+            inverse += np.kron(P, lu_factor(np.eye(y0.size) - hJ, hJ)).real
+
+    def correction(E):
+        return lu_solve(inverse, E.reshape(-1)).reshape(E.shape)
+
+    return correction
 
 
 def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
@@ -402,20 +460,26 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
     HBVM tableau, in either form."""
     sys, hL, R, cfg = plan.sys, plan.hL, plan.R, plan.cfg
     residual = plan.residual
+    u_seen = F_seen = None  # the last u whose stages f was evaluated at
 
     def residual_map(u):
-        G = R @ sys.f(y0 + hL @ u)
+        nonlocal u_seen, F_seen
+        u_seen, F_seen = u, sys.f(y0 + hL @ u)
+        G = R @ F_seen
         return G, residual(G - u)
 
     if cfg.mode == "fixed_point":
         u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
     else:
         if correction is None:
-            correction = _newton_correction(plan.M, sys, y0, plan.h)
+            correction = _newton_correction(plan, y0)
         u, iters, res, ratio = _simplified_newton(residual_map, u0,
                                                   correction, cfg)
     Y = y0 + hL @ u
-    return plan.update(y0, u, Y), u, Y, StepDiagnostics(
+    # Newton returns the u whose stages it last evaluated, so f(Y) is
+    # known; fixed point returns G(u), whose stages were never evaluated
+    F = F_seen if u_seen is u else None
+    return plan.update(y0, u, Y, F), u, Y, StepDiagnostics(
         iterations=iters, residual=res, contraction=ratio)
 
 
@@ -499,7 +563,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     for n in range(n_steps):
         try:
             if refresh:
-                correction = _newton_correction(plan.M, sys, y, h)
+                correction = _newton_correction(plan, y)
                 jacs[n + 1] = 1
             try:
                 y, u, _, diag = _gamma_step_matrices(plan, y, guess,
@@ -507,7 +571,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
             except StageConvergenceError:
                 if not newton or jacs[n + 1]:
                     raise
-                correction = _newton_correction(plan.M, sys, y, h)
+                correction = _newton_correction(plan, y)
                 jacs[n + 1] = 2
                 y, u, _, diag = _gamma_step_matrices(plan, y, guess,
                                                      correction)

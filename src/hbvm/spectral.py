@@ -250,7 +250,11 @@ class StabilityScan:
 
     @property
     def max_deviation(self) -> float:
-        """Single-scalar summary: distance from perfect A-stability."""
+        """Single-scalar summary: distance from perfect A-stability; NaN
+        when either statistic is NaN."""
+        if math.isnan(self.imag_axis_max_deviation) \
+                or math.isnan(self.lhp_max_modulus):
+            return math.nan
         return max(self.imag_axis_max_deviation,
                    max(self.lhp_max_modulus - 1.0, 0.0))
 

@@ -120,17 +120,19 @@ def lu_orders(monkeypatch):
 
 class TestRankFactoredNewton:
     @pytest.mark.parametrize("k", [4, 8, 12])
-    def test_hbvm_factors_s_times_2m(self, lu_orders, k):
+    def test_hbvm_factors_one_2m_block_per_conjugate_pair(self, lu_orders,
+                                                          k):
         kep = get_problem("kepler")
         tab = hbvm_tableau(HbvmSpec(k, 2))
         rk_step(tab, kep.system, kep.default_y0, 0.05, NEWTON)
-        assert lu_orders == [(8, 8)]
+        assert lu_orders == [(4, 4)]
 
-    def test_full_rank_tableau_factors_k_times_2m(self, lu_orders):
+    def test_full_rank_tableau_factors_one_2m_block_per_pair(self,
+                                                              lu_orders):
         kep = get_problem("kepler")
         rk_step(gauss_collocation_tableau(4), kep.system, kep.default_y0,
                 0.05, NEWTON)
-        assert lu_orders == [(16, 16)]
+        assert lu_orders == [(4, 4), (4, 4)]
 
     @pytest.mark.parametrize("filtered", [False, True])
     def test_newton_agrees_with_fixed_point(self, filtered):
@@ -141,6 +143,89 @@ class TestRankFactoredNewton:
         y_nw, diag = rk_step(tab, hh.system, hh.default_y0, 0.1, NEWTON)
         assert diag.iterations > 0
         assert np.max(np.abs(y_fp - y_nw)) <= 1e-12
+
+
+class TestEigenSplitNewton:
+    # classical RK4: A is nilpotent, so R L is too and has no eigenbasis
+    RK4 = ButcherTableau(c=[0.0, 0.5, 0.5, 1.0],
+                         A=[[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
+                            [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                         b=[1 / 6, 1 / 3, 1 / 3, 1 / 6])
+    # 2-stage SDIRK, gamma = 1 + sqrt(2)/2: a double eigenvalue, cond(V) ~8e7
+    G = 1.0 + np.sqrt(2.0) / 2.0
+    SDIRK = ButcherTableau(c=[G, 1.0], A=[[G, 0.0], [1.0 - G, G]],
+                           b=[1.0 - G, G])
+    SPECS = [spec for spec, _ in spec_matrix(6, 12)]
+
+    @staticmethod
+    def _assembled(plan, y0):
+        """The Newton inverse as an operator, one column per unit vector."""
+        correction = integrator._newton_correction(plan, y0)
+        n = plan.M.shape[0] * y0.size
+        return np.column_stack([correction(e.reshape(-1, y0.size)).ravel()
+                                for e in np.eye(n)])
+
+    def _check_against_dense(self, method, h):
+        kep = get_problem("kepler")
+        y0 = kep.default_y0
+        plan = integrator._run_plan(method, kep.system, h, NEWTON, "rk")
+        assert plan.split is not None
+        Jf = integrator._field_jacobian(kep.system, y0)
+        r = plan.M.shape[0]
+        a = np.eye(r * y0.size) - h * np.kron(plan.M, Jf)
+        ref = np.linalg.inv(a)
+        cond_v = np.linalg.cond(np.linalg.eig(plan.M)[1])
+        bound = (r * y0.size * np.finfo(float).eps * cond_v
+                 * np.linalg.cond(a))
+        err = np.linalg.norm(self._assembled(plan, y0) - ref, 2)
+        assert err <= bound * np.linalg.norm(ref, 2), method
+        return r
+
+    @pytest.mark.parametrize("h", [0.05, 0.5])
+    def test_hbvm_inverse_matches_dense_one_block_per_pair(self, lu_orders,
+                                                          h):
+        for spec in self.SPECS:
+            lu_orders.clear()
+            assert self._check_against_dense(spec, h) == spec.s
+            assert lu_orders == [(4, 4)] * ((spec.s + 1) // 2), spec
+
+    @pytest.mark.parametrize("h", [0.05, 0.5])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_collocation_inverse_matches_dense(self, lu_orders, k, h):
+        assert self._check_against_dense(gauss_collocation_tableau(k),
+                                          h) == k
+        assert lu_orders == [(4, 4)] * ((k + 1) // 2)
+
+    @pytest.mark.parametrize("name", ["RK4", "SDIRK"])
+    def test_defective_stage_matrix_takes_the_dense_build(self, lu_orders,
+                                                          name):
+        hh = get_problem("henon-heiles")
+        tab = getattr(self, name)
+        plan = integrator._run_plan(tab, hh.system, 0.05, NEWTON, "rk")
+        assert plan.split is None
+        y_nw, _ = rk_step(tab, hh.system, hh.default_y0, 0.05, NEWTON)
+        r = plan.M.shape[0]
+        assert lu_orders == [(r * 4, r * 4)]
+        y_fp, _ = rk_step(tab, hh.system, hh.default_y0, 0.05, TIGHT)
+        assert np.max(np.abs(y_nw - y_fp)) <= 1e-14
+
+    def test_fixed_point_builds_no_split(self):
+        kep = get_problem("kepler")
+        plan = integrator._run_plan(HbvmSpec(12, 6), kep.system, 0.05,
+                                    TIGHT, "gamma")
+        assert plan.split is None
+
+    # the counts of the whole Newton matrix inverted
+    @pytest.mark.parametrize("spec,h,mode,iters", [
+        (HbvmSpec(6, 3), 0.05, "rk", 838),
+        (HbvmSpec(12, 6), 0.1, "gamma", 789),
+    ], ids=["s3-rk", "s6-gamma"])
+    def test_kepler_iteration_counts(self, spec, h, mode, iters):
+        kep = get_problem("kepler")
+        traj = integrate(spec, kep.system, kep.default_y0, h, 200,
+                         SolverConfig(mode="newton"), mode=mode)
+        assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 199
+        assert traj.iteration_counts.sum() == iters
 
 
 @pytest.fixture
@@ -623,12 +708,13 @@ class TestBatchedVectorField:
         assert np.max(np.abs(traj.states - ref.states)) <= 1e-14
         assert np.max(np.abs(traj.energies - ref.energies)) <= 1e-14
 
-    # grad_H calls per step minus iterations: the final update (rk), the
-    # Newton residual that meets tol, and the Jacobian's single block call.
+    # grad_H calls per step minus iterations: the final update (rk fixed
+    # point; Newton's rk update reads the field of the residual that met
+    # tol), that residual, and the Jacobian's single block call.
     @pytest.mark.parametrize("mode,cfg,iters,extra", [
         ("rk", SolverConfig(tol=1e-14), 14, 1),
         ("gamma", SolverConfig(tol=1e-14), 14, 0),
-        ("rk", NEWTON, 6, 3),
+        ("rk", NEWTON, 6, 2),
         ("gamma", NEWTON, 6, 2),
     ], ids=["rk-fixed", "gamma-fixed", "rk-newton", "gamma-newton"])
     @pytest.mark.parametrize("k", [4, 12])

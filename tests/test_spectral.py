@@ -474,3 +474,9 @@ class TestStabilityScanPasses:
                                           (0.0, float("nan"))])
     def test_nan_statistic_fails(self, imag, lhp):
         assert StabilityScan(imag, lhp).passes(1e-10) is False
+
+    @pytest.mark.parametrize("imag,lhp", [(float("nan"), 1.0),
+                                          (1e-16, float("nan")),
+                                          (float("nan"), float("nan"))])
+    def test_nan_statistic_makes_max_deviation_nan(self, imag, lhp):
+        assert math.isnan(StabilityScan(imag, lhp).max_deviation)
