@@ -48,22 +48,21 @@ A single `rk_step` or `gamma_step` always builds a fresh matrix.
 
 The Newton matrix is inverted once, when it is built, and each
 correction is one matrix-vector product with that inverse (`lu_solve`):
-the same inverse serves every iteration of every step that keeps it.  The
-inverse is assembled from the eigen-split M = V diag(lam) V^-1, taken once
+the same inverse serves every iteration of every step that keeps it.  It
+is one sum over the blocks (P, B) of a split M = sum P (x) B, taken once
 per Newton run (Butcher, BIT 16, 1976):
-  (I - h M (x) Jf)^-1 = I + sum_j P_j (x) (I - h lam_j Jf)^-1 h lam_j Jf,
-with P_j = V[:, j] V^-1[j, :].  A conjugate pair gives conjugate terms, so
-only its eigenvalue with Im > 0 is solved for, at weight 2, and
-`lu_factor` sees one 2m-square block per pair (complex) and per real
-eigenvalue (real).  An HBVM's M = X_s has the s-stage Gauss spectrum
-whatever its k, so its matrix costs ceil(s/2) blocks.  With I split off,
-the rest is O(h |lam Jf|), and so is the rounding of its sum over the
-P_j, whose norms grow with cond(V) (563 at s = 6).  Summing the
-P_j (x) (I - h lam_j Jf)^-1 themselves, the s = 6 inverse was off by
-~8e-13, enough to cost some runs an extra iteration.  An M that is
-empty, or whose eigenbasis has cond(V) > 1/sqrt(eps), as for a defective
-M (classical RK4, an SDIRK's double eigenvalue), has its whole
-r*2m-square matrix inverted instead.
+  (I - h M (x) Jf)^-1 = I + sum Re[P (x) (I - h B (x) Jf)^-1 h B (x) Jf].
+The eigen-split M = V diag(lam) V^-1 gives a block (P_j, [[lam_j]]) with
+P_j = V[:, j] V^-1[j, :] per eigenvalue; of a conjugate pair only the one
+with Im > 0 is kept, at weight 2, so `lu_factor` sees one 2m-square block
+per pair (complex) and per real eigenvalue (real): ceil(s/2) for an HBVM,
+whose M = X_s has the s-stage Gauss spectrum whatever its k.  With I split
+off, the rounding of the sum over the P_j, whose norms grow with cond(V)
+(563 at s = 6), is O(h |lam Jf|); summing P_j (x) (I - h lam_j Jf)^-1
+instead left the s = 6 inverse off by ~8e-13, enough to cost some runs an
+extra iteration.  An empty M, or one with cond(V) > 1/sqrt(eps) (a
+defective M: classical RK4, an SDIRK's double eigenvalue), is one whole
+block ([[1]], M), whose term makes the sum the whole matrix's inverse.
 A non-finite Jacobian, a non-finite Newton matrix and an exactly singular
 block each fail the step with a `StageConvergenceError` naming the cause.
 """
@@ -77,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from .legendre import _shift_matrix
-from .tableau import ButcherTableau, HbvmSpec, _hbvm_build
+from .tableau import ButcherTableau, HbvmSpec, _hbvm_build, _is_integer
 
 __all__ = [
     "HamiltonianSystem",
@@ -181,6 +180,9 @@ class SolverConfig:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be finite and positive, "
                              f"got tol={self.tol}")
+        if not _is_integer(self.max_iter):
+            raise ValueError(f"max_iter must be an integer, "
+                             f"got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("need max_iter >= 1")
 
@@ -244,16 +246,15 @@ def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
     return Jf
 
 
-def lu_factor(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """a^-1 b, or the inverse of a when b is None, for a 2m-square block
-    I - h lam Jf of the Newton matrix or the whole matrix; a non-finite or
-    exactly singular a fails the step.  This pair keeps its LU names
+def lu_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for a block I - h B (x) Jf of the Newton matrix; a non-finite
+    or exactly singular a fails the step.  This pair keeps its LU names
     because the benchmark tracer times the Newton layers under them."""
     if not np.isfinite(a).all():
         raise StageConvergenceError("Newton matrix is non-finite",
                                     residual=math.nan, iterations=0)
     try:
-        return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise StageConvergenceError(
             f"Newton matrix is singular (factored block {a.shape[0]} x "
@@ -307,10 +308,10 @@ def _fixed_point(residual_map, U0, cfg: SolverConfig):
         f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
 
 
-def _simplified_newton(residual_map, U0, correction, cfg: SolverConfig):
-    """Newton iteration U <- U + correction(G(U) - U), where correction
-    applies the inverse of a frozen iteration matrix and residual_map(U)
-    returns G(U) and the residual of U.
+def _simplified_newton(residual_map, U0, inverse, cfg: SolverConfig):
+    """Newton iteration U <- U + inverse (G(U) - U), with the inverse of a
+    frozen iteration matrix from `_newton_correction`, where
+    residual_map(U) returns G(U) and the residual of U.
 
     Returns (U, iterations, residual, final residual ratio).  Overflow is
     left to the non-finite check rather than warned about.
@@ -323,7 +324,7 @@ def _simplified_newton(residual_map, U0, correction, cfg: SolverConfig):
             _check_finite(res, it)
             if res <= cfg.tol:
                 return U, it, res, res / last
-            U = U + correction(G - U)
+            U = U + lu_solve(inverse, (G - U).reshape(-1)).reshape(U.shape)
             last = res
     raise StageConvergenceError(
         f"Newton iteration did not reach tol={cfg.tol} in "
@@ -345,22 +346,25 @@ def _check_state(sys: HamiltonianSystem, y0: np.ndarray) -> None:
 
 
 def _eigen_split(M: np.ndarray):
-    """The eigen-split of M = V diag(lam) V^-1 that Newton assembles its
-    inverse from: one (lam_j, w_j P_j) pair per kept eigenvalue, with
-    P_j = V[:, j] V^-1[j, :], keeping from each conjugate pair the one with
-    Im > 0 at weight w_j = 2, and every real one at weight 1 as a real
-    (lam_j, Re P_j), so that its block is solved in real arithmetic.  None
-    when M is empty or its eigenbasis is ill-conditioned
-    (cond(V) > 1/sqrt(eps)), as for a defective M."""
+    """The blocks (P, B), M = sum P (x) B, that Newton sums its inverse
+    over: (w_j P_j, [[lam_j]]) per kept eigenvalue of M = V diag(lam) V^-1,
+    with P_j = V[:, j] V^-1[j, :], keeping of each conjugate pair the one
+    with Im > 0 at weight w_j = 2, and every real one at weight 1 as the
+    real (Re P_j, [[Re lam_j]]), so that its block is solved in real
+    arithmetic.  One whole block ([[1]], M) when M is empty or its
+    eigenbasis is ill-conditioned (cond(V) > 1/sqrt(eps)), as for a
+    defective M."""
+    whole = ((np.ones((1, 1)), M),)
     if M.size == 0:
-        return None
+        return whole
     lam, V = np.linalg.eig(M)
     if not np.linalg.cond(V) <= 1.0 / _SQRT_EPS:
-        return None
+        return whole
     Vinv = np.linalg.inv(V)
-    return tuple((lam[j], 2.0 * np.outer(V[:, j], Vinv[j]))
+    return tuple((2.0 * np.outer(V[:, j], Vinv[j]), np.array([[lam[j]]]))
                  if lam[j].imag > 0
-                 else (lam[j].real, np.outer(V[:, j], Vinv[j]).real)
+                 else (np.outer(V[:, j], Vinv[j]).real,
+                       np.array([[lam[j].real]]))
                  for j in np.flatnonzero(lam.imag >= 0))
 
 
@@ -371,8 +375,8 @@ class _StepPlan:
     change E = G(u) - u, its update (y0, u, Y, F) -> y1 with F = f(Y) when
     already evaluated (else None), the r x r shift that carries one step's
     u to the next step's starting guess (None: each step starts from
-    u = 0), and the eigen-split of M that Newton inverts through (None: it
-    inverts the whole matrix; always None for fixed point)."""
+    u = 0), and the blocks of `_eigen_split(M)` that Newton sums its
+    inverse over (None for fixed point)."""
 
     sys: HamiltonianSystem
     h: float
@@ -430,33 +434,24 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
 
 
 def _newton_correction(plan: _StepPlan, y0):
-    """Newton correction for u = R f(y0 + h L u) with M = R L: the inverse
-    of I - h M (x) Jf, with Jf taken at y0.  With the plan's eigen-split it
-    is I + sum_j Re[w_j P_j (x) (I - h lam_j Jf)^-1 h lam_j Jf], one
-    2m-square solve per kept eigenvalue; without one the whole matrix is
-    inverted."""
+    """The inverse of I - h M (x) Jf that Newton iterates with on
+    u = R f(y0 + h L u), with M = R L and Jf taken at y0:
+    I + sum Re[P (x) (I - h B (x) Jf)^-1 h B (x) Jf] over the blocks (P, B)
+    of the plan's split, one solve per block."""
     Jf = _field_jacobian(plan.sys, y0)
-    n = plan.M.shape[0] * y0.size
-    if plan.split is None:
-        inverse = lu_factor(np.eye(n) - plan.h * np.kron(plan.M, Jf))
-    else:
-        # accumulated into a C-contiguous real array: the real part of a
-        # complex product is a strided view, slower to multiply with
-        inverse = np.eye(n)
-        for lam, P in plan.split:
-            hJ = (plan.h * lam) * Jf
-            inverse += np.kron(P, lu_factor(np.eye(y0.size) - hJ, hJ)).real
-
-    def correction(E):
-        return lu_solve(inverse, E.reshape(-1)).reshape(E.shape)
-
-    return correction
+    # accumulated into a C-contiguous real array: the real part of a
+    # complex product is a strided view, slower to multiply with
+    inverse = np.eye(plan.M.shape[0] * y0.size)
+    for P, B in plan.split:
+        hJ = np.kron(plan.h * B, Jf)
+        inverse += np.kron(P, lu_factor(np.eye(hJ.shape[0]) - hJ, hJ)).real
+    return inverse
 
 
-def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
+def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
     """One step of a plan from y0, iterating on u from u0; returns
     (y1, u, stages, diagnostics) with stages = y0 + h L u.  Newton iterates
-    with the given correction or a fresh one built at y0; u = gamma for an
+    with the given inverse or a fresh one built at y0; u = gamma for an
     HBVM tableau, in either form."""
     sys, hL, R, cfg = plan.sys, plan.hL, plan.R, plan.cfg
     residual = plan.residual
@@ -471,10 +466,10 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, correction):
     if cfg.mode == "fixed_point":
         u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
     else:
-        if correction is None:
-            correction = _newton_correction(plan, y0)
+        if inverse is None:
+            inverse = _newton_correction(plan, y0)
         u, iters, res, ratio = _simplified_newton(residual_map, u0,
-                                                  correction, cfg)
+                                                  inverse, cfg)
     Y = y0 + hL @ u
     # Newton returns the u whose stages it last evaluated, so f(Y) is
     # known; fixed point returns G(u), whose stages were never evaluated
@@ -537,8 +532,13 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step size must be finite and positive, got h={h}")
+    if not _is_integer(n_steps):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
+    if not math.isfinite(float(n_steps) * float(h)):
+        raise ValueError(f"step size h={h} times n_steps={n_steps} "
+                         f"overflows the time axis")
     if mode not in ("rk", "gamma"):
         raise ValueError("mode must be 'rk' or 'gamma'")
     cfg = cfg or SolverConfig()
@@ -557,24 +557,24 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     # k f-evaluations each are charged against it (rule a).
     k = plan.hL.shape[0]
     jacobian_cost = 2 * y0.size
-    correction, refresh = None, newton
+    inverse, refresh = None, newton
     fresh_iters = extra = 0
     guess = plan.cold()
     for n in range(n_steps):
         try:
             if refresh:
-                correction = _newton_correction(plan, y)
+                inverse = _newton_correction(plan, y)
                 jacs[n + 1] = 1
             try:
                 y, u, _, diag = _gamma_step_matrices(plan, y, guess,
-                                                     correction)
+                                                     inverse)
             except StageConvergenceError:
                 if not newton or jacs[n + 1]:
                     raise
-                correction = _newton_correction(plan, y)
+                inverse = _newton_correction(plan, y)
                 jacs[n + 1] = 2
                 y, u, _, diag = _gamma_step_matrices(plan, y, guess,
-                                                     correction)
+                                                     inverse)
         except StageConvergenceError as exc:
             raise StageConvergenceError(
                 f"step {n + 1} failed: {exc}", residual=exc.residual,

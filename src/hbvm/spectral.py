@@ -26,6 +26,7 @@ from .tableau import (
     BasisMatrices,
     _filtered_matrix,
     _hbvm_build,
+    _is_integer,
     basis_matrices,
     hbvm_tableau,
     xhat_matrix,
@@ -317,6 +318,8 @@ def spec_matrix(smax: int, kmax: int, seed: int = 42):
     if smax < 1 or kmax < 1:
         raise ValueError(f"need smax >= 1 and kmax >= 1, got smax={smax}, "
                          f"kmax={kmax}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     specs = []
     for s in range(1, smax + 1):
         for k in range(s, kmax + 1):

@@ -50,6 +50,12 @@ MAX_DEGREE = 6
 RANK_SV_TOL = 1e-10
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class BasisMatrices:
     """Basis evaluations and integrals on a node system.
@@ -133,8 +139,7 @@ class HbvmSpec:
     def __post_init__(self):
         for name in ("k", "s"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "family", NodeFamily(self.family))
         if self.s < 1 or self.k < self.s:

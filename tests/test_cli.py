@@ -125,6 +125,16 @@ class TestVerifyCommand:
                                  else "smax=4, kmax=0\n"))
         assert not out.exists()
 
+    @pytest.mark.parametrize("kmax", ["1", "2"])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, kmax):
+        out = tmp_path / "never.json"
+        res = run_cli("verify", "--smax", "1", "--kmax", kmax, "--seed", "-1",
+                      "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == ("error: seed must be a non-negative integer, "
+                              "got -1\n")
+        assert not out.exists()
+
     def test_kmax_below_smax_still_runs(self, tmp_path):
         out = tmp_path / "report.json"
         res = run_cli("verify", "--smax", "3", "--kmax", "2", "--out", str(out))
@@ -343,6 +353,15 @@ class TestIntegrateCommand:
                       "--h", h, "--steps", "3", "--out", str(out))
         assert res.returncode == 2
         assert "step size" in res.stderr
+        assert not out.exists()
+
+    def test_overflowing_time_axis_exits_2_naming_h(self, tmp_path):
+        out = tmp_path / "never.csv"
+        res = run_cli("integrate", "--problem", "harmonic", "--k", "2", "--s", "1",
+                      "--h", "1e308", "--steps", "3", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == ("error: step size h=1e+308 times n_steps=3 "
+                              "overflows the time axis\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])

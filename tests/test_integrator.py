@@ -159,11 +159,8 @@ class TestEigenSplitNewton:
 
     @staticmethod
     def _assembled(plan, y0):
-        """The Newton inverse as an operator, one column per unit vector."""
-        correction = integrator._newton_correction(plan, y0)
-        n = plan.M.shape[0] * y0.size
-        return np.column_stack([correction(e.reshape(-1, y0.size)).ravel()
-                                for e in np.eye(n)])
+        """The Newton inverse, as Newton iterates with it."""
+        return integrator._newton_correction(plan, y0)
 
     def _check_against_dense(self, method, h):
         kep = get_problem("kepler")
@@ -202,12 +199,22 @@ class TestEigenSplitNewton:
         hh = get_problem("henon-heiles")
         tab = getattr(self, name)
         plan = integrator._run_plan(tab, hh.system, 0.05, NEWTON, "rk")
-        assert plan.split is None
+        assert [B.shape for _, B in plan.split] == [plan.M.shape]
         y_nw, _ = rk_step(tab, hh.system, hh.default_y0, 0.05, NEWTON)
         r = plan.M.shape[0]
         assert lu_orders == [(r * 4, r * 4)]
         y_fp, _ = rk_step(tab, hh.system, hh.default_y0, 0.05, TIGHT)
         assert np.max(np.abs(y_nw - y_fp)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["RK4", "SDIRK", "EULER"])
+    def test_defective_or_empty_stage_matrix_is_one_whole_block(self, name):
+        tab = TestLowRankStageCore.EULER if name == "EULER" \
+            else getattr(self, name)
+        L, R = tab.low_rank
+        M = R @ L
+        ((P, B),) = integrator._eigen_split(M)
+        assert P.tolist() == [[1.0]]
+        assert B is M
 
     def test_fixed_point_builds_no_split(self):
         kep = get_problem("kepler")
@@ -247,7 +254,7 @@ class TestLapackLU:
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) + n * np.eye(n)
         b = rng.standard_normal(n)
-        x = integrator.lu_solve(integrator.lu_factor(a), b)
+        x = integrator.lu_factor(a, b)
         ref = np.linalg.solve(a, b)
         assert x.shape == ref.shape == (n,)
         # both solutions lie within ~n eps cond(a) of the exact one
@@ -259,7 +266,8 @@ class TestLapackLU:
     def test_non_finite_matrix_is_rejected(self):
         with pytest.raises(StageConvergenceError,
                            match="Newton matrix is non-finite"):
-            integrator.lu_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
+            integrator.lu_factor(np.array([[1.0, np.inf], [0.0, 1.0]]),
+                                 np.eye(2))
 
     def test_every_solve_goes_through_the_module_global(self, monkeypatch):
         calls = []
@@ -330,6 +338,13 @@ class TestIterationLimit:
         with pytest.raises(StageConvergenceError, match="^" + limit):
             rk_step(hbvm_tableau(spec), sext.system, sext.default_y0, 0.1,
                     cfg)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0)],
+                             ids=repr)
+    def test_rejects_a_bool_or_non_integer_limit(self, max_iter):
+        with pytest.raises(ValueError,
+                           match=r"^max_iter must be an integer, got "):
+            SolverConfig(max_iter=max_iter)
 
 
 class TestLowRankStageCore:
@@ -424,14 +439,14 @@ class TestKeptNewtonMatrix:
     @staticmethod
     def _patch_newton(monkeypatch, outcome):
         """Run the real Newton solve, then let outcome(fresh, result) replace
-        what it reports; fresh is False for a correction already used."""
+        what it reports; fresh is False for an inverse already used."""
         solve = integrator._simplified_newton
         used = []
 
-        def patched(gmap, U0, correction, cfg):
-            fresh = not any(c is correction for c in used)
-            used.append(correction)
-            return outcome(fresh, solve(gmap, U0, correction, cfg))
+        def patched(gmap, U0, inverse, cfg):
+            fresh = not any(c is inverse for c in used)
+            used.append(inverse)
+            return outcome(fresh, solve(gmap, U0, inverse, cfg))
 
         monkeypatch.setattr(integrator, "_simplified_newton", patched)
 
@@ -936,6 +951,34 @@ class TestIntegrate:
             rk_step(hbvm_tableau(spec), harm.system, y0, h)
         with pytest.raises(ValueError, match="step size"):
             gamma_step(spec, harm.system, y0, h)
+
+    @pytest.mark.parametrize("n_steps", [2.5, True, np.float64(3.0)],
+                             ids=repr)
+    def test_rejects_a_bool_or_non_integer_step_count(self, n_steps):
+        harm = get_problem("harmonic")
+        with pytest.raises(ValueError,
+                           match=r"^n_steps must be an integer, got "):
+            integrate(HbvmSpec(2, 1), harm.system, harm.default_y0, 0.1,
+                      n_steps)
+
+    def test_accepts_numpy_integer_counts(self):
+        harm = get_problem("harmonic")
+        traj = integrate(HbvmSpec(2, 1), harm.system, harm.default_y0, 0.1,
+                         np.int32(3), SolverConfig(max_iter=np.int64(100)))
+        ref = integrate(HbvmSpec(2, 1), harm.system, harm.default_y0, 0.1, 3)
+        assert np.array_equal(traj.states, ref.states)
+        assert np.array_equal(traj.times, ref.times)
+
+    @pytest.mark.parametrize("h,n_steps", [(1e308, 3),
+                                           (np.float64(1e308), np.int64(3)),
+                                           (5e307, 4)])
+    def test_rejects_a_step_size_that_overflows_the_time_axis(self, h,
+                                                              n_steps):
+        harm = get_problem("harmonic")
+        with pytest.raises(ValueError, match=r"^step size h=\S+ times "
+                           rf"n_steps={n_steps} overflows"):
+            integrate(HbvmSpec(2, 1), harm.system, harm.default_y0, h,
+                      n_steps)
 
     def test_argument_validation(self):
         harm = get_problem("harmonic")

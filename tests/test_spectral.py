@@ -385,6 +385,20 @@ def test_spec_matrix_rejects_an_empty_range(smax, kmax):
         spec_matrix(smax, kmax)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(42.0)],
+                         ids=repr)
+def test_spec_matrix_and_sweep_reject_a_bad_seed(seed):
+    # (1, 1) has no custom spec, so no seed is ever drawn from
+    for build in (spec_matrix, verification_sweep):
+        with pytest.raises(ValueError, match=r"^seed must be a "
+                           r"non-negative integer, got "):
+            build(1, 1, seed=seed)
+
+
+def test_spec_matrix_accepts_a_numpy_integer_seed():
+    assert spec_matrix(2, 4, seed=np.int64(7)) == spec_matrix(2, 4, seed=7)
+
+
 def test_verification_sweep_covers_whole_envelope():
     entries = verification_sweep(MAX_DEGREE, MAX_STAGES)
     assert len(entries) == 216
