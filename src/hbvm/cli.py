@@ -10,6 +10,7 @@ unreadable or unwritable file (nothing written).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -61,15 +62,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _parse_spec(args) -> HbvmSpec:
-    family = NodeFamily(args.family)
-    nodes = None
-    if family is NodeFamily.CUSTOM:
-        if not args.nodes:
-            raise ValueError("custom family requires --nodes")
-        nodes = tuple(float(v) for v in args.nodes.split(","))
-    elif args.nodes:
-        raise ValueError("--nodes is only valid with --family custom")
-    return HbvmSpec(k=args.k, s=args.s, family=family, nodes=nodes)
+    nodes = (tuple(float(v) for v in args.nodes.split(","))
+             if args.nodes else None)
+    return HbvmSpec(k=args.k, s=args.s, family=args.family, nodes=nodes)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -157,7 +152,7 @@ def cmd_order(args) -> int:
     problem = get_problem(args.problem)
     spec = _parse_spec(args)
     cfg = _solver_config(args)
-    h_list = [args.hmax / 2 ** i for i in range(args.levels)]
+    h_list = [math.ldexp(args.hmax, -i) for i in range(args.levels)]
     try:
         fit = convergence_order(spec, problem, args.t_end, h_list, cfg,
                                 mode=args.mode)

@@ -18,8 +18,11 @@ the r x 2m unknowns u, with stage states Y = y0 + h L u.  Every method runs
 on `ButcherTableau.low_rank`: an HBVM tableau carries its own factors
 (I_s, P_s^T Omega), so u is the s coefficients gamma and R L = X_s; any
 other tableau takes the thin SVD factors of A, r = k for full rank.  One
-solver core runs fixed-point iteration or simplified Newton on u, and the
-Newton matrix is I - h M (x) Jf with M = R L, r*2m square.
+iteration loop (`_iterate`) runs fixed-point iteration or simplified Newton
+on u; they differ only in their correction, and the Newton matrix is
+I - h M (x) Jf with M = R L, r*2m square.  The loop names why it stops:
+non-finite stage values, a residual that grew over 5 consecutive
+iterations (either solver), or max_iter corrections short of tol.
 
 `integrate` builds a step plan once per run: h L, R, M = R L, the stopping
 residual and the update, which alone tell the forms apart (the change in Y
@@ -168,7 +171,10 @@ class HamiltonianSystem:
 @dataclass(frozen=True)
 class SolverConfig:
     """Stage-solver settings; tol is an absolute max-norm residual bound.
-    Newton always takes the central finite-difference Jacobian of f."""
+    max_iter bounds the corrections made before the accepted iterate, for
+    both solvers; fixed point counts its accepted iterate's free update G
+    as one more iteration, so it may report max_iter + 1.  Newton always
+    takes the central finite-difference Jacobian of f."""
 
     mode: str = "fixed_point"  # or "newton"
     tol: float = 1e-13
@@ -268,67 +274,56 @@ def lu_solve(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inverse @ b
 
 
-def _check_finite(res: float, iterations: int) -> None:
-    """Stop at once when the stage values overflow or turn NaN."""
-    if not math.isfinite(res):
-        raise StageConvergenceError(
-            f"stage values are non-finite after {iterations} iterations",
-            residual=res, iterations=iterations)
+def _iterate(residual_map, U, correct, cfg: SolverConfig, name: str,
+             advice: str):
+    """The stage iteration of both solvers, where residual_map(U) returns
+    G(U) and the residual of U: accept U once its residual meets tol, else
+    apply U <- correct(U, G(U)).  Fails, naming the cause, at once on a
+    non-finite residual, after 5 consecutive residual growths, or after
+    max_iter corrections.  Returns (U, G(U), corrections, residual, final
+    residual ratio); overflow is left to the non-finite check rather than
+    warned about."""
+    last, growth = math.inf, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.max_iter + 1):
+            G, res = residual_map(U)
+            if not math.isfinite(res):
+                raise StageConvergenceError(
+                    f"stage values are non-finite after {it} iterations",
+                    residual=res, iterations=it)
+            if res <= cfg.tol:
+                return U, G, it, res, res / last
+            growth = growth + 1 if res > last else 0
+            if growth >= 5:
+                raise StageConvergenceError(
+                    f"{name} iteration diverging (residual grew over 5 "
+                    f"consecutive iterations); {advice}",
+                    residual=res, iterations=it)
+            U, last = correct(U, G), res
+    raise StageConvergenceError(
+        f"{name} iteration did not reach tol={cfg.tol} in "
+        f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
 
 
 def _fixed_point(residual_map, U0, cfg: SolverConfig):
-    """Fixed-point iteration U <- G(U), where residual_map(U) returns G(U)
-    and the residual of that iteration.
-
-    Returns (U, iterations, residual, final residual ratio).  Overflow is
-    left to the non-finite check rather than warned about.
-    """
-    U = U0
-    last = math.inf
-    growth = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.max_iter):
-            G, res = residual_map(U)
-            _check_finite(res, it + 1)
-            U = G
-            if res <= cfg.tol:
-                return U, it + 1, res, res / last
-            if res > last:
-                growth += 1
-                if growth >= 5:
-                    raise StageConvergenceError(
-                        "fixed-point iteration diverging (residual grew over "
-                        "5 consecutive iterations); try mode='newton'",
-                        residual=res, iterations=it + 1)
-            else:
-                growth = 0
-            last = res
-    raise StageConvergenceError(
-        f"fixed-point iteration did not reach tol={cfg.tol} in "
-        f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
+    """Fixed-point iteration U <- G(U); returns (G(U), iterations,
+    residual, final residual ratio) of the accepted U, whose free update
+    G(U) counts as one more iteration."""
+    _, G, it, res, ratio = _iterate(residual_map, U0, lambda U, G: G, cfg,
+                                    "fixed-point", "try mode='newton'")
+    return G, it + 1, res, ratio
 
 
 def _simplified_newton(residual_map, U0, inverse, cfg: SolverConfig):
     """Newton iteration U <- U + inverse (G(U) - U), with the inverse of a
-    frozen iteration matrix from `_newton_correction`, where
-    residual_map(U) returns G(U) and the residual of U.
+    frozen iteration matrix from `_newton_correction`; returns (U,
+    iterations, residual, final residual ratio)."""
+    def correct(U, G):
+        return U + lu_solve(inverse, (G - U).reshape(-1)).reshape(U.shape)
 
-    Returns (U, iterations, residual, final residual ratio).  Overflow is
-    left to the non-finite check rather than warned about.
-    """
-    U = U0
-    last = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.max_iter + 1):
-            G, res = residual_map(U)
-            _check_finite(res, it)
-            if res <= cfg.tol:
-                return U, it, res, res / last
-            U = U + lu_solve(inverse, (G - U).reshape(-1)).reshape(U.shape)
-            last = res
-    raise StageConvergenceError(
-        f"Newton iteration did not reach tol={cfg.tol} in "
-        f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
+    U, _, it, res, ratio = _iterate(residual_map, U0, correct, cfg, "Newton",
+                                    "try a smaller h")
+    return U, it, res, ratio
 
 
 def _check_step_size(h: float) -> None:
@@ -536,7 +531,9 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
-    if not math.isfinite(float(n_steps) * float(h)):
+    # an int past the float range is compared exactly, not converted
+    if not (n_steps <= float(np.finfo(float).max)
+            and math.isfinite(float(n_steps) * float(h))):
         raise ValueError(f"step size h={h} times n_steps={n_steps} "
                          f"overflows the time axis")
     if mode not in ("rk", "gamma"):
@@ -546,10 +543,13 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     _check_state(sys, y0)
     plan = _run_plan(method, sys, h, cfg, mode)
 
-    times = np.arange(n_steps + 1) * h
-    states = np.empty((n_steps + 1, y0.size))
-    iters = np.zeros(n_steps + 1, dtype=int)
-    jacs = np.zeros(n_steps + 1, dtype=int)
+    try:
+        states = np.empty((n_steps + 1, y0.size))
+        iters = np.zeros(n_steps + 1, dtype=int)
+        jacs = np.zeros(n_steps + 1, dtype=int)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"cannot allocate the records of "
+                         f"n_steps={n_steps} steps: {exc}") from exc
     states[0] = y0
     y = y0
     newton = cfg.mode == "newton"
@@ -590,7 +590,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
                 extra += max(0, diag.iterations - fresh_iters)
             refresh = (k * extra >= jacobian_cost
                        or diag.contraction > REFRESH_CONTRACTION)
-    return Trajectory(times=times, states=states,
+    return Trajectory(times=np.arange(n_steps + 1) * h, states=states,
                       energies=sys.energies(states),
                       iteration_counts=iters, jacobian_counts=jacs)
 

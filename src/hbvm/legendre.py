@@ -3,8 +3,9 @@
 The basis is indexed from 1: the j-th member has degree j - 1 and unit L2
 norm on [0, 1].  One three-term recurrence evaluates it, a whole table of
 columns per pass.  Everything downstream (tableau construction, spectral
-checks) is built on the matrices of these evaluations and of their exact
-antiderivatives at the nodes (basis_values, basis_integrals).  Gauss and
+checks) reads each node system's cached basis table
+(`AbscissaeSystem.basis`) and the exact antiderivatives taken from it;
+basis_values and basis_integrals evaluate at arbitrary points.  Gauss and
 Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
 custom interpolatory weights and collocation matrices are solved in the
 same basis.

@@ -315,6 +315,9 @@ def spec_matrix(smax: int, kmax: int, seed: int = 42):
     2s - 1, and three seeded random node sets once k >= 2s keeps their
     interpolatory exactness k - 1 sufficient.
     """
+    for name, value in (("smax", smax), ("kmax", kmax)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if smax < 1 or kmax < 1:
         raise ValueError(f"need smax >= 1 and kmax >= 1, got smax={smax}, "
                          f"kmax={kmax}")

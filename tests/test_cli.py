@@ -94,6 +94,21 @@ class TestTableauCommand:
         assert res.returncode == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (("--nodes", "0.1,0.5,0.9"),
+         "nodes are only accepted for the custom family"),
+        (("--family", "custom"), "custom family requires exactly k nodes"),
+        (("--family", "custom", "--nodes", ""),
+         "custom family requires exactly k nodes"),
+    ], ids=["nodes-without-custom", "custom-without-nodes", "empty-nodes"])
+    def test_node_rules_are_the_specs(self, tmp_path, args, message):
+        out = tmp_path / "never.json"
+        res = run_cli("tableau", "--k", "3", "--s", "2", *args,
+                      "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, tmp_path):
@@ -364,6 +379,31 @@ class TestIntegrateCommand:
                               "overflows the time axis\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", [str(10 ** 15), str(10 ** 400)],
+                             ids=["unallocatable", "past-float-range"])
+    def test_step_count_the_machine_cannot_hold_exits_2(self, tmp_path,
+                                                        steps):
+        out = tmp_path / "never.csv"
+        res = run_cli("integrate", "--problem", "harmonic", "--k", "2",
+                      "--s", "1", "--h", "0.1", "--steps", steps,
+                      "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+        assert f"n_steps={steps} " in res.stderr
+        assert res.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_diverging_newton_exits_1_naming_it(self, tmp_path):
+        out = tmp_path / "never.csv"
+        res = run_cli("integrate", "--problem", "kepler", "--k", "2", "--s",
+                      "1", "--h", "0.3", "--steps", "10", "--solver",
+                      "newton", "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr == ("integration failed: step 1 failed: Newton "
+                              "iteration diverging (residual grew over 5 "
+                              "consecutive iterations); try a smaller h\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, tmp_path, tol):
         out = tmp_path / "never.csv"
@@ -408,6 +448,18 @@ class TestOrderCommand:
         assert res.stderr.startswith("error: ")
         assert named in res.stderr
         assert res.stderr.count("\n") == 1
+        assert not out.exists()
+
+
+    def test_underflowing_step_size_exits_2_naming_it(self, tmp_path):
+        # 0.1 * 2**-1099 underflows to 0.0
+        out = tmp_path / "never.json"
+        res = run_cli("order", "--problem", "harmonic", "--k", "2", "--s", "1",
+                      "--levels", "1100", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: step sizes must be finite and "
+                              "positive, got h=0.0\n")
         assert not out.exists()
 
 

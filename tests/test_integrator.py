@@ -80,7 +80,10 @@ class TestRkStep:
         # is no longer a contraction
         kep = get_problem("kepler")
         tab = hbvm_tableau(HbvmSpec(6, 2))
-        with pytest.raises(StageConvergenceError, match="newton"):
+        with pytest.raises(StageConvergenceError,
+                           match=r"^fixed-point iteration diverging "
+                                 r"\(residual grew over 5 consecutive "
+                                 r"iterations\); try mode='newton'$"):
             rk_step(tab, kep.system, kep.default_y0, 1.0,
                     SolverConfig(tol=1e-13))
 
@@ -305,6 +308,19 @@ class TestNamedNewtonFailures:
                                      "singular"):
                 integrate(self.SINGULAR, four_y, y0, 0.5, 3, NEWTON)
 
+    def test_diverging_iteration_stops_after_5_growths(self):
+        # the Newton residual of the first Kepler step at h = 0.3 grows
+        # from the start; it used to run all max_iter iterations
+        kep = get_problem("kepler")
+        with pytest.raises(StageConvergenceError,
+                           match=r"^step 1 failed: Newton iteration "
+                                 r"diverging \(residual grew over 5 "
+                                 r"consecutive iterations\); try a smaller "
+                                 r"h$") as info:
+            integrate(HbvmSpec(2, 1), kep.system, kep.default_y0, 0.3, 10,
+                      NEWTON)
+        assert info.value.iterations <= 5
+
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     def test_non_finite_jacobian_names_its_cause(self, mode):
         # the Kepler gradient divides by |q| = 0
@@ -338,6 +354,22 @@ class TestIterationLimit:
         with pytest.raises(StageConvergenceError, match="^" + limit):
             rk_step(hbvm_tableau(spec), sext.system, sext.default_y0, 0.1,
                     cfg)
+
+    # the same step accepts after 13 fixed-point corrections, counted with
+    # the free final update as 14 iterations, and after 6 Newton corrections
+    @pytest.mark.parametrize("solver,corrections,iterations", [
+        ("fixed_point", 13, 14),
+        ("newton", 6, 6),
+    ])
+    def test_bounds_the_corrections(self, solver, corrections, iterations):
+        sext = get_problem("sextic")
+        tab = hbvm_tableau(HbvmSpec(6, 2))
+        cfg = SolverConfig(mode=solver, tol=1e-15, max_iter=corrections)
+        _, diag = rk_step(tab, sext.system, sext.default_y0, 0.1, cfg)
+        assert diag.iterations == iterations
+        with pytest.raises(StageConvergenceError, match="did not reach"):
+            rk_step(tab, sext.system, sext.default_y0, 0.1,
+                    dataclasses.replace(cfg, max_iter=corrections - 1))
 
     @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0)],
                              ids=repr)
@@ -978,6 +1010,21 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=r"^step size h=\S+ times "
                            rf"n_steps={n_steps} overflows"):
             integrate(HbvmSpec(2, 1), harm.system, harm.default_y0, h,
+                      n_steps)
+
+    def test_step_count_past_the_float_range_overflows_the_time_axis(self):
+        harm = get_problem("harmonic")
+        with pytest.raises(ValueError, match=r"^step size h=0.1 times "
+                           r"n_steps=10{400} overflows the time axis$"):
+            integrate(HbvmSpec(2, 1), harm.system, harm.default_y0, 0.1,
+                      10 ** 400)
+
+    @pytest.mark.parametrize("n_steps", [10 ** 15, 10 ** 18])
+    def test_records_that_cannot_be_allocated_name_n_steps(self, n_steps):
+        harm = get_problem("harmonic")
+        with pytest.raises(ValueError, match=r"^cannot allocate the records "
+                           rf"of n_steps={n_steps} steps: "):
+            integrate(HbvmSpec(2, 1), harm.system, harm.default_y0, 0.1,
                       n_steps)
 
     def test_argument_validation(self):

@@ -395,6 +395,21 @@ def test_spec_matrix_and_sweep_reject_a_bad_seed(seed):
             build(1, 1, seed=seed)
 
 
+@pytest.mark.parametrize("smax,kmax,named", [
+    (True, 2, "smax"), (2.5, 3, "smax"), (2, np.float64(3.0), "kmax"),
+], ids=repr)
+def test_spec_matrix_and_sweep_reject_a_bool_or_non_integer_range(smax, kmax,
+                                                                  named):
+    for build in (spec_matrix, verification_sweep):
+        with pytest.raises(ValueError,
+                           match=rf"^{named} must be an integer, got "):
+            build(smax, kmax)
+
+
+def test_spec_matrix_accepts_numpy_integer_ranges():
+    assert spec_matrix(np.int64(2), np.int32(4)) == spec_matrix(2, 4)
+
+
 def test_spec_matrix_accepts_a_numpy_integer_seed():
     assert spec_matrix(2, 4, seed=np.int64(7)) == spec_matrix(2, 4, seed=7)
 
