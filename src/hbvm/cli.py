@@ -1,17 +1,19 @@
 """Command-line surface: tableau construction, spectrum and verification
 reports, trajectory integration, order measurement, and stability scans.
 
-Every command is a thin shell over the library; machine output is JSON or
-CSV with reals written as their shortest round-trip repr.  Exit codes: 0
-success, 1 failed check or non-convergent solver, 2 bad arguments or an
-unreadable or unwritable file (nothing written).
+Every command is a thin shell over the library with one output rule: its
+machine output, JSON or CSV with reals written as their shortest
+round-trip repr, goes to --out (stdout by default), and every line meant
+for a person (summaries, failures, the order table) goes to stderr.  Exit
+codes: 0 success, 1 failed check or non-convergent solver, 2 bad arguments
+or an unreadable or unwritable file (nothing written).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
-import os
 import sys
 
 import numpy as np
@@ -44,13 +46,17 @@ from .tableau import (
 
 
 def _color(text: str, code: str) -> str:
-    if os.environ.get("HBVM_NO_COLOR") or not sys.stdout.isatty():
+    if not sys.stderr.isatty():
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
 def _ok(flag: bool) -> str:
     return _color("PASS", "32") if flag else _color("FAIL", "31")
+
+
+def _say(line: str) -> None:
+    print(line, file=sys.stderr)
 
 
 def _write(path: str, text: str) -> None:
@@ -97,9 +103,9 @@ def cmd_spectrum(args) -> int:
         "passed": passed,
     }
     _write(args.out, _dump_json(payload))
-    print(f"spectrum k={spec.k} s={spec.s} {spec.family.value}: "
-          f"{report.zero_count} zero eigenvalues, "
-          f"match distance {report.max_match_distance:.3e} {_ok(passed)}")
+    _say(f"spectrum k={spec.k} s={spec.s} {spec.family.value}: "
+         f"{report.zero_count} zero eigenvalues, "
+         f"match distance {report.max_match_distance:.3e} {_ok(passed)}")
     return 0 if passed else 1
 
 
@@ -122,9 +128,9 @@ def cmd_verify(args) -> int:
         fields = [f"{key} " + np.array2string(np.asarray(value), formatter={
                       "float": "{:.3e}".format}) for key, value in e.items()
                   if key not in ("spec", "passed") and value is not None]
-        print(f"  {e['spec']}: {_ok(False)} ({', '.join(fields)})")
-    print(f"verify: {len(entries)} specs, {len(entries) - len(failed)} "
-          f"passed, {len(failed)} failed {_ok(not failed)}")
+        _say(f"  {e['spec']}: {_ok(False)} ({', '.join(fields)})")
+    _say(f"verify: {len(entries)} specs, {len(entries) - len(failed)} "
+         f"passed, {len(failed)} failed {_ok(not failed)}")
     return 1 if failed else 0
 
 
@@ -136,15 +142,15 @@ def cmd_integrate(args) -> int:
         traj = integrate(spec, problem.system, problem.default_y0, args.h,
                          args.steps, cfg, mode=args.mode)
     except StageConvergenceError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
+        _say(f"integration failed: {exc}")
         return 1
     _write(args.out, trajectory_to_csv(traj))
     max_dev, _ = energy_drift(traj)
     h0 = abs(traj.energies[0])
     rel = max_dev / h0 if h0 > 0 else max_dev
-    print(f"integrate {problem.name} k={spec.k} s={spec.s} mode={args.mode}: "
-          f"{args.steps} steps, max |H - H0| = {max_dev:.3e} "
-          f"(relative {rel:.3e})")
+    _say(f"integrate {problem.name} k={spec.k} s={spec.s} mode={args.mode}: "
+         f"{args.steps} steps, max |H - H0| = {max_dev:.3e} "
+         f"(relative {rel:.3e})")
     return 0
 
 
@@ -152,31 +158,29 @@ def cmd_order(args) -> int:
     problem = get_problem(args.problem)
     spec = _parse_spec(args)
     cfg = _solver_config(args)
-    h_list = [math.ldexp(args.hmax, -i) for i in range(args.levels)]
+    # past 2100 halvings every finite --hmax is 0.0, which is refused
+    h_list = [math.ldexp(args.hmax, -i)
+              for i in range(min(args.levels, 2100))]
     try:
         fit = convergence_order(spec, problem, args.t_end, h_list, cfg,
                                 mode=args.mode)
     except StageConvergenceError as exc:
-        print(f"order run failed: {exc}", file=sys.stderr)
+        _say(f"order run failed: {exc}")
         return 1
-    print(f"order {problem.name} k={spec.k} s={spec.s} "
-          f"(expected {2 * spec.s}):")
-    print("  h                 error")
+    payload = {
+        "problem": problem.name,
+        "spec": {"k": spec.k, "s": spec.s, "family": spec.family.value},
+        "expected_order": 2 * spec.s,
+        **dataclasses.asdict(fit),
+    }
+    _write(args.out, _dump_json(payload))
+    _say(f"order {problem.name} k={spec.k} s={spec.s} "
+         f"(expected {2 * spec.s}):")
+    _say("  h                 error")
     for h, err in zip(fit.step_sizes, fit.errors):
-        print(f"  {h:<16.10g}  {err:.6e}")
-    print(f"  measured slope: {fit.slope:.4f}  "
-          f"({fit.n_trimmed} point(s) at rounding floor trimmed)")
-    if args.out:
-        payload = {
-            "problem": problem.name,
-            "spec": {"k": spec.k, "s": spec.s, "family": spec.family.value},
-            "expected_order": 2 * spec.s,
-            "slope": fit.slope,
-            "step_sizes": list(fit.step_sizes),
-            "errors": list(fit.errors),
-            "n_trimmed": fit.n_trimmed,
-        }
-        _write(args.out, _dump_json(payload))
+        _say(f"  {h:<16.10g}  {err:.6e}")
+    _say(f"  measured slope: {fit.slope:.4f}  "
+         f"({fit.n_trimmed} point(s) at rounding floor trimmed)")
     return 0
 
 
@@ -192,12 +196,11 @@ def cmd_stability(args) -> int:
         "poles": list(scan.poles),
     }
     passed = scan.passes(args.tol)
-    if args.out:
-        _write(args.out, _dump_json(payload))
-    print(f"stability k={spec.k} s={spec.s} {spec.family.value}: "
-          f"max ||R(iy)|-1| = {scan.imag_axis_max_deviation:.3e}, "
-          f"max |R| over left half-plane = {scan.lhp_max_modulus:.12f} "
-          f"{_ok(passed)}")
+    _write(args.out, _dump_json(payload))
+    _say(f"stability k={spec.k} s={spec.s} {spec.family.value}: "
+         f"max ||R(iy)|-1| = {scan.imag_axis_max_deviation:.3e}, "
+         f"max |R| over left half-plane = {scan.lhp_max_modulus:.12f} "
+         f"{_ok(passed)}")
     return 0 if passed else 1
 
 
@@ -226,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tableau", help="emit a tableau as JSON")
     add_spec_args(p)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_tableau)
 
     p = sub.add_parser("spectrum", help="classify a stage-matrix spectrum")
     add_spec_args(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run structural checks over the spec matrix")
@@ -242,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42,
                    help="seed for the random custom node sets")
     p.add_argument("--tableau-file", help="also check a serialised tableau")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("integrate", help="integrate a catalog problem to CSV")
@@ -253,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--mode", choices=["rk", "gamma"], default="rk")
     add_solver_args(p)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("order", help="measure the convergence order")
@@ -264,14 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=2.0 * np.pi)
     p.add_argument("--mode", choices=["rk", "gamma"], default="rk")
     add_solver_args(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("stability", help="scan the linear stability function")
     add_spec_args(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_stability)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default="-",
+                       help="file for the JSON or CSV output (default: stdout)")
 
     return parser
 
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
 
 

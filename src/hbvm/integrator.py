@@ -79,7 +79,8 @@ from typing import Callable
 import numpy as np
 
 from .legendre import _shift_matrix
-from .tableau import ButcherTableau, HbvmSpec, _hbvm_build, _is_integer
+from .tableau import (ButcherTableau, HbvmSpec, _check_tol, _hbvm_build,
+                      _is_integer)
 
 __all__ = [
     "HamiltonianSystem",
@@ -183,9 +184,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("fixed_point", "newton"):
             raise ValueError("mode must be 'fixed_point' or 'newton'")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError(f"tol must be finite and positive, "
-                             f"got tol={self.tol}")
+        _check_tol(self.tol)
         if not _is_integer(self.max_iter):
             raise ValueError(f"max_iter must be an integer, "
                              f"got {self.max_iter!r}")

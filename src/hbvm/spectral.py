@@ -24,6 +24,7 @@ from .tableau import (
     ButcherTableau,
     HbvmSpec,
     BasisMatrices,
+    _check_tol,
     _filtered_matrix,
     _hbvm_build,
     _is_integer,
@@ -64,11 +65,6 @@ def eigenvalues(M) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     return np.sort_complex(np.linalg.eigvals(M))
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got tol={tol}")
 
 
 @dataclass(frozen=True)
@@ -191,10 +187,7 @@ def _w_transform_residuals(sys: AbscissaeSystem, bm: BasisMatrices,
     except np.linalg.LinAlgError as exc:
         raise ValueError("enlarged basis matrix is singular") from exc
     E2 = np.zeros((k, k))
-    if k == s:
-        E2[:, :] = xs_matrix(s)
-    else:
-        E2[: s + 1, :s] = xhat_matrix(s)
+    E2[: s + 1, :s] = xhat_matrix(s)[:k]  # X_s itself when k == s
     res_similarity = float(np.max(np.abs(M - E2)))
     return res_gram, res_similarity
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,12 @@ def _is_integer(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, bool))
+
+
+def _check_tol(tol: float) -> None:
+    """A tolerance must be finite and positive; ValueError naming it."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got tol={tol}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import contextlib
+import csv
 import dataclasses
+import io
 import json
-import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -15,9 +18,8 @@ from hbvm.tableau import HbvmSpec, hbvm_tableau, tableau_to_json
 
 
 def run_cli(*args, cwd=None):
-    env = dict(os.environ, HBVM_NO_COLOR="1")
     return subprocess.run([sys.executable, "-m", "hbvm", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 SCIPY_PROBE = """
@@ -241,7 +243,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--smax", "1", "--kmax", "1",
                          "--tableau-file", str(tab_file),
                          "--out", str(tmp_path / "r.json")]) == 1
-        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines()
                    if "FAIL (" in ln]
         assert line.endswith("FAIL (zero_count 3, expected_zero_count 4, "
                              "max_match_distance inf)")
@@ -251,7 +253,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--smax", "1", "--kmax", "1",
                          "--tol", "1e-300", "--out", str(out)]) == 1
         (e,) = json.loads(out.read_text())
-        line = capsys.readouterr().out.splitlines()[0]
+        line = capsys.readouterr().err.splitlines()[0]
         assert line.startswith(f"  {e['spec']}: FAIL (zero_count 0, "
                                "expected_zero_count 0, max_match_distance ")
         for key in list(e)[3:-1]:
@@ -422,13 +424,13 @@ class TestOrderCommand:
         assert res.returncode == 0
         payload = json.loads(out.read_text())
         assert 3.8 <= payload["slope"] <= 4.2
-        assert "measured slope" in res.stdout
+        assert "measured slope" in res.stderr
 
     def test_harmonic_text_only(self):
         res = run_cli("order", "--problem", "harmonic", "--k", "2", "--s", "1",
                       "--hmax", "0.2")
         assert res.returncode == 0
-        assert "expected 2" in res.stdout
+        assert "expected 2" in res.stderr
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--hmax", "0", "got h=0.0"),
@@ -456,6 +458,25 @@ class TestOrderCommand:
         out = tmp_path / "never.json"
         res = run_cli("order", "--problem", "harmonic", "--k", "2", "--s", "1",
                       "--levels", "1100", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: step sizes must be finite and "
+                              "positive, got h=0.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hmax", ["0.1", "1.7976931348623157e308"])
+    def test_huge_level_count_exits_2_like_the_first_zero_level(self,
+                                                                tmp_path,
+                                                                hmax):
+        def cap_memory():  # a step list that grows with --levels fails here
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "never.json"
+        res = subprocess.run(
+            [sys.executable, "-m", "hbvm", "order", "--problem", "harmonic",
+             "--k", "2", "--s", "1", "--levels", "1000000000", "--hmax", hmax,
+             "--out", str(out)],
+            capture_output=True, text=True, preexec_fn=cap_memory)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == ("error: step sizes must be finite and "
@@ -503,12 +524,64 @@ class TestStabilityCommand:
         res = run_cli("stability", "--k", "6", "--s", "3",
                       "--family", "lobatto")
         assert res.returncode == 0
-        assert "PASS" in res.stdout
+        assert "PASS" in res.stderr
 
 
-def test_no_color_env_strips_ansi():
+OUTPUT_CASES = {
+    "tableau": (("tableau", "--k", "4", "--s", "2"), None),
+    "spectrum": (("spectrum", "--k", "4", "--s", "2"),
+                 "spectrum k=4 s=2 gauss: 2 zero eigenvalues"),
+    "verify": (("verify", "--smax", "1", "--kmax", "2"),
+               "verify: 6 specs, 6 passed, 0 failed PASS"),
+    "integrate": (("integrate", "--problem", "kepler", "--k", "4", "--s", "2",
+                   "--h", "0.1", "--steps", "3"),
+                  "integrate kepler k=4 s=2 mode=rk: 3 steps"),
+    "order": (("order", "--problem", "harmonic", "--k", "2", "--s", "1",
+               "--hmax", "0.2", "--levels", "3"), "measured slope"),
+    "stability": (("stability", "--k", "2", "--s", "1"),
+                  "stability k=2 s=1 gauss:"),
+}
+
+
+@pytest.mark.parametrize("args,summary", OUTPUT_CASES.values(),
+                         ids=OUTPUT_CASES.keys())
+def test_default_stdout_is_the_out_file_and_summaries_go_to_stderr(
+        tmp_path, args, summary):
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    if args[0] == "integrate":
+        header, *rows = csv.reader(io.StringIO(res.stdout))
+        dim = len(get_problem("kepler").default_y0)
+        assert len(header) == dim + 3 and len(rows) == 3 + 1
+        assert all(len(row) == dim + 3 for row in rows)
+        np.array(rows, dtype=float)
+    else:
+        json.loads(res.stdout)
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == res.stdout.encode()
+    if summary is None:
+        assert res.stderr == ""
+    else:
+        assert summary in res.stderr
+
+
+def test_summary_on_a_non_terminal_stderr_has_no_ansi():
     res = run_cli("stability", "--k", "1", "--s", "1")
-    assert "\x1b[" not in res.stdout
+    assert "PASS" in res.stderr
+    assert "\x1b[" not in res.stderr + res.stdout
+
+
+def test_colour_follows_stderr_alone():
+    class Terminal(io.StringIO):
+        def isatty(self):
+            return True
+
+    out, err = io.StringIO(), Terminal()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["stability", "--k", "1", "--s", "1"]) == 0
+    assert "\x1b[32mPASS\x1b[0m" in err.getvalue()
+    json.loads(out.getvalue())
 
 
 def test_missing_subcommand_exits_2():
