@@ -283,7 +283,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        _say(f"error: {exc}")
+        # str() of a KeyError is the repr of its message
+        _say(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}")
         return 2
 
 

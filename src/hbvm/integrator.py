@@ -1,9 +1,12 @@
 """Implicit Runge-Kutta stepping for Hamiltonian systems dy/dt = J grad H(y).
 
 Two equivalent formulations are provided: the full k-stage form driven by a
-Butcher tableau, and the reduced form that solves for the s expansion
-coefficients of the underlying degree-s polynomial, shrinking the nonlinear
-system from k*2m to s*2m unknowns.
+Butcher tableau, and, for an HbvmSpec, the coefficient form, whose unknowns
+are the s expansion coefficients gamma of the underlying degree-s
+polynomial.  Neither iterates on the k stages: both iterate on the same
+r x 2m unknowns u of the stage matrix's factors, which for an HBVM are
+(I_s, P_s^T Omega), so that u is gamma and r = s.  The forms differ only in
+their stopping residual and their update (see the step plan below).
 
 Every stage, Jacobian and energy evaluation goes through the system on a
 whole block of states: one `HamiltonianSystem.f` call per iteration on the
@@ -80,8 +83,8 @@ from typing import Callable
 import numpy as np
 
 from .legendre import _shift_matrix
-from .tableau import (ButcherTableau, HbvmSpec, _check_tol, _hbvm_build,
-                      _is_integer)
+from .tableau import (ButcherTableau, HbvmSpec, _check_finite,
+                      _check_integers, _check_positive, _hbvm_build)
 
 __all__ = [
     "HamiltonianSystem",
@@ -185,12 +188,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("fixed_point", "newton"):
             raise ValueError("mode must be 'fixed_point' or 'newton'")
-        _check_tol(self.tol)
-        if not _is_integer(self.max_iter):
-            raise ValueError(f"max_iter must be an integer, "
-                             f"got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("need max_iter >= 1")
+        _check_positive(self.tol, "tol")
+        _check_integers(1, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -344,9 +343,7 @@ def _check_state(sys: HamiltonianSystem, y0: np.ndarray) -> None:
     if y0.shape != (sys.dim,):
         raise ValueError(f"initial state has shape {y0.shape}, but the "
                          f"system has dim {sys.dim}")
-    bad = [f"y0[{i}] = {y0[i]}" for i in np.flatnonzero(~np.isfinite(y0))]
-    if bad:
-        raise ValueError("initial state must be finite: " + ", ".join(bad))
+    _check_finite("initial state", y0=y0)
 
 
 def _eigen_split(M: np.ndarray):
@@ -534,12 +531,8 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     first step that does not converge with a fresh matrix, marking the step
     index.
     """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step size must be finite and positive, got h={h}")
-    if not _is_integer(n_steps):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 1:
-        raise ValueError("need n_steps >= 1")
+    _check_positive(h, "h", "step size")
+    _check_integers(1, n_steps=n_steps)
     # an int past the float range is compared exactly, not converted
     if not (n_steps <= float(np.finfo(float).max)
             and math.isfinite(float(n_steps) * float(h))):
@@ -637,14 +630,10 @@ def convergence_order(method, problem, t_end: float, h_list,
     tolerance.  Errors that have hit the rounding floor are trimmed before
     the fit.
     """
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise ValueError(f"t_end must be finite and positive, "
-                         f"got t_end={t_end}")
+    _check_positive(t_end, "t_end")
     h_list = [float(h) for h in h_list]
     for h in h_list:
-        if not (h > 0.0 and math.isfinite(h)):
-            raise ValueError(f"step sizes must be finite and positive, "
-                             f"got h={h}")
+        _check_positive(h, "h", "step sizes")
     h_list = np.asarray(sorted(h_list, reverse=True))
     if h_list.size < 3:
         raise ValueError("need at least 3 step sizes")

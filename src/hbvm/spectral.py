@@ -24,7 +24,8 @@ from .tableau import (
     ButcherTableau,
     HbvmSpec,
     BasisMatrices,
-    _check_tol,
+    _check_integers,
+    _check_positive,
     _filtered_matrix,
     _hbvm_build,
     _is_integer,
@@ -86,7 +87,7 @@ class SpectrumReport:
     max_match_distance: float
 
     def passes(self, tol: float) -> bool:
-        _check_tol(tol)
+        _check_positive(tol, "tol")
         return (self.zero_count == self.k - self.s
                 and self.max_match_distance <= tol)
 
@@ -165,8 +166,6 @@ def w_transform_check(sys: AbscissaeSystem, s: int) -> tuple[float, float]:
     plain s x s similarity).  Gauss and Lobatto weights are exact for the
     basis products involved; weaker custom rules will show genuine residue.
     """
-    if not 1 <= s <= sys.k:
-        raise ValueError("need 1 <= s <= k")
     bm = basis_matrices(sys, s)
     return _w_transform_residuals(sys, bm, bm.I_s @ bm.P_s.T @ bm.Omega)
 
@@ -254,7 +253,7 @@ class StabilityScan:
 
     def passes(self, tol: float) -> bool:
         """Both statistics within tol of perfect A-stability; NaN fails."""
-        _check_tol(tol)
+        _check_positive(tol, "tol")
         return (self.imag_axis_max_deviation <= tol
                 and self.lhp_max_modulus - 1.0 <= tol)
 
@@ -308,12 +307,7 @@ def spec_matrix(smax: int, kmax: int, seed: int = 42):
     2s - 1, and three seeded random node sets once k >= 2s keeps their
     interpolatory exactness k - 1 sufficient.
     """
-    for name, value in (("smax", smax), ("kmax", kmax)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if smax < 1 or kmax < 1:
-        raise ValueError(f"need smax >= 1 and kmax >= 1, got smax={smax}, "
-                         f"kmax={kmax}")
+    _check_integers(1, smax=smax, kmax=kmax)
     if not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     specs = []
@@ -358,7 +352,7 @@ def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
     transform residuals are only evaluated for Gauss and Lobatto nodes,
     whose quadrature is exact for the basis products the identity needs.
     """
-    _check_tol(tol)
+    _check_positive(tol, "tol")
     entries = []
     for spec, used_seed in spec_matrix(smax, kmax, seed):
         # Each spec's node system, basis matrices and tableau are built

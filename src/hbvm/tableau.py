@@ -46,8 +46,8 @@ __all__ = [
 MAX_STAGES = 12
 MAX_DEGREE = 6
 
-# Numerical rank cutoff on singular values: of A in ButcherTableau.low_rank,
-# and of an HBVM's s x s product R L = X_s in its rank check.
+# Numerical rank cutoff on the singular values of A in
+# ButcherTableau.low_rank.
 RANK_SV_TOL = 1e-10
 
 
@@ -57,10 +57,33 @@ def _is_integer(value) -> bool:
             and not isinstance(value, bool))
 
 
-def _check_tol(tol: float) -> None:
-    """A tolerance must be finite and positive; ValueError naming it."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got tol={tol}")
+def _check_integers(least: int | None = None, **values) -> None:
+    """ValueError unless each value is an integer, and >= least if given."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and any(v < least for v in values.values()):
+        need = " and ".join(f"{name} >= {least}" for name in values)
+        got = ", ".join(f"{name}={value}" for name, value in values.items())
+        raise ValueError(f"need {need}" + (f", got {got}" if len(values) > 1
+                                           else ""))
+
+
+def _check_positive(value: float, name: str, what: str | None = None) -> None:
+    """ValueError unless value is finite and positive; what (default name)
+    names it."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what or name} must be finite and positive, "
+                         f"got {name}={value}")
+
+
+def _check_finite(what: str, **arrays: np.ndarray) -> None:
+    """ValueError listing every non-finite entry as name[i, ...] = value."""
+    bad = [f"{name}[{', '.join(map(str, idx))}] = {x[idx]}"
+           for name, x in arrays.items()
+           for idx in zip(*np.nonzero(~np.isfinite(x)))]
+    if bad:
+        raise ValueError(f"{what} must be finite: " + ", ".join(bad))
 
 
 @dataclass(frozen=True)
@@ -100,12 +123,7 @@ class ButcherTableau:
         k = c.size
         if A.shape != (k, k) or b.size != k:
             raise ValueError("inconsistent tableau dimensions")
-        bad = [f"{name}[{', '.join(map(str, idx))}] = {x[idx]}"
-               for name, x in (("c", c), ("A", A), ("b", b))
-               for idx in zip(*np.nonzero(~np.isfinite(x)))]
-        if bad:
-            raise ValueError("tableau entries must be finite: "
-                             + ", ".join(bad))
+        _check_finite("tableau entries", c=c, A=A, b=b)
         for name, x in (("c", c), ("A", A), ("b", b)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
@@ -144,10 +162,7 @@ class HbvmSpec:
     nodes: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("k", "s"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(k=self.k, s=self.s)
         object.__setattr__(self, "family", NodeFamily(self.family))
         if self.s < 1 or self.k < self.s:
             raise ValueError("need 1 <= s <= k")
@@ -198,18 +213,15 @@ def _require_exactness(sys: AbscissaeSystem, s: int) -> None:
 
 def _hbvm_build(spec: HbvmSpec) -> tuple[AbscissaeSystem, BasisMatrices,
                                           ButcherTableau]:
-    """Node system, basis matrices and tableau of a spec, each built once,
-    after the exactness check and with the rank check, made on the s x s
-    R L of the factors L = I_s, R = P_s^T Omega the tableau carries."""
+    """Node system, basis matrices and tableau of a spec, each built once
+    after the exactness check; the tableau carries its factors L = I_s,
+    R = P_s^T Omega as low_rank."""
     sys = abscissae(spec)
     _require_exactness(sys, spec.s)
     bm = basis_matrices(sys, spec.s)
     tab = ButcherTableau(c=sys.tau, A=bm.I_s @ bm.P_s.T @ bm.Omega,
                          b=sys.omega, s=spec.s, family=spec.family.value)
     L, R = bm.I_s, bm.P_s.T @ bm.Omega
-    rank = int(np.sum(np.linalg.svd(R @ L, compute_uv=False) > RANK_SV_TOL))
-    if rank != spec.s:
-        raise RuntimeError(f"stage matrix rank {rank} != s = {spec.s}")
     for x in (L, R):
         x.setflags(write=False)
     object.__setattr__(tab, "low_rank", (L, R))

@@ -216,6 +216,19 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    def test_tableau_file_without_s_exits_2(self, tmp_path, capsys):
+        obj = json.loads(tableau_to_json(hbvm_tableau(HbvmSpec(4, 2))))
+        obj["s"] = None
+        tab_file = tmp_path / "tab.json"
+        tab_file.write_text(json.dumps(obj))
+        out = tmp_path / "never.json"
+        assert cli.main(["verify", "--smax", "1", "--kmax", "1",
+                         "--tableau-file", str(tab_file),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: tableau file does not "
+                                           "declare s\n")
+        assert not out.exists()
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         assert cli.main(["verify", "--smax", "1", "--kmax", "1",
                          "--out", str(tmp_path)]) == 2
@@ -321,6 +334,16 @@ class TestIntegrateCommand:
         res = run_cli("integrate", "--problem", "lorenz", "--k", "2", "--s", "2",
                       "--h", "0.1", "--steps", "5", "--out", str(out))
         assert res.returncode == 2
+        assert not out.exists()
+
+    def test_unknown_problem_is_named_without_quotes(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert cli.main(["integrate", "--problem", "foo", "--k", "2",
+                         "--s", "1", "--h", "0.1", "--steps", "2",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown problem 'foo'; known: harmonic, quartic, sextic, "
+            "pendulum, henon-heiles, kepler\n")
         assert not out.exists()
 
     def test_nonconvergent_solver_exits_1(self, tmp_path):
@@ -452,6 +475,16 @@ class TestOrderCommand:
         assert res.stderr.count("\n") == 1
         assert not out.exists()
 
+
+    def test_diverging_newton_exits_1_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert cli.main(["order", "--problem", "kepler", "--k", "2",
+                         "--s", "1", "--hmax", "0.3", "--levels", "3",
+                         "--solver", "newton", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "order run failed: step 1 failed: Newton iteration diverging "
+            "(residual grew over 5 consecutive iterations); try a smaller h\n")
+        assert not out.exists()
 
     def test_underflowing_step_size_exits_2_naming_it(self, tmp_path):
         # 0.1 * 2**-1099 underflows to 0.0

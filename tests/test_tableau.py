@@ -193,7 +193,7 @@ class TestLowRank:
                     x[:] = 0.0
 
     def test_hbvm_build_takes_no_svd_larger_than_s(self, monkeypatch):
-        # the rank is checked on the s x s product R L, not on the k x k A
+        # the factors come from the construction: no SVD is taken at all
         shapes = []
         svd = np.linalg.svd
 
@@ -205,7 +205,7 @@ class TestLowRank:
         for spec, _ in spec_matrix(MAX_DEGREE, MAX_STAGES):
             shapes.clear()
             _hbvm_build(spec)
-            assert shapes == [(spec.s, spec.s)], spec
+            assert shapes == [], spec
 
     def test_json_round_trip_keeps_rank_s(self):
         # a parsed tableau has no construction factors and takes the SVD
