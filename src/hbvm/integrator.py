@@ -121,6 +121,7 @@ class StageConvergenceError(RuntimeError):
 
 def canonical_symplectic_matrix(dim: int) -> np.ndarray:
     """The 2m x 2m block matrix [[0, I], [-I, 0]] (coordinates first)."""
+    _check_integers(dim=dim)
     if dim % 2:
         raise ValueError("state dimension must be even")
     m = dim // 2
@@ -148,6 +149,7 @@ class HamiltonianSystem:
     vectorized: bool = False
 
     def __post_init__(self):
+        _check_integers(dim=self.dim)
         J = canonical_symplectic_matrix(self.dim) if self.J is None \
             else np.array(self.J, dtype=float)
         if J.shape != (self.dim, self.dim):

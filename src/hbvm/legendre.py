@@ -8,7 +8,7 @@ checks) reads each node system's cached basis table
 basis_values and basis_integrals evaluate at arbitrary points.  Gauss and
 Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
 custom interpolatory weights and collocation matrices are solved in the
-same basis.
+same basis.  Every family's systems are built once per node set and shared.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def _shift_matrix(sys: AbscissaeSystem, s: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Node systems.  Gauss and Lobatto rules are computed on [-1, 1] from the
 # eigenvalues of symmetric Jacobi matrices (Golub-Welsch), then mapped to
-# [0, 1].  A system is immutable, so each rule is built once per k and
-# shared, with its basis table.
+# [0, 1].  A system is immutable, so each rule is built once per node set
+# (per k for Gauss and Lobatto) and shared, with its basis table.
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,13 +197,17 @@ def lobatto_system(k: int) -> AbscissaeSystem:
 
 
 def custom_system(nodes) -> AbscissaeSystem:
-    """Wrap user-supplied nodes in (0, 1] with interpolatory weights, solved
-    on the first k columns of the system's basis table."""
-    tau = np.sort(np.asarray(nodes, dtype=float))
-    omega, P = _interpolatory(tau, 2 * tau.size + 3)
-    system = AbscissaeSystem(tau, omega, NodeFamily.CUSTOM)
-    object.__setattr__(system, "basis", P)
-    return system
+    """User-supplied nodes in (0, 1], in any order, with interpolatory
+    weights: one system per node set, built once and shared."""
+    tau = np.asarray(nodes, dtype=float)
+    if tau.ndim != 1:
+        raise ValueError(f"nodes must be a 1-d list, got {tau.ndim}-d")
+    return _custom_system(tuple(np.sort(tau).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _custom_system(tau: tuple[float, ...]) -> AbscissaeSystem:
+    return AbscissaeSystem(tau, interpolatory_weights(tau), NodeFamily.CUSTOM)
 
 
 def random_custom_system(k: int, seed: int) -> AbscissaeSystem:
@@ -226,24 +230,17 @@ def _random_nodes(k: int, seed: int) -> np.ndarray:
 
 def interpolatory_weights(tau) -> np.ndarray:
     """Weights exact for degree k-1 at k nodes: the solution of
-    P_k^T omega = e_1, since only the first basis polynomial has a nonzero
-    mean on [0, 1]."""
+    P_k^T omega = e_1 on the k-column basis table, since only the first
+    basis polynomial has a nonzero mean on [0, 1]."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    return _interpolatory(tau, tau.size)[0]
-
-
-def _interpolatory(tau: np.ndarray, n: int):
-    """(weights, P) at user-supplied nodes: P the read-only table of the
-    first n >= k basis polynomials, the weights solved on its first k."""
+    if tau.size == 0:
+        raise ValueError("need at least one node")
     if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise ValueError("nodes must be finite and lie in [0, 1]")
     if np.unique(tau).size != tau.size:
         raise ValueError("nodes must be pairwise distinct")
-    P = _recurrence_values(tau, n)
-    P.setflags(write=False)
-    e1 = np.zeros(tau.size)
-    e1[0] = 1.0
-    return np.linalg.solve(P[:, :tau.size].T, e1), P
+    return np.linalg.solve(_recurrence_values(tau, tau.size).T,
+                           np.eye(1, tau.size)[0])
 
 
 def exactness_degree(sys: AbscissaeSystem, tol: float = 1e-9) -> int:

@@ -188,8 +188,8 @@ def abscissae(spec: HbvmSpec) -> AbscissaeSystem:
 def basis_matrices(sys: AbscissaeSystem, s: int) -> BasisMatrices:
     """Evaluate the basis and its antiderivatives on the node system,
     from its cached basis table."""
-    if not 1 <= s <= sys.k:
-        raise ValueError("need 1 <= s <= k")
+    if not (_is_integer(s) and 1 <= s <= sys.k):
+        raise ValueError(f"need 1 <= s <= k for an integer s, got s={s!r}, k={sys.k}")
     P = sys.basis
     return BasisMatrices(P_s=P[:, :s], P_s1=P[:, :s + 1], I_s=_integrals(P, s),
                          Omega=np.diag(sys.omega))
@@ -277,8 +277,8 @@ def xhat_matrix(s: int) -> np.ndarray:
 def xtilde_matrix(s: int) -> np.ndarray:
     """xhat_matrix with an appended zero column, (s+1) x (s+1): 1/2 at
     (0, 0), xi(j) at (j, j-1) for j <= s and -xi(j) at (j-1, j) for j < s."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    if not (_is_integer(s) and s >= 1):
+        raise ValueError(f"s must be >= 1 and an integer, got s={s!r}")
     X = np.zeros((s + 1, s + 1))
     X[0, 0] = 0.5
     for j in range(1, s):

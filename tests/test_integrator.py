@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -1281,6 +1282,18 @@ def test_solver_config_validation():
 def test_hamiltonian_system_rejects_bad_structure(dim, J, cause):
     with pytest.raises(ValueError, match=cause):
         HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y, J=J)
+
+
+@pytest.mark.parametrize("dim", [2.0, True, np.float64(4.0), None], ids=repr)
+def test_state_dimension_must_be_an_integer(dim):
+    # a float dim was accepted, and integrate then failed inside numpy
+    cause = rf"^dim must be an integer, got {re.escape(repr(dim))}$"
+    with pytest.raises(ValueError, match=cause):
+        canonical_symplectic_matrix(dim)
+    for J in (None, np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=cause):
+            HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y,
+                              J=J)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-13])

@@ -184,10 +184,18 @@ class TestInterpolatoryWeights:
         with pytest.raises(ValueError):
             interpolatory_weights([0.3, 0.3, 0.8])
 
-    def test_custom_system_runs_the_recurrence_once(self, monkeypatch):
-        # the weights are solved on the first k columns of the basis table
-        tau = (0.1, 0.35, 0.6, 0.9)
-        weights = interpolatory_weights(tau)
+    def test_rejects_an_empty_node_list(self):
+        for build in (interpolatory_weights, custom_system):
+            with pytest.raises(ValueError, match="need at least one node"):
+                build([])
+
+    def test_custom_system_is_built_once_per_node_set(self, monkeypatch):
+        # the weights are solved on a k-column table; the system's own
+        # (k, 2k + 3) table is built on first use, as for every family
+        tau = (0.9, 0.1, 0.6, 0.35)
+        weights = interpolatory_weights(sorted(tau))
+        values = basis_values(sorted(tau), 11)
+        legendre._custom_system.cache_clear()
         calls = []
         recurrence = legendre._recurrence_values
 
@@ -197,9 +205,24 @@ class TestInterpolatoryWeights:
 
         monkeypatch.setattr(legendre, "_recurrence_values", counting)
         sys = custom_system(tau)
+        assert calls == [4]
         assert sys.basis.shape == (4, 11)
-        assert calls == [11]
+        assert calls == [4, 11]
+        assert custom_system(list(reversed(tau))) is sys
+        assert custom_system(np.sort(tau)) is sys
+        assert calls == [4, 11]
         assert sys.omega.tobytes() == weights.tobytes()
+        assert sys.basis.tobytes() == values.tobytes()
+        assert legendre._custom_system.cache_info()[:2] == (2, 1)
+
+    @pytest.mark.parametrize("nodes,cause", [
+        ([[0.2, 0.8]], "1-d"),
+        (0.5, "1-d"),
+        ((0.2, 0.8, 0.2), "pairwise distinct"),
+    ], ids=["2-d", "scalar", "repeated"])
+    def test_custom_system_rejects_bad_node_lists(self, nodes, cause):
+        with pytest.raises(ValueError, match=cause):
+            custom_system(nodes)
 
 
 class TestExactnessDegree:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hbvm import legendre, tableau
 from hbvm.legendre import (
     NodeFamily,
     gauss_system,
@@ -150,6 +151,14 @@ class TestIsospectral:
             assert rep.zero_count == spec.k - spec.s, spec
             assert rep.max_match_distance <= 1e-10, spec
 
+    @pytest.mark.parametrize("s", [True, 2.0], ids=repr)
+    def test_rejects_a_bool_or_non_integer_degree(self, s):
+        # True once paired the spectrum with a wrong (1, 1) reference
+        A = hbvm_tableau(HbvmSpec(4, 2)).A
+        with pytest.raises(ValueError,
+                           match=rf"^s must be >= 1 and an integer, got s={s!r}$"):
+            classify_spectrum(A, s)
+
     def test_mismatch_is_reported_not_hidden(self):
         tab = hbvm_tableau(HbvmSpec(6, 2))
         A = tab.A.copy()
@@ -192,6 +201,12 @@ class TestWTransform:
     @pytest.mark.parametrize("s", [0, 4])
     def test_rejects_s_outside_1_to_k(self, s):
         with pytest.raises(ValueError, match="need 1 <= s <= k"):
+            w_transform_check(gauss_system(3), s)
+
+    @pytest.mark.parametrize("s", [1.5, True], ids=repr)
+    def test_rejects_a_bool_or_non_integer_degree(self, s):
+        with pytest.raises(ValueError, match=r"^need 1 <= s <= k for an "
+                           rf"integer s, got s={s!r}, k=3$"):
             w_transform_check(gauss_system(3), s)
 
 
@@ -412,6 +427,24 @@ def test_spec_matrix_accepts_numpy_integer_ranges():
 
 def test_spec_matrix_accepts_a_numpy_integer_seed():
     assert spec_matrix(2, 4, seed=np.int64(7)) == spec_matrix(2, 4, seed=7)
+
+
+def test_verification_sweep_builds_each_custom_node_set_once(monkeypatch):
+    # each (k, seed) node set serves every degree s <= k / 2
+    for build in (gauss_system, lobatto_system, legendre._custom_system):
+        build.cache_clear()
+    calls = []
+
+    def counting(nodes):
+        calls.append(nodes)
+        return legendre.custom_system(nodes)
+
+    monkeypatch.setattr(tableau, "custom_system", counting)
+    verification_sweep(4, 10)
+    assert len(calls) == 72
+    assert len(set(calls)) == 27
+    info = legendre._custom_system.cache_info()
+    assert (info.misses, info.hits) == (27, 45)
 
 
 def test_verification_sweep_covers_whole_envelope():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -79,6 +80,13 @@ class TestBasisMatrices:
     def test_rejects_s_above_k(self):
         with pytest.raises(ValueError):
             basis_matrices(gauss_system(2), 3)
+
+    @pytest.mark.parametrize("s", [2.0, True, np.float64(2.0)], ids=repr)
+    def test_rejects_a_bool_or_non_integer_degree(self, s):
+        for build in (basis_matrices, filtered_tableau):
+            with pytest.raises(ValueError, match=r"^need 1 <= s <= k for an "
+                               rf"integer s, got s={re.escape(repr(s))}, k=3$"):
+                build(gauss_system(3), s)
 
 
 class TestHbvmTableau:
@@ -348,6 +356,15 @@ class TestStructuralMatrices:
         for build in (xs_matrix, xhat_matrix, xtilde_matrix):
             with pytest.raises(ValueError, match="s must be >= 1"):
                 build(0)
+
+    @pytest.mark.parametrize("s", [True, 2.0, None], ids=repr)
+    def test_reject_a_bool_or_non_integer_s(self, s):
+        # xtilde_matrix(True) once built a wrong (2, 2) matrix
+        for build in (xs_matrix, xhat_matrix, xtilde_matrix):
+            with pytest.raises(ValueError,
+                               match=rf"^s must be >= 1 and an integer, "
+                               rf"got s={s!r}$"):
+                build(s)
 
     def test_xtilde_is_bit_identical_to_golden(self):
         # SHA-256 of the little-endian float64 bytes of xtilde_matrix(1..6),
