@@ -28,6 +28,18 @@ I - h M (x) Jf with M = R L, r*2m square.  The loop names why it stops:
 non-finite stage values, a residual that grew over 5 consecutive
 iterations (either solver), or max_iter corrections short of tol.
 
+An iteration is one f call on the stages y0 + h L u, the product
+G = R f(Y), the change E = G - u, formed once and shared by the stopping
+residual and Newton's correction, and, in the full-stage form, the product
+L E.  For the catalog problems these blocks hold at most 12 x 4 numbers,
+so the interpreter's dispatch costs more than their arithmetic: every
+product on the path (h L u, R F, L E, grad H J^T, the Newton inverse
+times E, the warm-start shift, b^T F) is one `np.dot`, a direct BLAS
+call, and every max-norm is one `np.maximum.reduce(np.abs(x), axis=None)`,
+which skips ndarray.max's Python wrapper.  The latter is the reduction
+`.max()` runs, and on these contiguous float blocks `np.dot` and `@` give
+bit-identical results.
+
 `integrate` builds a step plan once per run: h L, R, M = R L, the stopping
 residual and the update, which alone tell the forms apart (the change in Y
 and y0 + h b^T f(Y) in the full-stage form, the change in u and
@@ -121,7 +133,7 @@ class StageConvergenceError(RuntimeError):
 
 def canonical_symplectic_matrix(dim: int) -> np.ndarray:
     """The 2m x 2m block matrix [[0, I], [-I, 0]] (coordinates first)."""
-    _check_integers(dim=dim)
+    _check_integers(2, dim=dim)
     if dim % 2:
         raise ValueError("state dimension must be even")
     m = dim // 2
@@ -149,7 +161,7 @@ class HamiltonianSystem:
     vectorized: bool = False
 
     def __post_init__(self):
-        _check_integers(dim=self.dim)
+        _check_integers(2, dim=self.dim)
         J = canonical_symplectic_matrix(self.dim) if self.J is None \
             else np.array(self.J, dtype=float)
         if J.shape != (self.dim, self.dim):
@@ -166,7 +178,7 @@ class HamiltonianSystem:
             g = self.grad_H(y)
         else:
             g = np.array([self.grad_H(row) for row in y])
-        return g @ self.J.T
+        return np.dot(g, self.J.T)
 
     def energies(self, Y: np.ndarray) -> np.ndarray:
         """H at each row of an (n, dim) block of states."""
@@ -279,24 +291,25 @@ def lu_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lu_solve(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with an inverse from `lu_factor`.  b is not checked: the stage
-    solvers pass only residuals already checked finite."""
-    return inverse @ b
+    """Solve with an inverse from `lu_factor`, as one `np.dot`, a direct
+    BLAS matrix-vector product.  b is not checked: the stage solvers pass
+    only residuals already checked finite."""
+    return np.dot(inverse, b)
 
 
 def _iterate(residual_map, U, correct, cfg: SolverConfig, name: str,
              advice: str):
     """The stage iteration of both solvers, where residual_map(U) returns
-    G(U) and the residual of U: accept U once its residual meets tol, else
-    apply U <- correct(U, G(U)).  Fails, naming the cause, at once on a
-    non-finite residual, after 5 consecutive residual growths, or after
-    max_iter corrections.  Returns (U, G(U), corrections, residual, final
+    G(U), the change E = G(U) - U and the residual of U: accept U once its
+    residual meets tol, else apply U <- correct(U, G(U), E).  Fails, naming
+    the cause, at once on a non-finite residual, after 5 consecutive
+    residual growths, or after max_iter corrections.  Returns (U, G(U), corrections, residual, final
     residual ratio); overflow is left to the non-finite check rather than
     warned about."""
     last, growth = math.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.max_iter + 1):
-            G, res = residual_map(U)
+            G, E, res = residual_map(U)
             if not math.isfinite(res):
                 raise StageConvergenceError(
                     f"stage values are non-finite after {it} iterations",
@@ -309,7 +322,7 @@ def _iterate(residual_map, U, correct, cfg: SolverConfig, name: str,
                     f"{name} iteration diverging (residual grew over 5 "
                     f"consecutive iterations); {advice}",
                     residual=res, iterations=it)
-            U, last = correct(U, G), res
+            U, last = correct(U, G, E), res
     raise StageConvergenceError(
         f"{name} iteration did not reach tol={cfg.tol} in "
         f"{cfg.max_iter} iterations", residual=last, iterations=cfg.max_iter)
@@ -319,8 +332,8 @@ def _fixed_point(residual_map, U0, cfg: SolverConfig):
     """Fixed-point iteration U <- G(U); returns (G(U), iterations,
     residual, final residual ratio) of the accepted U, whose free update
     G(U) counts as one more iteration."""
-    _, G, it, res, ratio = _iterate(residual_map, U0, lambda U, G: G, cfg,
-                                    "fixed-point", "try mode='newton'")
+    _, G, it, res, ratio = _iterate(residual_map, U0, lambda U, G, E: G,
+                                    cfg, "fixed-point", "try mode='newton'")
     return G, it + 1, res, ratio
 
 
@@ -328,8 +341,8 @@ def _simplified_newton(residual_map, U0, inverse, cfg: SolverConfig):
     """Newton iteration U <- U + inverse (G(U) - U), with the inverse of a
     frozen iteration matrix from `_newton_correction`; returns (U,
     iterations, residual, final residual ratio)."""
-    def correct(U, G):
-        return U + lu_solve(inverse, (G - U).reshape(-1)).reshape(U.shape)
+    def correct(U, G, E):
+        return U + lu_solve(inverse, E.reshape(-1)).reshape(U.shape)
 
     U, _, it, res, ratio = _iterate(residual_map, U0, correct, cfg, "Newton",
                                     "try a smaller h")
@@ -414,10 +427,13 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
         raise TypeError("gamma mode requires an HbvmSpec")
     L, R = method.low_rank
     b = method.b
+    # bound once for the residual, which runs every iteration; ndarray.max
+    # would add a Python frame to each call
+    dot, amax, habs = np.dot, np.maximum.reduce, abs(h)
 
     if mode == "gamma":
         def residual(E):
-            return float(np.abs(E).max())
+            return float(amax(np.abs(E), axis=None))
 
         def update(y0, u, Y, F):
             return y0 + h * u[0]
@@ -425,10 +441,10 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
         def residual(E):
             # |h| max |L E| is max |h L E| exactly: rounding is monotone and
             # symmetric in sign
-            return abs(h) * float(np.abs(L @ E).max())
+            return habs * float(amax(np.abs(dot(L, E)), axis=None))
 
         def update(y0, u, Y, F):
-            return y0 + h * (b @ (sys.f(Y) if F is None else F))
+            return y0 + h * dot(b, sys.f(Y) if F is None else F)
 
     M = R @ L
     split = _eigen_split(M) if cfg.mode == "newton" else None
@@ -456,15 +472,16 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
     (y1, u, stages, diagnostics) with stages = y0 + h L u.  Newton iterates
     with the given inverse or a fresh one built at y0; u = gamma for an
     HBVM tableau, in either form."""
-    sys, hL, R, cfg = plan.sys, plan.hL, plan.R, plan.cfg
-    residual = plan.residual
+    f, hL, R, cfg = plan.sys.f, plan.hL, plan.R, plan.cfg
+    residual, dot = plan.residual, np.dot
     u_seen = F_seen = None  # the last u whose stages f was evaluated at
 
     def residual_map(u):
         nonlocal u_seen, F_seen
-        u_seen, F_seen = u, sys.f(y0 + hL @ u)
-        G = R @ F_seen
-        return G, residual(G - u)
+        u_seen, F_seen = u, f(y0 + dot(hL, u))
+        G = dot(R, F_seen)
+        E = G - u
+        return G, E, residual(E)
 
     if cfg.mode == "fixed_point":
         u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
@@ -473,7 +490,7 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
             inverse = _newton_correction(plan, y0)
         u, iters, res, ratio = _simplified_newton(residual_map, u0,
                                                   inverse, cfg)
-    Y = y0 + hL @ u
+    Y = y0 + dot(hL, u)
     # Newton returns the u whose stages it last evaluated, so f(Y) is
     # known; fixed point returns G(u), whose stages were never evaluated
     F = F_seen if u_seen is u else None
@@ -587,7 +604,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
         states[n + 1] = y
         iters[n + 1] = diag.iterations
         if plan.shift is not None:
-            guess = plan.shift @ u
+            guess = np.dot(plan.shift, u)
         if newton:
             if jacs[n + 1]:
                 fresh_iters, extra = diag.iterations, 0

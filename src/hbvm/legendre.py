@@ -199,10 +199,15 @@ def lobatto_system(k: int) -> AbscissaeSystem:
 def custom_system(nodes) -> AbscissaeSystem:
     """User-supplied nodes in (0, 1], in any order, with interpolatory
     weights: one system per node set, built once and shared."""
+    return _custom_system(tuple(np.sort(_node_array(nodes)).tolist()))
+
+
+def _node_array(nodes) -> np.ndarray:
+    """A node list as a float array; ValueError unless it is 1-d."""
     tau = np.asarray(nodes, dtype=float)
     if tau.ndim != 1:
         raise ValueError(f"nodes must be a 1-d list, got {tau.ndim}-d")
-    return _custom_system(tuple(np.sort(tau).tolist()))
+    return tau
 
 
 @functools.lru_cache(maxsize=64)
@@ -232,7 +237,7 @@ def interpolatory_weights(tau) -> np.ndarray:
     """Weights exact for degree k-1 at k nodes: the solution of
     P_k^T omega = e_1 on the k-column basis table, since only the first
     basis polynomial has a nonzero mean on [0, 1]."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    tau = _node_array(tau)
     if tau.size == 0:
         raise ValueError("need at least one node")
     if not np.all((tau >= 0.0) & (tau <= 1.0)):

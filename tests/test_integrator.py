@@ -675,6 +675,13 @@ class TestWarmStart:
         assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
         assert traj.iteration_counts.sum() == 1830
 
+    def test_sextic_fixed_point_counts_at_tol_1e_15(self):
+        # the configuration of the sextic-fixed benchmark workload
+        sext = get_problem("sextic")
+        traj = integrate(HbvmSpec(6, 2), sext.system, sext.default_y0, 0.1,
+                         1000, SolverConfig(tol=1e-15))
+        assert traj.iteration_counts.sum() == 10053
+
     def test_full_stage_kepler_newton_counts(self):
         # full-stage Newton on an HbvmSpec: one matrix for the whole run
         kep = get_problem("kepler")
@@ -792,6 +799,36 @@ class TestBatchedVectorField:
             _, _, diag = gamma_step(spec, system, kep.default_y0, 0.05, cfg)
         assert diag.iterations == iters
         assert len(calls) == iters + extra
+
+    # over a whole run: every iteration evaluates the stages once; the rk
+    # fixed-point update evaluates them once more, and Newton evaluates the
+    # residual that met tol once per step and its Jacobian's block once per
+    # fresh matrix
+    @pytest.mark.parametrize("mode,cfg,calls", [
+        ("rk", SolverConfig(), 310),
+        ("gamma", SolverConfig(), 292),
+        ("rk", SolverConfig(mode="newton"), 224),
+        ("gamma", SolverConfig(mode="newton"), 245),
+    ], ids=["rk-fixed", "gamma-fixed", "rk-newton", "gamma-newton"])
+    def test_grad_H_calls_over_a_run(self, mode, cfg, calls):
+        kep = get_problem("kepler")
+        counted = []
+
+        def grad_H(y):
+            counted.append(y.shape)
+            return kep.system.grad_H(y)
+
+        system = dataclasses.replace(kep.system, grad_H=grad_H)
+        n_steps = 50
+        traj = integrate(HbvmSpec(12, 4), system, kep.default_y0, 0.05,
+                         n_steps, cfg, mode=mode)
+        assert traj.jacobian_counts.max() <= 1  # no step was retried
+        expect = traj.iteration_counts.sum()
+        if cfg.mode == "newton":
+            expect += n_steps + np.count_nonzero(traj.jacobian_counts)
+        elif mode == "rk":
+            expect += n_steps
+        assert len(counted) == expect == calls
 
     def test_non_canonical_structure_matrix(self):
         harm = get_problem("harmonic").system
@@ -1294,6 +1331,15 @@ def test_state_dimension_must_be_an_integer(dim):
         with pytest.raises(ValueError, match=cause):
             HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y,
                               J=J)
+
+
+@pytest.mark.parametrize("dim", [0, -2, 1])
+def test_state_dimension_must_be_at_least_2(dim):
+    # dim 0 was accepted with a 0 x 0 J, and a negative dim failed in numpy
+    with pytest.raises(ValueError, match=r"^need dim >= 2$"):
+        canonical_symplectic_matrix(dim)
+    with pytest.raises(ValueError, match=r"^need dim >= 2$"):
+        HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-13])

@@ -189,6 +189,15 @@ class TestInterpolatoryWeights:
             with pytest.raises(ValueError, match="need at least one node"):
                 build([])
 
+    @pytest.mark.parametrize("nodes,ndim", [([[0.2, 0.8]], 2), (0.5, 0)],
+                             ids=["2-d", "scalar"])
+    def test_rejects_a_node_list_that_is_not_1d(self, nodes, ndim):
+        # a 2-d list gave the weights of its flattened nodes
+        for build in (interpolatory_weights, custom_system):
+            with pytest.raises(ValueError, match=rf"^nodes must be a 1-d "
+                                                 rf"list, got {ndim}-d$"):
+                build(nodes)
+
     def test_custom_system_is_built_once_per_node_set(self, monkeypatch):
         # the weights are solved on a k-column table; the system's own
         # (k, 2k + 3) table is built on first use, as for every family
