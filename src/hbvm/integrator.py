@@ -50,12 +50,12 @@ no iteration evaluated.  For an HbvmSpec the plan holds
 the s x s shift S = P_s^T Omega V, with V[l, j] the j-th basis polynomial
 at 1 + c_l, that starts each step from the previous step's polynomial
 carried one step ahead; it is exact because the nodes integrate degree
-2s - 1.  The first step starts from u = 0, as does every `rk_step`,
-`gamma_step` and run of a bare ButcherTableau, which carries no polynomial.
+2s - 1.  The first step starts from u = 0, as does every step of a bare
+ButcherTableau, which carries no polynomial.
 
 The converged stages do not depend on which matrix Newton iterates with, so
-`integrate` keeps the Jacobian and the factored matrix from one step to the
-next and builds a fresh pair only when
+a run keeps the Jacobian and the factored matrix from one step to the next
+and builds a fresh pair only when
   (a) the iterations spent beyond those of the step that built the matrix,
       at k f-evaluations each, reach the dim + 1 f-evaluations of a
       one-sided finite-difference Jacobian;
@@ -63,7 +63,8 @@ next and builds a fresh pair only when
   (c) a step fails with the kept matrix: it is retried once from the same
       state and the same starting guess with a fresh one, and only a
       failure with a fresh matrix propagates.
-A single `rk_step` or `gamma_step` always builds a fresh matrix.
+One generator (`_steps`) alone chooses each step's starting guess and
+Newton matrix, and a single `rk_step` or `gamma_step` is step 1 of a run.
 
 The Newton matrix is inverted once, when it is built, and each
 correction is one matrix-vector product with that inverse (`lu_solve`):
@@ -94,9 +95,9 @@ from typing import Callable
 
 import numpy as np
 
-from .legendre import _shift_matrix
-from .tableau import (ButcherTableau, HbvmSpec, _check_finite,
-                      _check_integers, _check_positive, _hbvm_build)
+from .legendre import (_check_finite, _check_integers, _check_positive,
+                       _shift_matrix)
+from .tableau import ButcherTableau, HbvmSpec, _hbvm_build
 
 __all__ = [
     "HamiltonianSystem",
@@ -406,10 +407,6 @@ class _StepPlan:
     shift: np.ndarray | None = None
     split: tuple | None = None
 
-    def cold(self) -> np.ndarray:
-        """The starting guess u = 0."""
-        return np.zeros((self.R.shape[0], self.sys.dim))
-
 
 def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
               mode: str) -> _StepPlan:
@@ -470,8 +467,7 @@ def _newton_correction(plan: _StepPlan, y0):
 def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
     """One step of a plan from y0, iterating on u from u0; returns
     (y1, u, stages, diagnostics) with stages = y0 + h L u.  Newton iterates
-    with the given inverse or a fresh one built at y0; u = gamma for an
-    HBVM tableau, in either form."""
+    with the given inverse; u = gamma for an HBVM tableau, in either form."""
     f, hL, R, cfg = plan.sys.f, plan.hL, plan.R, plan.cfg
     residual, dot = plan.residual, np.dot
     u_seen = F_seen = None  # the last u whose stages f was evaluated at
@@ -486,8 +482,6 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
     if cfg.mode == "fixed_point":
         u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
     else:
-        if inverse is None:
-            inverse = _newton_correction(plan, y0)
         u, iters, res, ratio = _simplified_newton(residual_map, u0,
                                                   inverse, cfg)
     Y = y0 + dot(hL, u)
@@ -498,15 +492,51 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
         iterations=iters, residual=res, contraction=ratio)
 
 
+def _steps(plan: _StepPlan, y):
+    """The steps of a run from y, without end: yields (y1, u, stages,
+    diagnostics, jacobian_count) per step, the count as in
+    `Trajectory.jacobian_counts`.  Each step starts from u = 0, or from the
+    shifted previous u, and Newton's matrix is kept, fresh or retried
+    under rules (a)-(c) of the module docstring."""
+    newton = plan.cfg.mode == "newton"
+    # rule (a) charges k f-evaluations per extra iteration against the
+    # dim + 1 of a one-sided finite-difference Jacobian
+    k, jacobian_cost = plan.hL.shape[0], y.size + 1
+    inverse, refresh = None, newton
+    fresh_iters = extra = 0
+    guess = np.zeros((plan.R.shape[0], y.size))
+    while True:
+        jacobians = 0
+        if refresh:
+            inverse, jacobians = _newton_correction(plan, y), 1
+        try:
+            y, u, Y, diag = _gamma_step_matrices(plan, y, guess, inverse)
+        except StageConvergenceError:
+            if not newton or jacobians:
+                raise
+            inverse, jacobians = _newton_correction(plan, y), 2
+            y, u, Y, diag = _gamma_step_matrices(plan, y, guess, inverse)
+        yield y, u, Y, diag, jacobians
+        if plan.shift is not None:
+            guess = np.dot(plan.shift, u)
+        if newton:
+            if jacobians:
+                fresh_iters, extra = diag.iterations, 0
+            else:
+                extra += max(0, diag.iterations - fresh_iters)
+            refresh = (k * extra >= jacobian_cost
+                       or diag.contraction > REFRESH_CONTRACTION)
+
+
 def _single_step(method, sys: HamiltonianSystem, y0, h: float,
                  cfg: SolverConfig | None, mode: str):
-    """One cold-started step of `rk_step` or `gamma_step`, its arguments
+    """Step 1 of a run, for `rk_step` and `gamma_step`, its arguments
     checked before the plan is built."""
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
     _check_step_size(h)
     plan = _run_plan(method, sys, h, cfg or SolverConfig(), mode)
-    return _gamma_step_matrices(plan, y0, plan.cold(), None)
+    return next(_steps(plan, y0))
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
@@ -521,7 +551,7 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     positive; the sign is not enforced so that reversibility experiments
     can step back.  Newton iterates with a fresh matrix built at y0.
     """
-    y1, _, _, diag = _single_step(tab, sys, y0, h, cfg, "rk")
+    y1, _, _, diag, _ = _single_step(tab, sys, y0, h, cfg, "rk")
     return y1, diag
 
 
@@ -535,7 +565,7 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     y1 = y0 + h * gamma_1 because only the constant basis polynomial has
     nonzero mean.
     """
-    y1, gamma, Y, diag = _single_step(spec, sys, y0, h, cfg, "gamma")
+    y1, gamma, Y, diag, _ = _single_step(spec, sys, y0, h, cfg, "gamma")
     return y1, GammaState(gamma=gamma, stage_values=Y), diag
 
 
@@ -544,11 +574,11 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     """March n_steps of size h > 0, recording states and energy per step.
 
     method is a ButcherTableau (mode 'rk') or an HbvmSpec (either mode).
-    The step plan is built once; an HbvmSpec starts each step after the
-    first from the previous step's polynomial.  Newton keeps its matrix
-    across steps under the rules in the module docstring.  Fails on the
-    first step that does not converge with a fresh matrix, marking the step
-    index.
+    The step plan is built once and stepped through `_steps`, which starts
+    each step as the module docstring says: an HbvmSpec from the previous
+    step's polynomial, Newton with a kept matrix where the rules allow.
+    Fails on the first step that does not converge with a fresh matrix,
+    marking the step index.
     """
     _check_positive(h, "h", "step size")
     _check_integers(1, n_steps=n_steps)
@@ -572,46 +602,15 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
         raise ValueError(f"cannot allocate the records of "
                          f"n_steps={n_steps} steps: {exc}") from exc
     states[0] = y0
-    y = y0
-    newton = cfg.mode == "newton"
-    # f-evaluations a one-sided finite-difference Jacobian costs (dim + 1);
-    # extra iterations of k f-evaluations each are charged against it
-    # (rule a).
-    k = plan.hL.shape[0]
-    jacobian_cost = y0.size + 1
-    inverse, refresh = None, newton
-    fresh_iters = extra = 0
-    guess = plan.cold()
-    for n in range(n_steps):
+    steps = _steps(plan, y0)
+    for n in range(1, n_steps + 1):
         try:
-            if refresh:
-                inverse = _newton_correction(plan, y)
-                jacs[n + 1] = 1
-            try:
-                y, u, _, diag = _gamma_step_matrices(plan, y, guess,
-                                                     inverse)
-            except StageConvergenceError:
-                if not newton or jacs[n + 1]:
-                    raise
-                inverse = _newton_correction(plan, y)
-                jacs[n + 1] = 2
-                y, u, _, diag = _gamma_step_matrices(plan, y, guess,
-                                                     inverse)
+            states[n], _, _, diag, jacs[n] = next(steps)
         except StageConvergenceError as exc:
             raise StageConvergenceError(
-                f"step {n + 1} failed: {exc}", residual=exc.residual,
+                f"step {n} failed: {exc}", residual=exc.residual,
                 iterations=exc.iterations) from exc
-        states[n + 1] = y
-        iters[n + 1] = diag.iterations
-        if plan.shift is not None:
-            guess = np.dot(plan.shift, u)
-        if newton:
-            if jacs[n + 1]:
-                fresh_iters, extra = diag.iterations, 0
-            else:
-                extra += max(0, diag.iterations - fresh_iters)
-            refresh = (k * extra >= jacobian_cost
-                       or diag.contraction > REFRESH_CONTRACTION)
+        iters[n] = diag.iterations
     return Trajectory(times=np.arange(n_steps + 1) * h, states=states,
                       energies=sys.energies(states),
                       iteration_counts=iters, jacobian_counts=jacs)

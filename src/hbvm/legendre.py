@@ -9,6 +9,8 @@ basis_values and basis_integrals evaluate at arbitrary points.  Gauss and
 Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
 custom interpolatory weights and collocation matrices are solved in the
 same basis.  Every family's systems are built once per node set and shared.
+The argument checks every module shares live here, at the bottom of the
+import graph.
 """
 
 from __future__ import annotations
@@ -36,6 +38,41 @@ __all__ = [
 
 # Unit-sum check on quadrature weights at construction time.
 WEIGHT_SUM_TOL = 1e-12
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
+def _check_integers(least: int | None = None, **values) -> None:
+    """ValueError unless each value is an integer, and >= least if given."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and any(v < least for v in values.values()):
+        need = " and ".join(f"{name} >= {least}" for name in values)
+        got = ", ".join(f"{name}={value}" for name, value in values.items())
+        raise ValueError(f"need {need}" + (f", got {got}" if len(values) > 1
+                                           else ""))
+
+
+def _check_positive(value: float, name: str, what: str | None = None) -> None:
+    """ValueError unless value is finite and positive; what (default name)
+    names it."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what or name} must be finite and positive, "
+                         f"got {name}={value}")
+
+
+def _check_finite(what: str, **arrays: np.ndarray) -> None:
+    """ValueError listing every non-finite entry as name[i, ...] = value."""
+    bad = [f"{name}[{', '.join(map(str, idx))}] = {x[idx]}"
+           for name, x in arrays.items()
+           for idx in zip(*np.nonzero(~np.isfinite(x)))]
+    if bad:
+        raise ValueError(f"{what} must be finite: " + ", ".join(bad))
 
 
 class NodeFamily(str, Enum):
@@ -91,7 +128,7 @@ class AbscissaeSystem:
 
 def xi(j: int) -> float:
     """Off-diagonal coupling coefficient 1 / (2 sqrt((2j+1)(2j-1)))."""
-    if not isinstance(j, (int, np.integer)) or j < 1:
+    if not (_is_integer(j) and j >= 1):
         raise ValueError(f"basis index must be an integer >= 1, got {j!r}")
     return 1.0 / (2.0 * math.sqrt((2 * j + 1) * (2 * j - 1)))
 
@@ -171,8 +208,7 @@ def _shift_matrix(sys: AbscissaeSystem, s: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def gauss_system(k: int) -> AbscissaeSystem:
     """Gauss-Legendre nodes and weights on [0, 1]; exact through degree 2k-1."""
-    if k < 1:
-        raise ValueError("gauss_system requires k >= 1")
+    _check_integers(1, k=k)
     x, w = np.polynomial.legendre.leggauss(k)
     return AbscissaeSystem((x + 1.0) / 2.0, w / 2.0, NodeFamily.GAUSS)
 
@@ -180,8 +216,7 @@ def gauss_system(k: int) -> AbscissaeSystem:
 @functools.lru_cache(maxsize=64)
 def lobatto_system(k: int) -> AbscissaeSystem:
     """Lobatto nodes on [0, 1] including both endpoints; exact through 2k-3."""
-    if k < 2:
-        raise ValueError("lobatto_system requires k >= 2")
+    _check_integers(2, k=k)
     n = k - 1
     # Interior nodes are the roots of P_n', i.e. the Gauss nodes of the
     # weight 1 - x^2, whose Jacobi matrix has a zero diagonal.  It is built
@@ -258,6 +293,7 @@ def exactness_degree(sys: AbscissaeSystem, tol: float = 1e-9) -> int:
     1/(e+1) shrink with e, so an absolute tol on them passes inexact high
     degrees.
     """
+    _check_positive(tol, "tol")
     moments = sys.omega @ sys.basis
     moments[0] -= 1.0
     inexact = np.flatnonzero(np.abs(moments) > tol)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,10 @@ import numpy as np
 from .legendre import (
     AbscissaeSystem,
     NodeFamily,
+    _check_finite,
+    _check_integers,
     _integrals,
+    _is_integer,
     custom_system,
     exactness_degree,
     gauss_system,
@@ -49,41 +51,6 @@ MAX_DEGREE = 6
 # Numerical rank cutoff on the singular values of A in
 # ButcherTableau.low_rank.
 RANK_SV_TOL = 1e-10
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
-
-
-def _check_integers(least: int | None = None, **values) -> None:
-    """ValueError unless each value is an integer, and >= least if given."""
-    for name, value in values.items():
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and any(v < least for v in values.values()):
-        need = " and ".join(f"{name} >= {least}" for name in values)
-        got = ", ".join(f"{name}={value}" for name, value in values.items())
-        raise ValueError(f"need {need}" + (f", got {got}" if len(values) > 1
-                                           else ""))
-
-
-def _check_positive(value: float, name: str, what: str | None = None) -> None:
-    """ValueError unless value is finite and positive; what (default name)
-    names it."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{what or name} must be finite and positive, "
-                         f"got {name}={value}")
-
-
-def _check_finite(what: str, **arrays: np.ndarray) -> None:
-    """ValueError listing every non-finite entry as name[i, ...] = value."""
-    bad = [f"{name}[{', '.join(map(str, idx))}] = {x[idx]}"
-           for name, x in arrays.items()
-           for idx in zip(*np.nonzero(~np.isfinite(x)))]
-    if bad:
-        raise ValueError(f"{what} must be finite: " + ", ".join(bad))
 
 
 @dataclass(frozen=True)

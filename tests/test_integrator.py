@@ -708,6 +708,27 @@ class TestBuiltTableauSteps:
             traj = integrate(spec, prob.system, prob.default_y0, 0.05, 1, cfg)
             assert y1.tobytes() == traj.states[1].tobytes(), spec
 
+    @pytest.mark.parametrize("cfg", [SolverConfig(),
+                                     SolverConfig(mode="newton")],
+                             ids=["fixed", "newton"])
+    @pytest.mark.parametrize("name", ["henon-heiles", "kepler", "pendulum"])
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_single_step_is_step_one_of_integrate(self, mode, name, cfg):
+        # both single steps take step 1 of a run, bit for bit, with its
+        # iteration count
+        prob = get_problem(name)
+        for spec in self.SPECS:
+            if mode == "rk":
+                y1, diag = rk_step(hbvm_tableau(spec), prob.system,
+                                   prob.default_y0, 0.05, cfg)
+            else:
+                y1, _, diag = gamma_step(spec, prob.system, prob.default_y0,
+                                         0.05, cfg)
+            traj = integrate(spec, prob.system, prob.default_y0, 0.05, 1, cfg,
+                             mode=mode)
+            assert y1.tobytes() == traj.states[1].tobytes(), spec
+            assert diag.iterations == traj.iteration_counts[1], spec
+
     @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
     def test_json_round_trip_steps_agree(self, cfg):
         # the parsed tableau has no factors of its own and takes the SVD's

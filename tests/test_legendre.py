@@ -111,6 +111,13 @@ def test_xi_values():
         xi(0)
 
 
+def test_xi_rejects_a_bool_index():
+    # xi(True) once returned xi(1)
+    with pytest.raises(ValueError, match=r"^basis index must be an integer "
+                                         r">= 1, got True$"):
+        xi(True)
+
+
 class TestGaussSystem:
     def test_midpoint_rule(self):
         sys = gauss_system(1)
@@ -140,6 +147,18 @@ class TestGaussSystem:
         with pytest.raises(ValueError):
             gauss_system(0)
 
+    def test_rejects_a_bool_k(self):
+        # gauss_system(True) once built the 1-node rule
+        with pytest.raises(ValueError, match=r"^k must be an integer, "
+                                             r"got True$"):
+            gauss_system(True)
+
+    def test_rejects_a_float_k_by_name(self):
+        # numpy's "deg must be an integer" named no argument
+        with pytest.raises(ValueError, match=r"^k must be an integer, "
+                                             r"got 2\.0$"):
+            gauss_system(2.0)
+
 
 class TestLobattoSystem:
     def test_trapezoid(self):
@@ -159,6 +178,11 @@ class TestLobattoSystem:
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):
             lobatto_system(1)
+
+    def test_rejects_a_float_k_by_name(self):
+        with pytest.raises(ValueError, match=r"^k must be an integer, "
+                                             r"got 3\.0$"):
+            lobatto_system(3.0)
 
 
 class TestInterpolatoryWeights:
@@ -244,6 +268,13 @@ class TestExactnessDegree:
     def test_off_center_single_node(self):
         sys = custom_system([1 / 3])
         assert exactness_degree(sys, 1e-11) == 0
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        # a NaN tol once passed every moment: 8 for a rule exact through 5
+        with pytest.raises(ValueError, match=r"^tol must be finite and "
+                                             r"positive"):
+            exactness_degree(gauss_system(3), tol)
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-11])
     def test_true_degree_at_large_k(self, tol):

