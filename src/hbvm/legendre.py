@@ -8,7 +8,8 @@ checks) reads each node system's cached basis table
 basis_values and basis_integrals evaluate at arbitrary points.  Gauss and
 Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
 custom interpolatory weights and collocation matrices are solved in the
-same basis.  Every family's systems are built once per node set and shared.
+same basis, each collocation matrix once per node system and cached on it.
+Every family's systems are built once per node set and shared.
 The argument checks every module shares live here, at the bottom of the
 import graph.
 """
@@ -58,6 +59,20 @@ def _check_integers(least: int | None = None, **values) -> None:
                                            else ""))
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless seed is a non-negative integer (not a bool)."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_basis_count(n) -> None:
+    """ValueError unless n, a count of basis polynomials, is an integer
+    >= 1."""
+    _check_integers(n=n)
+    if n < 1:
+        raise ValueError("need at least one basis polynomial")
+
+
 def _check_positive(value: float, name: str, what: str | None = None) -> None:
     """ValueError unless value is finite and positive; what (default name)
     names it."""
@@ -87,7 +102,8 @@ class AbscissaeSystem:
 
     Nodes are strictly increasing and positive, except that the Lobatto
     family includes the endpoint 0.  tau and omega are private read-only
-    copies, so the cached basis table always describes the nodes.
+    copies, so the two values cached on first use, the basis table and
+    the collocation matrix, always describe the nodes.
     """
 
     tau: np.ndarray
@@ -125,6 +141,17 @@ class AbscissaeSystem:
         P.setflags(write=False)
         return P
 
+    @functools.cached_property
+    def collocation_matrix(self) -> np.ndarray:
+        """Read-only stage matrix of the k-stage collocation method at the
+        nodes, A = I_k P_k^{-1}, solved once per system from its basis
+        table: collocation integrates every polynomial of degree < k
+        exactly from 0 to each node, so A P_k = I_k."""
+        P, k = self.basis, self.k
+        A = np.linalg.solve(P[:, :k].T, _integrals(P, k).T).T
+        A.setflags(write=False)
+        return A
+
 
 def xi(j: int) -> float:
     """Off-diagonal coupling coefficient 1 / (2 sqrt((2j+1)(2j-1)))."""
@@ -139,8 +166,7 @@ def basis_values(tau, n: int) -> np.ndarray:
     recurrence fills every column, and each column is the same for every
     n that holds it."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if n < 1:
-        raise ValueError("need at least one basis polynomial")
+    _check_basis_count(n)
     if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise ValueError("t must be finite and lie in [0, 1]")
     return _recurrence_values(tau, n)
@@ -171,8 +197,7 @@ def basis_integrals(tau, n: int) -> np.ndarray:
     to xi(j) P_{j+1}(c) - xi(j-1) P_{j-1}(c).  No quadrature is involved,
     so tableau entries built from it are exact to rounding.
     """
-    if n < 1:
-        raise ValueError("need at least one basis polynomial")
+    _check_basis_count(n)
     return _integrals(basis_values(tau, n + 1), n)
 
 
@@ -255,8 +280,11 @@ def random_custom_system(k: int, seed: int) -> AbscissaeSystem:
 
     The jitter keeps a minimum separation of 0.6/k, so the basis matrix
     behind the interpolatory weights stays well conditioned up to the
-    supported stage counts.
+    supported stage counts.  k must be an integer >= 1 and seed a
+    non-negative integer.
     """
+    _check_integers(1, k=k)
+    _check_seed(seed)
     return custom_system(_random_nodes(k, seed))
 
 

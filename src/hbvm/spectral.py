@@ -9,6 +9,13 @@ identity makes each determinant a product over the eigenvalues of one
 (r+1)-square matrix, so a whole scan costs two small spectra; r is s for
 an HBVM, whose tableau carries its own factors (I_s, P_s^T Omega), so no
 SVD of A is taken.
+
+The verification sweep runs in phases: it builds every spec's node
+system, basis matrices and tableau first, then runs each check over every
+spec before it starts the next, and builds the records last.  The spectra
+of all tableaux with the same stage count k come from one stacked
+eigenvalues call, and each node system's collocation matrix is solved
+once and cached on it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import (AbscissaeSystem, NodeFamily, _check_integers,
-                       _check_positive, _is_integer, _random_nodes)
+                       _check_positive, _check_seed, _random_nodes)
 from .tableau import (
     ButcherTableau,
     HbvmSpec,
@@ -59,9 +66,14 @@ class PoleError(ArithmeticError):
 
 
 def eigenvalues(M) -> np.ndarray:
-    """All eigenvalues of a real square matrix, sorted by (real, imag)."""
+    """All eigenvalues of a real square matrix, sorted by (real, imag).
+
+    M may also be a stack (..., n, n) of square matrices: the result is the
+    (..., n) stack of their spectra, each row sorted on its own and equal,
+    bit for bit, to the spectrum of its matrix taken alone.
+    """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("matrix must be square")
     return np.sort_complex(np.linalg.eigvals(M))
 
@@ -115,8 +127,13 @@ def classify_spectrum(A: np.ndarray, s: int) -> SpectrumReport:
     """Split the spectrum of A into zero and nonzero parts and pair the
     nonzero part with the degree-s reference spectrum."""
     A = np.asarray(A, dtype=float)
-    k = A.shape[0]
-    eigs = tuple(map(complex, eigenvalues(A)))
+    return _classify(eigenvalues(A), A, s)
+
+
+def _classify(eigs: np.ndarray, A: np.ndarray, s: int) -> SpectrumReport:
+    """classify_spectrum of A from its sorted eigenvalues eigs."""
+    k = eigs.size
+    eigs = tuple(map(complex, eigs))
     threshold = ZERO_EIG_REL_TOL * max(1.0, float(np.linalg.norm(A, np.inf)))
     nonzero = tuple(z for z in eigs if abs(z) > threshold)
     reference = _reference_spectrum(s)
@@ -305,19 +322,20 @@ def spec_matrix(smax: int, kmax: int, seed: int = 42):
     interpolatory exactness k - 1 sufficient.
     """
     _check_integers(1, smax=smax, kmax=kmax)
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     specs = []
+    draws = {}  # each (k, seed) node set serves every degree s <= k / 2
     for s in range(1, smax + 1):
         for k in range(s, kmax + 1):
             specs.append((HbvmSpec(k, s, NodeFamily.GAUSS), None))
             if k >= max(2, s + 1):
                 specs.append((HbvmSpec(k, s, NodeFamily.LOBATTO), None))
             if k >= 2 * s:
-                for j in range(3):
-                    nodes = tuple(_random_nodes(k, seed + j))
+                for used in range(seed, seed + 3):
+                    if (k, used) not in draws:
+                        draws[k, used] = tuple(_random_nodes(k, used))
                     specs.append((HbvmSpec(k, s, NodeFamily.CUSTOM,
-                                           nodes=nodes), seed + j))
+                                           nodes=draws[k, used]), used))
     return specs
 
 
@@ -348,23 +366,41 @@ def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
     residuals and a 'passed' flag comparing each against tol.  The basis
     transform residuals are only evaluated for Gauss and Lobatto nodes,
     whose quadrature is exact for the basis products the identity needs.
+
+    The sweep runs in phases.  It first builds every spec's node system,
+    basis matrices and tableau, once each.  It then runs each check over
+    every spec before it starts the next: the spectrum classification, the
+    stability scan, the invariant-subspace residual, the filter residual
+    and the basis-transform residuals.  The spectra come from one stacked
+    eigenvalues call per stage count k.  Last, it builds the records.
     """
     _check_positive(tol, "tol")
-    entries = []
-    for spec, used_seed in spec_matrix(smax, kmax, seed):
-        # Each spec's node system, basis matrices and tableau are built
-        # once and shared by the checks below.
-        sys, bm, tab = _hbvm_build(spec)
-        filtered = _filtered_matrix(sys, bm)
-        entries.append(_entry(
-            {"k": spec.k, "s": spec.s, "family": spec.family.value,
-             "seed": used_seed},
-            classify_spectrum(tab.A, spec.s), tol,
-            subspace=_subspace_residual(tab.A, bm),
-            filter_residual=float(np.max(np.abs(filtered - tab.A))),
-            wres=(None if spec.family is NodeFamily.CUSTOM
-                  else _w_transform_residuals(sys, bm, tab.A)),
-            stab=a_stability_scan(tab)))
+    specs = spec_matrix(smax, kmax, seed)
+    built = [_hbvm_build(spec) for spec, _ in specs]
+    tabs = [tab for _, _, tab in built]
+
+    by_k = {}
+    for i, tab in enumerate(tabs):
+        by_k.setdefault(tab.k, []).append(i)
+    reports = [None] * len(tabs)
+    for idx in by_k.values():
+        spectra = eigenvalues(np.stack([tabs[i].A for i in idx]))
+        for i, eigs in zip(idx, spectra):
+            reports[i] = _classify(eigs, tabs[i].A, tabs[i].s)
+    scans = [a_stability_scan(tab) for tab in tabs]
+    subspace = [_subspace_residual(tab.A, bm) for _, bm, tab in built]
+    filtered = [float(np.max(np.abs(_filtered_matrix(sys, bm) - tab.A)))
+                for sys, bm, tab in built]
+    wres = [None if spec.family is NodeFamily.CUSTOM
+            else _w_transform_residuals(sys, bm, tab.A)
+            for (spec, _), (sys, bm, tab) in zip(specs, built)]
+
+    entries = [
+        _entry({"k": spec.k, "s": spec.s, "family": spec.family.value,
+                "seed": used_seed}, report, tol, subspace=sub,
+               filter_residual=filt, wres=w, stab=stab)
+        for (spec, used_seed), report, sub, filt, w, stab
+        in zip(specs, reports, subspace, filtered, wres, scans)]
     entries.sort(key=lambda e: (e["spec"]["s"], e["spec"]["k"],
                                 e["spec"]["family"], e["spec"]["seed"] or 0))
     return entries

@@ -209,9 +209,10 @@ def collocation_matrix(sys: AbscissaeSystem) -> np.ndarray:
 
     Collocation integrates every polynomial of degree < k exactly from 0 to
     each node, so A P_k = I_k for the full basis, and A = I_k P_k^{-1}.
+    The matrix is the node system's read-only cached
+    AbscissaeSystem.collocation_matrix, solved once per system.
     """
-    P = sys.basis
-    return np.linalg.solve(P[:, :sys.k].T, _integrals(P, sys.k).T).T
+    return sys.collocation_matrix
 
 
 def _filtered_matrix(sys: AbscissaeSystem, bm: BasisMatrices) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,42 @@ def test_random_custom_system_is_reproducible_and_valid():
     assert np.array_equal(a.tau, b.tau)
     assert exactness_degree(a, 1e-11) >= 6
     assert np.all(np.diff(a.tau) > 0) and a.tau[0] > 0 and a.tau[-1] <= 1
+
+
+@pytest.mark.parametrize("build", [basis_values, basis_integrals],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [2.0, True, np.float64(3.0)], ids=repr)
+def test_basis_tables_reject_a_bool_or_non_integer_count(build, n):
+    got = re.escape(repr(n))
+    with pytest.raises(ValueError, match=rf"^n must be an integer, got {got}$"):
+        build([0.5], n)
+
+
+def test_basis_tables_accept_a_numpy_integer_count():
+    assert np.array_equal(basis_values([0.5], np.int64(3)),
+                          basis_values([0.5], 3))
+    assert np.array_equal(basis_integrals([0.5], np.int32(3)),
+                          basis_integrals([0.5], 3))
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, np.float64(42.0)], ids=repr)
+def test_random_custom_system_rejects_a_bad_seed(seed):
+    got = re.escape(repr(seed))
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative "
+                                         rf"integer, got {got}$"):
+        random_custom_system(4, seed)
+
+
+@pytest.mark.parametrize("k", [2.0, True, np.float64(4.0)], ids=repr)
+def test_random_custom_system_rejects_a_bool_or_non_integer_k(k):
+    got = re.escape(repr(k))
+    with pytest.raises(ValueError, match=rf"^k must be an integer, got {got}$"):
+        random_custom_system(k, 1)
+
+
+def test_random_custom_system_rejects_k_below_one():
+    with pytest.raises(ValueError, match=r"^need k >= 1$"):
+        random_custom_system(0, 1)
 
 
 def test_random_nodes_are_those_of_random_custom_system():

@@ -1,11 +1,13 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from hbvm import legendre, tableau
+from hbvm import legendre, spectral, tableau
 from hbvm.legendre import (
+    AbscissaeSystem,
     NodeFamily,
     gauss_system,
     lobatto_system,
@@ -121,6 +123,29 @@ class TestEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigenvalues(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2, 3), (2, 3, 3, 4)])
+    def test_rejects_a_stack_of_non_square_matrices(self, shape):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            eigenvalues(np.ones(shape))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_stack_rows_are_the_per_matrix_spectra_bit_for_bit(self, k):
+        # symmetric matrices have real spectra (a real eigvals result for
+        # the whole stack); general ones mostly complex; the tableaux of
+        # every spec with k stages mix zero, real and complex eigenvalues
+        rng = np.random.default_rng(k)
+        G = rng.standard_normal((6, k, k))
+        tableaux = [hbvm_tableau(spec).A for spec, _ in spec_matrix(6, 12)
+                    if spec.k == k]
+        for stack in (G + G.transpose(0, 2, 1), G, np.stack(tableaux),
+                      np.concatenate((G, G + G.transpose(0, 2, 1)))):
+            found = eigenvalues(stack)
+            assert found.shape == stack.shape[:-1]
+            for row, M in zip(found, stack):
+                assert row.tobytes() == eigenvalues(M).tobytes()
+        nested = eigenvalues(G.reshape(2, 3, k, k))
+        assert nested.tobytes() == eigenvalues(G).tobytes()
 
     def test_nilpotent(self):
         N = np.diag(np.ones(3), 1)
@@ -368,14 +393,22 @@ def test_verification_sweep_shape_and_order():
     assert {e["spec"]["seed"] for e in custom} == {42, 43, 44}
 
 
-def test_verification_sweep_entries_match_public_checks():
+@pytest.mark.parametrize("smax,kmax,seed", [(2, 5, 42), (4, 10, 42),
+                                             (4, 10, 7)])
+def test_verification_sweep_entries_match_public_checks(smax, kmax, seed):
+    tol = 1e-10
     entries = {(e["spec"]["k"], e["spec"]["s"], e["spec"]["family"],
                 e["spec"]["seed"]): e
-               for e in verification_sweep(smax=2, kmax=5)}
-    for spec, seed in spec_matrix(2, 5):
-        e = entries[(spec.k, spec.s, spec.family.value, seed)]
+               for e in verification_sweep(smax=smax, kmax=kmax, seed=seed)}
+    specs = spec_matrix(smax, kmax, seed)
+    assert len(entries) == len(specs)
+    for spec, used_seed in specs:
+        e = entries[(spec.k, spec.s, spec.family.value, used_seed)]
         sys, tab = abscissae(spec), hbvm_tableau(spec)
-        assert e["max_match_distance"] == isospectral_check(spec).max_match_distance
+        report = isospectral_check(spec)
+        assert e["zero_count"] == report.zero_count
+        assert e["expected_zero_count"] == report.k - report.s
+        assert e["max_match_distance"] == report.max_match_distance
         assert e["subspace_residual"] == invariant_subspace_residual(spec)
         assert e["filter_residual"] == float(
             np.max(np.abs(filtered_tableau(sys, spec.s).A - tab.A)))
@@ -383,7 +416,12 @@ def test_verification_sweep_entries_match_public_checks():
             assert e["wtransform_residuals"] is None
         else:
             assert e["wtransform_residuals"] == list(w_transform_check(sys, spec.s))
-        assert e["a_stability_max_deviation"] == a_stability_scan(tab).max_deviation
+        scan = a_stability_scan(tab)
+        assert e["a_stability_max_deviation"] == scan.max_deviation
+        residuals = [e["subspace_residual"], e["filter_residual"],
+                     *(e["wtransform_residuals"] or ())]
+        assert e["passed"] == (report.passes(tol) and scan.passes(tol)
+                               and all(r <= tol for r in residuals))
 
 
 def test_spec_matrix_custom_nodes_are_those_of_random_custom_system():
@@ -439,12 +477,40 @@ def test_verification_sweep_builds_each_custom_node_set_once(monkeypatch):
         calls.append(nodes)
         return legendre.custom_system(nodes)
 
+    draws = []
+
+    def drawing(k, seed):
+        draws.append((k, seed))
+        return legendre._random_nodes(k, seed)
+
     monkeypatch.setattr(tableau, "custom_system", counting)
+    monkeypatch.setattr(spectral, "_random_nodes", drawing)
     verification_sweep(4, 10)
     assert len(calls) == 72
     assert len(set(calls)) == 27
     info = legendre._custom_system.cache_info()
     assert (info.misses, info.hits) == (27, 45)
+    assert len(draws) == len(set(draws)) == 27
+
+
+def test_verification_sweep_solves_one_collocation_matrix_per_node_system(
+        monkeypatch):
+    # 10 Gauss, 9 Lobatto and 27 custom node systems serve the 136 specs
+    for build in (gauss_system, lobatto_system, legendre._custom_system):
+        build.cache_clear()
+    solve = AbscissaeSystem.collocation_matrix.func
+    solved = []
+
+    def counting(sys):
+        solved.append(sys)
+        return solve(sys)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(AbscissaeSystem, "collocation_matrix")
+    monkeypatch.setattr(AbscissaeSystem, "collocation_matrix", prop)
+    entries = verification_sweep(4, 10)
+    assert len(entries) == 136
+    assert len(solved) == len(set(map(id, solved))) == 46
 
 
 def test_verification_sweep_covers_whole_envelope():

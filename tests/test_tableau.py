@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from hbvm.legendre import (
     NodeFamily,
+    basis_integrals,
+    basis_values,
     gauss_system,
     lobatto_system,
     random_custom_system,
@@ -341,6 +343,22 @@ class TestCollocationMatrix:
                     bm = basis_matrices(sys, s)
                     res = np.max(np.abs(bm.I_s - collocation_matrix(sys) @ bm.P_s))
                     assert res <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, MAX_STAGES + 1))
+    def test_one_read_only_matrix_per_node_system(self, k):
+        systems = [gauss_system(k), random_custom_system(k, 7)]
+        if k >= 2:
+            systems.append(lobatto_system(k))
+        for sys in systems:
+            A = collocation_matrix(sys)
+            assert A is collocation_matrix(sys)
+            assert A is sys.collocation_matrix
+            assert not A.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 1.0
+            fresh = np.linalg.solve(basis_values(sys.tau, k).T,
+                                    basis_integrals(sys.tau, k).T).T
+            assert A.tobytes() == fresh.tobytes()
 
 
 class TestFilteredTableau:
