@@ -7,6 +7,10 @@ round-trip repr, goes to --out (stdout by default), and every line meant
 for a person (summaries, failures, the order table) goes to stderr.  Exit
 codes: 0 success, 1 failed check or non-convergent solver, 2 bad arguments
 or an unreadable or unwritable file (nothing written).
+
+Each option is declared once, in one of three shared groups: the method
+spec, the check --tol, and the run options, whose solver defaults are
+``SolverConfig``'s.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .integrator import (
     trajectory_to_csv,
 )
 from .legendre import NodeFamily
-from .problems import catalog, get_problem
+from .problems import _BUILDERS, get_problem
 from .spectral import (
     _entry,
     a_stability_scan,
@@ -39,6 +43,7 @@ from .spectral import (
 from .tableau import (
     HbvmSpec,
     _dump_json,
+    _spec_record,
     hbvm_tableau,
     tableau_from_json,
     tableau_to_json,
@@ -67,10 +72,17 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _node_list(text: str) -> tuple[float, ...] | None:
+    """--nodes: comma-separated numbers; an empty value means no nodes."""
+    try:
+        return tuple(float(v) for v in text.split(",")) if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _parse_spec(args) -> HbvmSpec:
-    nodes = (tuple(float(v) for v in args.nodes.split(","))
-             if args.nodes else None)
-    return HbvmSpec(k=args.k, s=args.s, family=args.family, nodes=nodes)
+    return HbvmSpec(k=args.k, s=args.s, family=args.family, nodes=args.nodes)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -93,7 +105,7 @@ def cmd_spectrum(args) -> int:
     report = isospectral_check(spec)
     passed = report.passes(args.tol)
     payload = {
-        "spec": {"k": spec.k, "s": spec.s, "family": spec.family.value},
+        "spec": _spec_record(spec),
         "eigenvalues": list(report.eigenvalues),
         "zero_count": report.zero_count,
         "expected_zero_count": spec.k - spec.s,
@@ -138,12 +150,8 @@ def cmd_integrate(args) -> int:
     problem = get_problem(args.problem)
     spec = _parse_spec(args)
     cfg = _solver_config(args)
-    try:
-        traj = integrate(spec, problem.system, problem.default_y0, args.h,
-                         args.steps, cfg, mode=args.mode)
-    except StageConvergenceError as exc:
-        _say(f"integration failed: {exc}")
-        return 1
+    traj = integrate(spec, problem.system, problem.default_y0, args.h,
+                     args.steps, cfg, mode=args.mode)
     _write(args.out, trajectory_to_csv(traj))
     max_dev, _ = energy_drift(traj)
     h0 = abs(traj.energies[0])
@@ -161,15 +169,11 @@ def cmd_order(args) -> int:
     # past 2100 halvings every finite --hmax is 0.0, which is refused
     h_list = [math.ldexp(args.hmax, -i)
               for i in range(min(args.levels, 2100))]
-    try:
-        fit = convergence_order(spec, problem, args.t_end, h_list, cfg,
-                                mode=args.mode)
-    except StageConvergenceError as exc:
-        _say(f"order run failed: {exc}")
-        return 1
+    fit = convergence_order(spec, problem, args.t_end, h_list, cfg,
+                            mode=args.mode)
     payload = {
         "problem": problem.name,
-        "spec": {"k": spec.k, "s": spec.s, "family": spec.family.value},
+        "spec": _spec_record(spec),
         "expected_order": 2 * spec.s,
         **dataclasses.asdict(fit),
     }
@@ -189,7 +193,7 @@ def cmd_stability(args) -> int:
     tab = hbvm_tableau(spec)
     scan = a_stability_scan(tab)
     payload = {
-        "spec": {"k": spec.k, "s": spec.s, "family": spec.family.value},
+        "spec": _spec_record(spec),
         "imag_axis_max_deviation": scan.imag_axis_max_deviation,
         "lhp_max_modulus": scan.lhp_max_modulus,
         "max_deviation": scan.max_deviation,
@@ -212,67 +216,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_args(p):
-        p.add_argument("--k", type=int, required=True, help="number of stages")
-        p.add_argument("--s", type=int, required=True,
-                       help="polynomial degree")
-        p.add_argument("--family", choices=[f.value for f in NodeFamily],
-                       default="gauss")
-        p.add_argument("--nodes", help="comma-separated custom nodes in (0, 1]")
+    # Shared option groups.  argparse hands a parent's action objects to
+    # every child, so a child sets no default for a dest a parent declares.
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--k", type=int, required=True, help="number of stages")
+    spec.add_argument("--s", type=int, required=True, help="polynomial degree")
+    spec.add_argument("--family", choices=[f.value for f in NodeFamily],
+                      default=HbvmSpec.family.value)
+    spec.add_argument("--nodes", type=_node_list,
+                      help="comma-separated custom nodes in (0, 1]")
 
-    def add_solver_args(p):
-        p.add_argument("--solver", choices=["fixed-point", "newton"],
-                       default="fixed-point")
-        p.add_argument("--tol", type=float, default=1e-13,
-                       help="stage residual tolerance")
-        p.add_argument("--max-iter", type=int, default=100)
+    check = argparse.ArgumentParser(add_help=False)
+    check.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("tableau", help="emit a tableau as JSON")
-    add_spec_args(p)
-    p.set_defaults(func=cmd_tableau)
+    run = argparse.ArgumentParser(add_help=False, parents=[spec])
+    run.add_argument("--problem", required=True,
+                     help="one of: " + ", ".join(_BUILDERS))
+    run.add_argument("--mode", choices=["rk", "gamma"], default="rk")
+    run.add_argument("--solver", choices=["fixed-point", "newton"],
+                     default="fixed-point")
+    run.add_argument("--tol", type=float, default=SolverConfig.tol,
+                     help="stage residual tolerance")
+    run.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
 
-    p = sub.add_parser("spectrum", help="classify a stage-matrix spectrum")
-    add_spec_args(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_spectrum)
+    def command(name, func, parents, summary, **defaults):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.add_argument("--out", default="-",
+                       help="file for the JSON or CSV output (default: stdout)")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("verify", help="run structural checks over the spec matrix")
+    command("tableau", cmd_tableau, [spec], "emit a tableau as JSON")
+    command("spectrum", cmd_spectrum, [spec, check],
+            "classify a stage-matrix spectrum")
+    p = command("verify", cmd_verify, [check],
+                "run structural checks over the spec matrix")
     p.add_argument("--smax", type=int, default=4)
     p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=42,
                    help="seed for the random custom node sets")
     p.add_argument("--tableau-file", help="also check a serialised tableau")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("integrate", help="integrate a catalog problem to CSV")
-    p.add_argument("--problem", required=True,
-                   help="one of: " + ", ".join(pr.name for pr in catalog()))
-    add_spec_args(p)
+    p = command("integrate", cmd_integrate, [run],
+                "integrate a catalog problem to CSV",
+                failure="integration failed")
     p.add_argument("--h", type=float, required=True, help="step size")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--mode", choices=["rk", "gamma"], default="rk")
-    add_solver_args(p)
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("order", help="measure the convergence order")
-    p.add_argument("--problem", required=True)
-    add_spec_args(p)
+    p = command("order", cmd_order, [run], "measure the convergence order",
+                failure="order run failed")
     p.add_argument("--hmax", type=float, default=0.1)
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--t-end", type=float, default=2.0 * np.pi)
-    p.add_argument("--mode", choices=["rk", "gamma"], default="rk")
-    add_solver_args(p)
-    p.set_defaults(func=cmd_order)
-
-    p = sub.add_parser("stability", help="scan the linear stability function")
-    add_spec_args(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_stability)
-
-    for p in sub.choices.values():
-        p.add_argument("--out", default="-",
-                       help="file for the JSON or CSV output (default: stdout)")
+    command("stability", cmd_stability, [spec, check],
+            "scan the linear stability function")
 
     return parser
 
@@ -282,6 +277,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except StageConvergenceError as exc:
+        _say(f"{args.failure}: {exc}")
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message
         _say(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}")

@@ -174,17 +174,22 @@ def _kepler() -> ProblemSpec:
                       reference=lambda t: _kepler_reference(t, e))
 
 
+# Name -> builder, in catalog order.  A lookup builds only the problem it
+# returns, and the names are known without building any.
+_BUILDERS = {"harmonic": _harmonic, "quartic": _quartic, "sextic": _sextic,
+             "pendulum": _pendulum, "henon-heiles": _henon_heiles,
+             "kepler": _kepler}
+
+
 def catalog() -> list[ProblemSpec]:
     """All test problems, oscillators first."""
-    return [_harmonic(), _quartic(), _sextic(), _pendulum(),
-            _henon_heiles(), _kepler()]
+    return [build() for build in _BUILDERS.values()]
 
 
 def get_problem(name: str) -> ProblemSpec:
     """Look a problem up by name (dashes and underscores interchangeable)."""
-    wanted = name.strip().lower().replace("_", "-")
-    for prob in catalog():
-        if prob.name == wanted:
-            return prob
-    known = ", ".join(p.name for p in catalog())
-    raise KeyError(f"unknown problem {name!r}; known: {known}")
+    build = _BUILDERS.get(name.strip().lower().replace("_", "-"))
+    if build is None:
+        raise KeyError(f"unknown problem {name!r}; "
+                       f"known: {', '.join(_BUILDERS)}")
+    return build()

@@ -34,6 +34,7 @@ from .tableau import (
     BasisMatrices,
     _filtered_matrix,
     _hbvm_build,
+    _spec_record,
     basis_matrices,
     hbvm_tableau,
     xhat_matrix,
@@ -396,9 +397,8 @@ def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
             for (spec, _), (sys, bm, tab) in zip(specs, built)]
 
     entries = [
-        _entry({"k": spec.k, "s": spec.s, "family": spec.family.value,
-                "seed": used_seed}, report, tol, subspace=sub,
-               filter_residual=filt, wres=w, stab=stab)
+        _entry({**_spec_record(spec), "seed": used_seed}, report, tol,
+               subspace=sub, filter_residual=filt, wres=w, stab=stab)
         for (spec, used_seed), report, sub, filt, w, stab
         in zip(specs, reports, subspace, filtered, wres, scans)]
     entries.sort(key=lambda e: (e["spec"]["s"], e["spec"]["k"],

@@ -143,6 +143,11 @@ class HbvmSpec:
             raise ValueError("nodes are only accepted for the custom family")
 
 
+def _spec_record(spec: HbvmSpec) -> dict:
+    """The spec as the JSON reports name it: k, s and the family's value."""
+    return {"k": spec.k, "s": spec.s, "family": spec.family.value}
+
+
 def abscissae(spec: HbvmSpec) -> AbscissaeSystem:
     """Node system for a method spec."""
     if spec.family is NodeFamily.GAUSS:

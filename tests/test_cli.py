@@ -1,12 +1,14 @@
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,3 +622,132 @@ def test_colour_follows_stderr_alone():
 def test_missing_subcommand_exits_2():
     res = run_cli()
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("k,nodes", [("2", "a,b"), ("3", "0.2,,0.8"),
+                                     ("2", "0.2,x")])
+def test_non_numeric_nodes_exit_2_naming_the_flag(tmp_path, k, nodes):
+    out = tmp_path / "never.json"
+    res = run_cli("tableau", "--k", k, "--s", "1", "--family", "custom",
+                  "--nodes", nodes, "--out", str(out))
+    assert res.returncode == 2
+    assert "argument --nodes: " in res.stderr
+    assert repr(nodes) in res.stderr
+    assert not out.exists()
+
+
+def _workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPEC = {"k": 4, "s": 2, "family": "gauss", "nodes": None}
+RUN = {"mode": "rk", "solver": "fixed-point", "tol": 1e-13, "max_iter": 100,
+       "out": "-"}
+PARSED = {
+    "tableau": (["tableau", "--k", "4", "--s", "2"],
+                {"command": "tableau", **SPEC, "out": "-",
+                 "func": cli.cmd_tableau}),
+    "tableau-custom": (
+        ["tableau", "--k", "4", "--s", "2", "--family", "custom", "--nodes",
+         "0.9,0.1,0.6,0.4", "--out", "t.json"],
+        {"command": "tableau", **SPEC, "family": "custom",
+         "nodes": (0.9, 0.1, 0.6, 0.4), "out": "t.json",
+         "func": cli.cmd_tableau}),
+    "tableau-empty-nodes": (
+        ["tableau", "--k", "3", "--s", "2", "--nodes", ""],
+        {"command": "tableau", **SPEC, "k": 3, "out": "-",
+         "func": cli.cmd_tableau}),
+    "spectrum": (["spectrum", "--k", "4", "--s", "2", "--tol", "1e-8"],
+                 {"command": "spectrum", **SPEC, "tol": 1e-8, "out": "-",
+                  "func": cli.cmd_spectrum}),
+    "stability": (["stability", "--k", "6", "--s", "3", "--family",
+                   "lobatto"],
+                  {"command": "stability", **SPEC, "k": 6, "s": 3,
+                   "family": "lobatto", "tol": 1e-10, "out": "-",
+                   "func": cli.cmd_stability}),
+    "verify": (["verify"],
+               {"command": "verify", "smax": 4, "kmax": 10, "tol": 1e-10,
+                "seed": 42, "tableau_file": None, "out": "-",
+                "func": cli.cmd_verify}),
+    "verify-file": (["verify", "--seed", "7", "--tableau-file", "t.json",
+                     "--tol", "1e-9", "--smax", "2", "--kmax", "5"],
+                    {"command": "verify", "smax": 2, "kmax": 5, "tol": 1e-9,
+                     "seed": 7, "tableau_file": "t.json", "out": "-",
+                     "func": cli.cmd_verify}),
+    "integrate": (["integrate", "--problem", "kepler", "--k", "4", "--s",
+                   "2", "--h", "0.1", "--steps", "5"],
+                  {"command": "integrate", "problem": "kepler", **SPEC,
+                   "h": 0.1, "steps": 5, **RUN, "func": cli.cmd_integrate,
+                   "failure": "integration failed"}),
+    "order": (["order", "--problem", "harmonic", "--k", "4", "--s", "2"],
+              {"command": "order", "problem": "harmonic", **SPEC,
+               "hmax": 0.1, "levels": 4, "t_end": 2.0 * np.pi, **RUN,
+               "func": cli.cmd_order, "failure": "order run failed"}),
+    "order-every-flag": (
+        ["order", "--problem", "kepler", "--k", "4", "--s", "2", "--hmax",
+         "0.3", "--levels", "3", "--t-end", "1", "--mode", "gamma",
+         "--solver", "newton", "--tol", "1e-12", "--max-iter", "50",
+         "--out", "o.json"],
+        {"command": "order", "problem": "kepler", **SPEC, "hmax": 0.3,
+         "levels": 3, "t_end": 1.0, "mode": "gamma", "solver": "newton",
+         "tol": 1e-12, "max_iter": 50, "out": "o.json",
+         "func": cli.cmd_order, "failure": "order run failed"}),
+}
+
+
+@pytest.mark.parametrize("argv,expected", PARSED.values(), ids=PARSED.keys())
+def test_parsed_namespace(argv, expected):
+    assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("name", ["sextic-fixed", "kepler-gamma",
+                                  "verify-sweep"])
+def test_parsed_benchmark_argv(tmp_path, monkeypatch, name):
+    # the benchmark parses its own argv with build_parser and reads
+    # problem, k, s and mode (integrate) or smax, kmax and seed (verify)
+    argv = _workloads(monkeypatch).make(name, 1, tmp_path).argv
+    expected = {
+        "sextic-fixed": {
+            "command": "integrate", "problem": "sextic", **SPEC, "k": 6,
+            "h": 0.1, "steps": 1000, **RUN, "tol": 1e-15,
+            "func": cli.cmd_integrate, "failure": "integration failed"},
+        "kepler-gamma": {
+            "command": "integrate", "problem": "kepler", **SPEC, "k": 12,
+            "s": 4, "h": 0.05, "steps": 500, **RUN, "mode": "gamma",
+            "solver": "newton", "func": cli.cmd_integrate,
+            "failure": "integration failed"},
+        "verify-sweep": {
+            "command": "verify", "smax": 4, "kmax": 10, "tol": 1e-10,
+            "seed": 1, "tableau_file": None, "func": cli.cmd_verify},
+    }[name]
+    expected["out"] = argv[argv.index("--out") + 1]
+    assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("mode,solver", [("gamma", "newton"),
+                                         ("rk", "newton"),
+                                         ("gamma", "fixed-point")])
+def test_default_solver_settings_are_solver_configs(tmp_path, mode, solver):
+    out = tmp_path / "traj.csv"
+    assert cli.main(["integrate", "--problem", "kepler", "--k", "6", "--s",
+                     "3", "--h", "0.1", "--steps", "20", "--mode", mode,
+                     "--solver", solver, "--out", str(out)]) == 0
+    prob = get_problem("kepler")
+    traj = integrate(HbvmSpec(6, 3), prob.system, prob.default_y0, 0.1, 20,
+                     SolverConfig(mode=solver.replace("-", "_")), mode=mode)
+    assert out.read_text() == trajectory_to_csv(traj)
+
+
+@pytest.mark.parametrize("cmd", ["tableau", "spectrum", "verify", "integrate",
+                                 "order", "stability"])
+def test_every_subcommand_prints_its_help(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert "--out OUT" in capsys.readouterr().out

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hbvm import problems
+from hbvm.integrator import HamiltonianSystem
 from hbvm.problems import catalog, get_problem
 
 EXPECTED_NAMES = {"harmonic", "quartic", "sextic", "pendulum",
@@ -218,3 +220,27 @@ def test_energy_of_integer_state_equals_float(prob):
         energy = H(y_int)
         assert np.asarray(energy).dtype == np.float64
         assert np.array_equal(energy, H(y_int.astype(float)))
+
+
+@pytest.mark.parametrize("name", ["harmonic", "henon_heiles", "kepler"])
+def test_lookup_builds_only_the_problem_it_returns(monkeypatch, name):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return HamiltonianSystem(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "HamiltonianSystem", counting)
+    assert get_problem(name).system.dim == built[0]["dim"]
+    assert len(built) == 1
+
+
+def test_catalog_order_and_names_match_lookup():
+    names = [p.name for p in catalog()]
+    assert names == ["harmonic", "quartic", "sextic", "pendulum",
+                     "henon-heiles", "kepler"]
+    assert [get_problem(n).name for n in names] == names
+    with pytest.raises(KeyError) as exc:
+        get_problem("three-body")
+    assert exc.value.args[0] == ("unknown problem 'three-body'; known: "
+                                 + ", ".join(names))
