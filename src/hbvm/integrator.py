@@ -43,15 +43,16 @@ bit-identical results.
 `integrate` builds a step plan once per run: h L, R, M = R L, the stopping
 residual and the update, which alone tell the forms apart (the change in Y
 and y0 + h b^T f(Y) in the full-stage form, the change in u and
-y0 + h gamma_1 in the coefficient form).  Newton returns the u whose
-stages its last residual evaluated, so the full-stage update reads that
-f(Y) instead of calling f again; fixed point returns G(u), whose stages
-no iteration evaluated.  For an HbvmSpec the plan holds
-the s x s shift S = P_s^T Omega V, with V[l, j] the j-th basis polynomial
-at 1 + c_l, that starts each step from the previous step's polynomial
-carried one step ahead; it is exact because the nodes integrate degree
-2s - 1.  The first step starts from u = 0, as does every step of a bare
-ButcherTableau, which carries no polynomial.
+y0 + h gamma_1 in the coefficient form).  Newton returns its accepted u
+with the f(Y) its last iteration evaluated, which the full-stage update
+reads; fixed point returns G(u) with None, as no iteration evaluated its
+stages, and only that update then forms Y = y0 + h L u and calls f.  A
+plan runs Newton iff it holds a Newton split.  For an HbvmSpec the plan
+holds the s x s shift S = P_s^T Omega V, with V[l, j] the j-th basis
+polynomial at 1 + c_l, that starts each step from the previous step's
+polynomial carried one step ahead; it is exact because the nodes
+integrate degree 2s - 1.  The first step starts from u = 0, as does every
+step of a bare ButcherTableau, which carries no polynomial.
 
 The converged stages do not depend on which matrix Newton iterates with, so
 a run keeps the Jacobian and the factored matrix from one step to the next
@@ -90,7 +91,7 @@ block each fail the step with a `StageConvergenceError` naming the cause.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -215,7 +216,7 @@ class StepDiagnostics:
 
     iterations: int
     residual: float
-    contraction: float = 0.0
+    contraction: float
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,7 @@ class Trajectory:
     states: np.ndarray
     energies: np.ndarray
     iteration_counts: np.ndarray
-    jacobian_counts: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.jacobian_counts is None:
-            self.jacobian_counts = np.zeros(len(self.times), dtype=int)
+    jacobian_counts: np.ndarray
 
 
 def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
@@ -301,22 +298,23 @@ def lu_solve(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _iterate(residual_map, U, correct, cfg: SolverConfig, name: str,
              advice: str):
     """The stage iteration of both solvers, where residual_map(U) returns
-    G(U), the change E = G(U) - U and the residual of U: accept U once its
-    residual meets tol, else apply U <- correct(U, G(U), E).  Fails, naming
-    the cause, at once on a non-finite residual, after 5 consecutive
-    residual growths, or after max_iter corrections.  Returns (U, G(U), corrections, residual, final
-    residual ratio); overflow is left to the non-finite check rather than
-    warned about."""
+    G(U), the change E = G(U) - U, F = f at the stages of U and the
+    residual of U: accept U once its residual meets tol, else apply
+    U <- correct(U, G(U), E).  Fails, naming the cause, at once on a
+    non-finite residual, after 5 consecutive residual growths, or after
+    max_iter corrections.  Returns (U, G(U), F, corrections, residual,
+    final residual ratio) of the accepted U; overflow is left to the
+    non-finite check rather than warned about."""
     last, growth = math.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.max_iter + 1):
-            G, E, res = residual_map(U)
+            G, E, F, res = residual_map(U)
             if not math.isfinite(res):
                 raise StageConvergenceError(
                     f"stage values are non-finite after {it} iterations",
                     residual=res, iterations=it)
             if res <= cfg.tol:
-                return U, G, it, res, res / last
+                return U, G, F, it, res, res / last
             growth = growth + 1 if res > last else 0
             if growth >= 5:
                 raise StageConvergenceError(
@@ -330,24 +328,25 @@ def _iterate(residual_map, U, correct, cfg: SolverConfig, name: str,
 
 
 def _fixed_point(residual_map, U0, cfg: SolverConfig):
-    """Fixed-point iteration U <- G(U); returns (G(U), iterations,
-    residual, final residual ratio) of the accepted U, whose free update
-    G(U) counts as one more iteration."""
-    _, G, it, res, ratio = _iterate(residual_map, U0, lambda U, G, E: G,
-                                    cfg, "fixed-point", "try mode='newton'")
-    return G, it + 1, res, ratio
+    """Fixed-point iteration U <- G(U); returns (G(U), None, diagnostics)
+    of the accepted U: no iteration evaluated f at the stages of G(U), and
+    the free update G(U) counts as one more iteration."""
+    _, G, _, it, res, ratio = _iterate(residual_map, U0,
+                                       lambda U, G, E: G, cfg,
+                                       "fixed-point", "try mode='newton'")
+    return G, None, StepDiagnostics(it + 1, res, ratio)
 
 
 def _simplified_newton(residual_map, U0, inverse, cfg: SolverConfig):
     """Newton iteration U <- U + inverse (G(U) - U), with the inverse of a
-    frozen iteration matrix from `_newton_correction`; returns (U,
-    iterations, residual, final residual ratio)."""
+    frozen iteration matrix from `_newton_correction`; returns (U, F,
+    diagnostics) of the accepted U, with F = f at its stages."""
     def correct(U, G, E):
         return U + lu_solve(inverse, E.reshape(-1)).reshape(U.shape)
 
-    U, _, it, res, ratio = _iterate(residual_map, U0, correct, cfg, "Newton",
-                                    "try a smaller h")
-    return U, it, res, ratio
+    U, _, F, it, res, ratio = _iterate(residual_map, U0, correct, cfg,
+                                       "Newton", "try a smaller h")
+    return U, F, StepDiagnostics(it, res, ratio)
 
 
 def _check_step_size(h: float) -> None:
@@ -389,11 +388,11 @@ def _eigen_split(M: np.ndarray):
 class _StepPlan:
     """What every step of a run shares: the stage equations
     u = R f(y0 + hL u) with M = R L, the form's stopping residual of a
-    change E = G(u) - u, its update (y0, u, Y, F) -> y1 with F = f(Y) when
-    already evaluated (else None), the r x r shift that carries one step's
-    u to the next step's starting guess (None: each step starts from
-    u = 0), and the blocks of `_eigen_split(M)` that Newton sums its
-    inverse over (None for fixed point)."""
+    change E = G(u) - u, its update (y0, u, F) -> y1 with F = f at the
+    stages of u, or None if no iteration evaluated them, the r x r shift
+    that carries one step's u to the next step's starting guess (None: each
+    step starts from u = 0), and the blocks of `_eigen_split(M)` that
+    Newton sums its inverse over (None: the run is fixed point)."""
 
     sys: HamiltonianSystem
     h: float
@@ -402,8 +401,7 @@ class _StepPlan:
     R: np.ndarray
     M: np.ndarray
     residual: Callable[[np.ndarray], float]
-    update: Callable[[np.ndarray, np.ndarray, np.ndarray,
-                      np.ndarray | None], np.ndarray]
+    update: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
     shift: np.ndarray | None = None
     split: tuple | None = None
 
@@ -423,7 +421,7 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
     elif mode == "gamma":
         raise TypeError("gamma mode requires an HbvmSpec")
     L, R = method.low_rank
-    b = method.b
+    b, hL = method.b, h * L
     # bound once for the residual, which runs every iteration; ndarray.max
     # would add a Python frame to each call
     dot, amax, habs = np.dot, np.maximum.reduce, abs(h)
@@ -432,7 +430,7 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
         def residual(E):
             return float(amax(np.abs(E), axis=None))
 
-        def update(y0, u, Y, F):
+        def update(y0, u, F):
             return y0 + h * u[0]
     else:
         def residual(E):
@@ -440,13 +438,14 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
             # symmetric in sign
             return habs * float(amax(np.abs(dot(L, E)), axis=None))
 
-        def update(y0, u, Y, F):
-            return y0 + h * dot(b, sys.f(Y) if F is None else F)
+        def update(y0, u, F):
+            if F is None:
+                F = sys.f(y0 + dot(hL, u))
+            return y0 + h * dot(b, F)
 
     M = R @ L
     split = _eigen_split(M) if cfg.mode == "newton" else None
-    return _StepPlan(sys, h, cfg, h * L, R, M, residual, update, shift,
-                     split)
+    return _StepPlan(sys, h, cfg, hL, R, M, residual, update, shift, split)
 
 
 def _newton_correction(plan: _StepPlan, y0):
@@ -466,39 +465,32 @@ def _newton_correction(plan: _StepPlan, y0):
 
 def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
     """One step of a plan from y0, iterating on u from u0; returns
-    (y1, u, stages, diagnostics) with stages = y0 + h L u.  Newton iterates
-    with the given inverse; u = gamma for an HBVM tableau, in either form."""
-    f, hL, R, cfg = plan.sys.f, plan.hL, plan.R, plan.cfg
-    residual, dot = plan.residual, np.dot
-    u_seen = F_seen = None  # the last u whose stages f was evaluated at
+    (y1, u, diagnostics).  Newton iterates with the given inverse, fixed
+    point when it is None, and the update reads the f at u's stages that
+    the solver returns.  u = gamma for an HBVM tableau, in either form."""
+    f, hL, R, residual, dot = (plan.sys.f, plan.hL, plan.R, plan.residual,
+                               np.dot)
 
     def residual_map(u):
-        nonlocal u_seen, F_seen
-        u_seen, F_seen = u, f(y0 + dot(hL, u))
-        G = dot(R, F_seen)
+        F = f(y0 + dot(hL, u))
+        G = dot(R, F)
         E = G - u
-        return G, E, residual(E)
+        return G, E, F, residual(E)
 
-    if cfg.mode == "fixed_point":
-        u, iters, res, ratio = _fixed_point(residual_map, u0, cfg)
+    if inverse is None:
+        u, F, diag = _fixed_point(residual_map, u0, plan.cfg)
     else:
-        u, iters, res, ratio = _simplified_newton(residual_map, u0,
-                                                  inverse, cfg)
-    Y = y0 + dot(hL, u)
-    # Newton returns the u whose stages it last evaluated, so f(Y) is
-    # known; fixed point returns G(u), whose stages were never evaluated
-    F = F_seen if u_seen is u else None
-    return plan.update(y0, u, Y, F), u, Y, StepDiagnostics(
-        iterations=iters, residual=res, contraction=ratio)
+        u, F, diag = _simplified_newton(residual_map, u0, inverse, plan.cfg)
+    return plan.update(y0, u, F), u, diag
 
 
 def _steps(plan: _StepPlan, y):
-    """The steps of a run from y, without end: yields (y1, u, stages,
-    diagnostics, jacobian_count) per step, the count as in
-    `Trajectory.jacobian_counts`.  Each step starts from u = 0, or from the
-    shifted previous u, and Newton's matrix is kept, fresh or retried
-    under rules (a)-(c) of the module docstring."""
-    newton = plan.cfg.mode == "newton"
+    """The steps of a run from y, without end: yields (y1, u, diagnostics,
+    jacobian_count) per step, the count as in `Trajectory.jacobian_counts`.
+    Each step starts from u = 0, or from the shifted previous u.  A plan
+    with a split runs Newton, whose matrix is kept, fresh or retried under
+    rules (a)-(c) of the module docstring; one without runs fixed point."""
+    newton = plan.split is not None
     # rule (a) charges k f-evaluations per extra iteration against the
     # dim + 1 of a one-sided finite-difference Jacobian
     k, jacobian_cost = plan.hL.shape[0], y.size + 1
@@ -510,13 +502,13 @@ def _steps(plan: _StepPlan, y):
         if refresh:
             inverse, jacobians = _newton_correction(plan, y), 1
         try:
-            y, u, Y, diag = _gamma_step_matrices(plan, y, guess, inverse)
+            y, u, diag = _gamma_step_matrices(plan, y, guess, inverse)
         except StageConvergenceError:
             if not newton or jacobians:
                 raise
             inverse, jacobians = _newton_correction(plan, y), 2
-            y, u, Y, diag = _gamma_step_matrices(plan, y, guess, inverse)
-        yield y, u, Y, diag, jacobians
+            y, u, diag = _gamma_step_matrices(plan, y, guess, inverse)
+        yield y, u, diag, jacobians
         if plan.shift is not None:
             guess = np.dot(plan.shift, u)
         if newton:
@@ -531,12 +523,13 @@ def _steps(plan: _StepPlan, y):
 def _single_step(method, sys: HamiltonianSystem, y0, h: float,
                  cfg: SolverConfig | None, mode: str):
     """Step 1 of a run, for `rk_step` and `gamma_step`, its arguments
-    checked before the plan is built."""
+    checked before the plan is built; returns the plan, y0 as a float array
+    and the step's (y1, u, diagnostics, jacobian_count)."""
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
     _check_step_size(h)
     plan = _run_plan(method, sys, h, cfg or SolverConfig(), mode)
-    return next(_steps(plan, y0))
+    return plan, y0, next(_steps(plan, y0))
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
@@ -551,7 +544,7 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     positive; the sign is not enforced so that reversibility experiments
     can step back.  Newton iterates with a fresh matrix built at y0.
     """
-    y1, _, _, diag, _ = _single_step(tab, sys, y0, h, cfg, "rk")
+    _, _, (y1, _, diag, _) = _single_step(tab, sys, y0, h, cfg, "rk")
     return y1, diag
 
 
@@ -565,8 +558,9 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     y1 = y0 + h * gamma_1 because only the constant basis polynomial has
     nonzero mean.
     """
-    y1, gamma, Y, diag, _ = _single_step(spec, sys, y0, h, cfg, "gamma")
-    return y1, GammaState(gamma=gamma, stage_values=Y), diag
+    plan, y0, (y1, gamma, diag, _) = _single_step(spec, sys, y0, h, cfg,
+                                                  "gamma")
+    return y1, GammaState(gamma, y0 + np.dot(plan.hL, gamma)), diag
 
 
 def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
@@ -605,7 +599,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     steps = _steps(plan, y0)
     for n in range(1, n_steps + 1):
         try:
-            states[n], _, _, diag, jacs[n] = next(steps)
+            states[n], _, diag, jacs[n] = next(steps)
         except StageConvergenceError as exc:
             raise StageConvergenceError(
                 f"step {n} failed: {exc}", residual=exc.residual,
@@ -667,8 +661,7 @@ def convergence_order(method, problem, t_end: float, h_list,
         y_ref = np.asarray(problem.reference_solution(horizon), dtype=float)
     else:
         h_ref = h_list[-1] / 8.0
-        ref_cfg = SolverConfig(mode=cfg.mode, tol=1e-14,
-                               max_iter=max(cfg.max_iter, 100))
+        ref_cfg = replace(cfg, tol=1e-14, max_iter=max(cfg.max_iter, 100))
         traj = integrate(method, sys, y0, h_ref,
                          int(round(horizon / h_ref)), ref_cfg, mode=mode)
         y_ref = traj.states[-1]

@@ -229,7 +229,8 @@ def _stability_values(tab: ButcherTableau, z: np.ndarray):
     S[1, r, r] = -np.sum(tab.b)
     # Row j of F holds the factors 1 - z lambda_j; the rows are multiplied
     # in a fixed order, so that a point's value does not depend on the size
-    # of the batch it is evaluated in.
+    # of the batch it is evaluated in (numpy 2.4's np.prod(F, axis=1)
+    # regroups a 1-point batch, whose reduced axis is the contiguous one).
     F = 1.0 - np.linalg.eigvals(S)[:, :, None] * z
     den, num = F[:, 0]
     for j in range(1, r + 1):

@@ -292,8 +292,9 @@ def tableau_from_json(text: str) -> ButcherTableau:
     """Parse a tableau serialised by tableau_to_json.  A document that is
     not an object, a k or s that is not an integer, a family that is not a
     string, an s outside 1 <= s <= k, a c, A or b that is not an array, a
-    row of A that is not an array, or an entry that is not a number is a
-    ValueError naming the field; s and family may be null."""
+    row of A that is not an array or whose length is not that of c, or an
+    entry that is not a number is a ValueError naming the field; s and
+    family may be null."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("tableau JSON must be an object, "
@@ -318,6 +319,9 @@ def tableau_from_json(text: str) -> ButcherTableau:
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ValueError(f"tableau field {name!r} must hold "
                                  f"numbers, got {x!r}")
+        if name == "A" and len(row) != len(obj["c"]):
+            raise ValueError(f"tableau field 'A' must have rows of length "
+                             f"len(c) = {len(obj['c'])}, got row {row!r}")
     tab = ButcherTableau(c=obj["c"], A=obj["A"], b=obj["b"],
                          s=obj.get("s"), family=obj.get("family"))
     if tab.k != obj["k"]:

@@ -205,6 +205,8 @@ class TestVerifyCommand:
          '[0.5, 0.25]], "b": [0.5, 0.5]}', "'s' must satisfy 1 <= s <= k"),
         ('{"k": 1, "s": 1500, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
          "'s' must satisfy 1 <= s <= k"),
+        ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2], [0.3]], '
+         '"b": [0.5, 0.5]}', "'A' must have rows of length len(c) = 2"),
     ])
     def test_malformed_tableau_exits_2_naming_the_field(self, tmp_path,
                                                         capsys, text, named):

@@ -499,7 +499,8 @@ class TestKeptNewtonMatrix:
     def test_extra_iterations_refresh_at_jacobian_cost(self, monkeypatch, k,
                                                        expect):
         self._patch_newton(monkeypatch, lambda fresh, r:
-                           (r[0], 3 if fresh else 4, r[2], 0.0))
+                           (r[0], r[1], integrator.StepDiagnostics(
+                               3 if fresh else 4, r[2].residual, 0.0)))
         traj = self._run(spec=HbvmSpec(k, 2))
         assert traj.jacobian_counts.tolist() == expect
 
@@ -509,7 +510,8 @@ class TestKeptNewtonMatrix:
     ])
     def test_slow_contraction_refreshes(self, monkeypatch, ratio, expect):
         self._patch_newton(monkeypatch, lambda fresh, r:
-                           (r[0], 3, r[2], ratio))
+                           (r[0], r[1], integrator.StepDiagnostics(
+                               3, r[2].residual, ratio)))
         assert self._run().jacobian_counts.tolist() == expect
 
     def test_failure_with_kept_matrix_is_retried(self, monkeypatch):
@@ -1199,13 +1201,15 @@ class TestEnergyDrift:
     def test_constant_trajectory(self):
         traj = Trajectory(times=np.arange(3.0), states=np.ones((3, 2)),
                           energies=np.full(3, 1.5),
-                          iteration_counts=np.zeros(3, dtype=int))
+                          iteration_counts=np.zeros(3, dtype=int),
+                          jacobian_counts=np.zeros(3, dtype=int))
         assert energy_drift(traj) == (0.0, 0.0)
 
     def test_empty_trajectory_is_rejected(self):
         traj = Trajectory(times=np.zeros(0), states=np.zeros((0, 2)),
                           energies=np.zeros(0),
-                          iteration_counts=np.zeros(0, dtype=int))
+                          iteration_counts=np.zeros(0, dtype=int),
+                          jacobian_counts=np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="trajectory is empty"):
             energy_drift(traj)
 
@@ -1312,7 +1316,8 @@ def test_trajectory_csv_round_trips_bit_exactly(rows, iters):
     n = rows.shape[0]
     traj = Trajectory(times=rows[:, 0], states=rows[:, 1:3],
                       energies=rows[:, 3],
-                      iteration_counts=np.array(iters[:n]))
+                      iteration_counts=np.array(iters[:n]),
+                      jacobian_counts=np.zeros(n, dtype=int))
     lines = trajectory_to_csv(traj).splitlines()
     assert lines[0] == "t,y_1,y_2,H,iters"
     cells = [line.split(",") for line in lines[1:]]

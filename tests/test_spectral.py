@@ -338,6 +338,31 @@ class TestDeterminantRatio:
             assert np.max(np.abs(values - ref)
                           / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
+    @pytest.mark.parametrize("name", ["gauss", "lobatto", "custom", "rk4",
+                                      "pole"])
+    def test_a_point_does_not_depend_on_its_batch(self, name):
+        tab = {
+            "gauss": lambda: hbvm_tableau(HbvmSpec(4, 2)),
+            "lobatto": lambda: hbvm_tableau(HbvmSpec(6, 3,
+                                                     NodeFamily.LOBATTO)),
+            "custom": lambda: hbvm_tableau(HbvmSpec(
+                4, 2, NodeFamily.CUSTOM, nodes=(0.15, 0.35, 0.65, 0.85))),
+            "rk4": lambda: ButcherTableau(
+                c=[0.0, 0.5, 0.5, 1.0],
+                A=[[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
+                   [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                b=[1 / 6, 1 / 3, 1 / 3, 1 / 6]),
+            "pole": lambda: ButcherTableau(c=[-1.0], A=[[-1.0]], b=[1.0]),
+        }[name]()
+        z = _scan_grid()
+        values, pole = _stability_values(tab, z)
+        for i in range(z.size):
+            alone, alone_pole = _stability_values(tab, z[i:i + 1])
+            assert values[i:i + 1].tobytes() == alone.tobytes(), (name, i)
+            assert pole[i] == alone_pole[0], (name, i)
+        if name == "pole":
+            assert pole.any()
+
     def test_scan_grid_is_built_once_and_read_only(self):
         z = _scan_grid()
         assert _scan_grid() is z

@@ -508,6 +508,13 @@ class TestSerialization:
          "'s' must satisfy 1 <= s <= k = 2, got 3"),
         ('{"k": 1, "s": 1500, "c": [0.5], "A": [[0.5]], "b": [1.0]}',
          "'s' must satisfy 1 <= s <= k = 1, got 1500"),
+        ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2], [0.3]], '
+         '"b": [0.5, 0.5]}',
+         "'A' must have rows of length len(c) = 2, got row [0.3]"),
+        ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2, 0.3], '
+         '[0.3, 0.4]], "b": [0.5, 0.5]}',
+         "'A' must have rows of length len(c) = 2, got row "
+         "[0.1, 0.2, 0.3]"),
     ])
     def test_malformed_document_names_the_field(self, text, named):
         with pytest.raises(ValueError) as info:
