@@ -15,12 +15,17 @@ writes into, or returns a view of, its input, and an integer state gets
 the value of the equal float state.  V and grad_V index with ``y[..., i]``,
 so energies and gradients act on the last axis of one state or of any
 ``(..., dim)`` block, and all stages of an iteration cost one call.
+
+The polynomial oscillators harmonic, quartic and sextic are one builder,
+``_power``, at nu = 2, 4 and 6: V = q^nu / nu, and grad_V raises the
+coordinate column of g to the power nu - 1 in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -76,37 +81,25 @@ def _separable(name: str, V, grad_V, y0, poly_degree: int | None = None,
 # -- one-degree-of-freedom oscillators --------------------------------------
 
 
-def _harmonic() -> ProblemSpec:
-    """Unit-frequency oscillator; exact solution is a rotation."""
+def _power(name: str, nu: int, y0,
+           reference: Callable[[float], np.ndarray] | None = None
+           ) -> ProblemSpec:
+    """The oscillator V = q^nu / nu, a degree-nu energy: nu = 2 is the
+    unit-frequency harmonic one, 4 a stiffening quartic and 6 the standard
+    high-degree conservation case."""
+    e = nu - 1
+
     def grad_V(g):
-        pass  # grad V = q, already in the copy
+        g[..., 0] **= e
 
-    q0, p0 = 1.0, 0.0
-
-    def exact(t):
-        return np.array([q0 * math.cos(t) + p0 * math.sin(t),
-                         -q0 * math.sin(t) + p0 * math.cos(t)])
-
-    return _separable("harmonic", lambda y: 0.5 * y[..., 0] ** 2, grad_V,
-                      [q0, p0], poly_degree=2, reference=exact)
+    return _separable(name, lambda y: y[..., 0] ** nu / nu, grad_V, y0,
+                      poly_degree=nu, reference=reference)
 
 
-def _quartic() -> ProblemSpec:
-    """Stiffening quartic potential; degree-4 energy."""
-    def grad_V(g):
-        g[..., 0] **= 3
-
-    return _separable("quartic", lambda y: 0.25 * y[..., 0] ** 4, grad_V,
-                      [1.0, 1.0], poly_degree=4)
-
-
-def _sextic() -> ProblemSpec:
-    """Degree-6 confinement; the standard high-degree conservation case."""
-    def grad_V(g):
-        g[..., 0] **= 5
-
-    return _separable("sextic", lambda y: y[..., 0] ** 6 / 6.0, grad_V,
-                      [1.0, 1.0], poly_degree=6)
+def _rotation(t: float, q0: float = 1.0, p0: float = 0.0) -> np.ndarray:
+    """Harmonic state at t from (q0, p0) at t = 0: a rotation."""
+    return np.array([q0 * math.cos(t) + p0 * math.sin(t),
+                     -q0 * math.sin(t) + p0 * math.cos(t)])
 
 
 def _pendulum() -> ProblemSpec:
@@ -176,7 +169,9 @@ def _kepler() -> ProblemSpec:
 
 # Name -> builder, in catalog order.  A lookup builds only the problem it
 # returns, and the names are known without building any.
-_BUILDERS = {"harmonic": _harmonic, "quartic": _quartic, "sextic": _sextic,
+_BUILDERS = {"harmonic": partial(_power, "harmonic", 2, (1.0, 0.0), _rotation),
+             "quartic": partial(_power, "quartic", 4, (1.0, 1.0)),
+             "sextic": partial(_power, "sextic", 6, (1.0, 1.0)),
              "pendulum": _pendulum, "henon-heiles": _henon_heiles,
              "kepler": _kepler}
 

@@ -243,8 +243,12 @@ def _stability_values(tab: ButcherTableau, z: np.ndarray):
 
 
 def stability_function(tab: ButcherTableau, z: complex) -> complex:
-    """Linear-stability value R(z) = 1 + z b^T (I - z A)^{-1} 1."""
-    R, pole = _stability_values(tab, np.array([z], dtype=complex))
+    """Linear-stability value R(z) = 1 + z b^T (I - z A)^{-1} 1.  A z
+    with a NaN or infinite real or imaginary part is a ValueError."""
+    zs = np.array([z], dtype=complex)
+    if not np.isfinite(zs[0]):
+        raise ValueError(f"z must be finite, got z = {z}")
+    R, pole = _stability_values(tab, zs)
     if pole[0]:
         raise PoleError(f"resolvent singular at z = {z}")
     return complex(R[0])

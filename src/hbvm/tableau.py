@@ -89,7 +89,10 @@ class ButcherTableau:
         b = np.atleast_1d(np.array(self.b, dtype=float))
         k = c.size
         if A.shape != (k, k) or b.size != k:
-            raise ValueError("inconsistent tableau dimensions")
+            what = (f"A has shape {A.shape}, not (k, k) = {(k, k)}"
+                    if A.shape != (k, k)
+                    else f"b has size {b.size}, not k = {k}")
+            raise ValueError(f"inconsistent tableau dimensions: {what}")
         _check_finite("tableau entries", c=c, A=A, b=b)
         for name, x in (("c", c), ("A", A), ("b", b)):
             x.setflags(write=False)
@@ -292,9 +295,11 @@ def tableau_from_json(text: str) -> ButcherTableau:
     """Parse a tableau serialised by tableau_to_json.  A document that is
     not an object, a k or s that is not an integer, a family that is not a
     string, an s outside 1 <= s <= k, a c, A or b that is not an array, a
-    row of A that is not an array or whose length is not that of c, or an
-    entry that is not a number is a ValueError naming the field; s and
-    family may be null."""
+    row of A that is not an array or whose length is not that of c, an
+    entry that is not a number, or an integer entry too large for float64
+    is a ValueError naming the field; s and family may be null.  So is an
+    A without len(c) rows or a b without len(c) entries (ButcherTableau
+    names which)."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("tableau JSON must be an object, "
@@ -319,6 +324,11 @@ def tableau_from_json(text: str) -> ButcherTableau:
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ValueError(f"tableau field {name!r} must hold "
                                  f"numbers, got {x!r}")
+            try:
+                float(x)
+            except OverflowError:
+                raise ValueError(f"tableau field {name!r} holds an integer "
+                                 "too large for float64") from None
         if name == "A" and len(row) != len(obj["c"]):
             raise ValueError(f"tableau field 'A' must have rows of length "
                              f"len(c) = {len(obj['c'])}, got row {row!r}")

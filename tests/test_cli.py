@@ -207,6 +207,14 @@ class TestVerifyCommand:
          "'s' must satisfy 1 <= s <= k"),
         ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2], [0.3]], '
          '"b": [0.5, 0.5]}', "'A' must have rows of length len(c) = 2"),
+        ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2]], '
+         '"b": [0.5, 0.5]}', "A has shape (1, 2), not (k, k) = (2, 2)"),
+        ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2], [0.3, 0.4]], '
+         '"b": [0.5]}', "b has size 1, not k = 2"),
+        pytest.param('{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]], "b": [%s]}'
+                     % ("9" * 400),
+                     "'b' holds an integer too large for float64",
+                     id="huge-int-b"),
     ])
     def test_malformed_tableau_exits_2_naming_the_field(self, tmp_path,
                                                         capsys, text, named):

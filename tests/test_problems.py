@@ -244,3 +244,34 @@ def test_catalog_order_and_names_match_lookup():
         get_problem("three-body")
     assert exc.value.args[0] == ("unknown problem 'three-body'; known: "
                                  + ", ".join(names))
+
+
+# The power oscillators V = q^nu / nu, pinned bit for bit: grad_H raises the
+# coordinate column of a float copy to nu - 1 and keeps p, and H is
+# 0.5 p^2 + q^nu / nu.  -0.0 must stay -0.0 in q^(nu - 1) for odd powers,
+# and at q = 1.1, q^6 / 6 and q^6 * (1 / 6) differ in the last bit.
+_POWERS = {"harmonic": 2, "quartic": 4, "sextic": 6}
+_POWER_BLOCKS = {
+    "state": np.array([-0.0, 0.75]),
+    "rows": np.array([[1.5, -0.0], [-0.0, 2.0], [-1.25, 0.3], [3e-60, -7.0],
+                      [0.1, 1e20], [1.1, -0.5]]),
+    "grid": np.array([[[0.5, 1.0], [-2.0, -0.0]],
+                      [[1e30, 0.25], [-0.0, -0.0]],
+                      [[-0.1, 4.0], [7.5, -3.0]]]),
+    "int": np.array([[3, -2], [-4, 5], [0, 1], [-1, 0]]),
+}
+
+
+@pytest.mark.parametrize("block", _POWER_BLOCKS)
+@pytest.mark.parametrize("name", _POWERS)
+def test_power_oscillators_bit_for_bit(name, block):
+    nu, Y = _POWERS[name], _POWER_BLOCKS[block]
+    sys = get_problem(name).system
+    q, p = Y[..., 0].astype(float), Y[..., 1].astype(float)
+    g = sys.grad_H(Y)
+    assert g.dtype == np.float64 and g.shape == Y.shape
+    assert g[..., 0].tobytes() == (q ** (nu - 1)).tobytes()
+    assert g[..., 1].tobytes() == p.tobytes()
+    energy = np.asarray(sys.H(Y))
+    assert energy.tobytes() == np.asarray(0.5 * (p * p)
+                                          + q ** nu / nu).tobytes()

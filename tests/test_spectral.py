@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,18 @@ class TestStabilityFunction:
         tab = hbvm_tableau(HbvmSpec(1, 1))
         with pytest.raises(PoleError):
             stability_function(tab, 2.0)  # I - 2 * (1/2) singular
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan,
+                                   1j * math.inf, complex(0.0, math.inf),
+                                   complex(1.0, math.nan)],
+                             ids=["inf", "-inf", "nan", "1j*inf", "0+infj",
+                                  "1+nanj"])
+    def test_non_finite_z_is_refused_without_warning(self, z):
+        tab = hbvm_tableau(HbvmSpec(4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="z must be finite"):
+                stability_function(tab, z)
 
 
 class TestRankScan:

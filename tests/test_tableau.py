@@ -454,6 +454,16 @@ class TestGaussReduction:
             assert np.max(np.abs(tab.A - coll)) <= 1e-13
 
 
+# One-stage documents with a 400-digit integer, beyond float64, in the
+# named field (json reads it as an exact int).
+HUGE_INT = "9" * 400
+HUGE_INT_DOCUMENTS = {
+    "c": '{"k": 1, "s": 1, "c": [%s], "A": [[0.5]], "b": [1.0]}' % HUGE_INT,
+    "A": '{"k": 1, "s": 1, "c": [0.5], "A": [[-%s]], "b": [1.0]}' % HUGE_INT,
+    "b": '{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]], "b": [%s]}' % HUGE_INT,
+}
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self):
         for spec, _ in spec_matrix(4, 10):
@@ -515,6 +525,18 @@ class TestSerialization:
          '[0.3, 0.4]], "b": [0.5, 0.5]}',
          "'A' must have rows of length len(c) = 2, got row "
          "[0.1, 0.2, 0.3]"),
+        ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2]], '
+         '"b": [0.5, 0.5]}',
+         "inconsistent tableau dimensions: A has shape (1, 2), "
+         "not (k, k) = (2, 2)"),
+        ('{"k": 2, "s": 1, "c": [0.2, 0.8], "A": [[0.1, 0.2], '
+         '[0.3, 0.4]], "b": [0.5]}',
+         "inconsistent tableau dimensions: b has size 1, not k = 2"),
+        ('{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]], "b": [1e999]}',
+         "tableau entries must be finite: b[0] = inf"),
+        *[pytest.param(text, f"'{field}' holds an integer too large for "
+                             "float64", id=f"huge-int-{field}")
+          for field, text in HUGE_INT_DOCUMENTS.items()],
     ])
     def test_malformed_document_names_the_field(self, text, named):
         with pytest.raises(ValueError) as info:
