@@ -8,8 +8,12 @@ checks) reads each node system's cached basis table
 basis_values and basis_integrals evaluate at arbitrary points.  Gauss and
 Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
 custom interpolatory weights and collocation matrices are solved in the
-same basis, each collocation matrix once per node system and cached on it.
-Every family's systems are built once per node set and shared.
+same basis.  Every family's systems are built once per node set and
+shared, and each system computes its collocation matrix, weight matrix,
+Gram matrix and moment errors once, on first use.  The constants that
+depend only on a size, the recurrence coefficients and the xi vector per
+table width n, and the structure matrix per degree s (tableau.py), are
+built once per size.
 The argument checks every module shares live here, at the bottom of the
 import graph.
 """
@@ -83,6 +87,8 @@ def _check_positive(value: float, name: str, what: str | None = None) -> None:
 
 def _check_finite(what: str, **arrays: np.ndarray) -> None:
     """ValueError listing every non-finite entry as name[i, ...] = value."""
+    if all(np.isfinite(x).all() for x in arrays.values()):
+        return
     bad = [f"{name}[{', '.join(map(str, idx))}] = {x[idx]}"
            for name, x in arrays.items()
            for idx in zip(*np.nonzero(~np.isfinite(x)))]
@@ -102,8 +108,9 @@ class AbscissaeSystem:
 
     Nodes are strictly increasing and positive, except that the Lobatto
     family includes the endpoint 0.  tau and omega are private read-only
-    copies, so the two values cached on first use, the basis table and
-    the collocation matrix, always describe the nodes.
+    copies, so the read-only values cached on first use (the basis table,
+    the collocation matrix, and the private weight matrix, Gram matrix and
+    moment errors) always describe the nodes.
     """
 
     tau: np.ndarray
@@ -137,9 +144,7 @@ class AbscissaeSystem:
         """Read-only (k, 2k + 3) table of the first 2k + 3 basis polynomials
         at the nodes; its first n columns are basis_values(tau, n), bit for
         bit, for every n it holds."""
-        P = _recurrence_values(self.tau, 2 * self.k + 3)
-        P.setflags(write=False)
-        return P
+        return _read_only(_recurrence_values(self.tau, 2 * self.k + 3))
 
     @functools.cached_property
     def collocation_matrix(self) -> np.ndarray:
@@ -148,9 +153,36 @@ class AbscissaeSystem:
         table: collocation integrates every polynomial of degree < k
         exactly from 0 to each node, so A P_k = I_k."""
         P, k = self.basis, self.k
-        A = np.linalg.solve(P[:, :k].T, _integrals(P, k).T).T
-        A.setflags(write=False)
-        return A
+        return _read_only(np.linalg.solve(P[:, :k].T, _integrals(P, k).T).T)
+
+    # The per-system constants of the tableau build and its checks, each
+    # computed once on first use.
+
+    @functools.cached_property
+    def _weight_matrix(self) -> np.ndarray:
+        """Read-only diagonal matrix Omega of the weights."""
+        return _read_only(np.diag(self.omega))
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        """Read-only Gram matrix P_k^T Omega P_k of the first k basis
+        polynomials under the rule."""
+        P = self.basis[:, :self.k]
+        return _read_only(P.T @ self._weight_matrix @ P)
+
+    @functools.cached_property
+    def _moment_errors(self) -> np.ndarray:
+        """Read-only errors of the rule's moments of the basis table,
+        omega @ P against e_1 (exactness_degree's scan)."""
+        moments = self.omega @ self.basis
+        moments[0] -= 1.0
+        return _read_only(moments)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """x, marked read-only: a cached array is shared by every caller."""
+    x.setflags(write=False)
+    return x
 
 
 def xi(j: int) -> float:
@@ -182,11 +214,17 @@ def _recurrence_values(t: np.ndarray, n: int) -> np.ndarray:
     P[:, 0] = 1.0
     if n >= 2:
         P[:, 1] = math.sqrt(3.0) * x
-    for m in range(1, n - 1):
-        a = (2 * m + 1) / (m + 1) * math.sqrt((2 * m + 3) / (2 * m + 1))
-        b = m / (m + 1) * math.sqrt((2 * m + 3) / (2 * m - 1))
+    for m, (a, b) in enumerate(_recurrence_coefficients(n), start=1):
         P[:, m + 1] = a * x * P[:, m] - b * P[:, m - 1]
     return P
+
+
+@functools.lru_cache(maxsize=64)
+def _recurrence_coefficients(n: int) -> tuple[tuple[float, float], ...]:
+    """The coefficients (a, b) of the recurrence steps m = 1 .. n - 2."""
+    return tuple(((2 * m + 1) / (m + 1) * math.sqrt((2 * m + 3) / (2 * m + 1)),
+                  m / (m + 1) * math.sqrt((2 * m + 3) / (2 * m - 1)))
+                 for m in range(1, n - 1))
 
 
 def basis_integrals(tau, n: int) -> np.ndarray:
@@ -205,11 +243,17 @@ def _integrals(P: np.ndarray, n: int) -> np.ndarray:
     """The first n basis antiderivatives from a table P of at least n + 1
     basis values (basis_integrals on a table already built).  Column j - 1
     is xi(j) P_{j+1} - xi(j-1) P_{j-1}."""
-    x = np.array([xi(j) for j in range(1, n + 1)])
+    x = _xi_vector(n)
     out = np.empty((P.shape[0], n))
     out[:, 0] = 0.5 * P[:, 0] + x[0] * P[:, 1]
     out[:, 1:] = x[1:] * P[:, 2:n + 1] - x[:-1] * P[:, :n - 1]
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _xi_vector(n: int) -> np.ndarray:
+    """Read-only (xi(1), ..., xi(n))."""
+    return _read_only(np.array([xi(j) for j in range(1, n + 1)]))
 
 
 def _shift_matrix(sys: AbscissaeSystem, s: int) -> np.ndarray:
@@ -322,7 +366,6 @@ def exactness_degree(sys: AbscissaeSystem, tol: float = 1e-9) -> int:
     degrees.
     """
     _check_positive(tol, "tol")
-    moments = sys.omega @ sys.basis
-    moments[0] -= 1.0
-    inexact = np.flatnonzero(np.abs(moments) > tol)
-    return int(inexact[0]) - 1 if inexact.size else moments.size - 1
+    errors = sys._moment_errors
+    inexact = np.flatnonzero(np.abs(errors) > tol)
+    return int(inexact[0]) - 1 if inexact.size else errors.size - 1

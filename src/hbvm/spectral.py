@@ -14,8 +14,9 @@ The verification sweep runs in phases: it builds every spec's node
 system, basis matrices and tableau first, then runs each check over every
 spec before it starts the next, and builds the records last.  The spectra
 of all tableaux with the same stage count k come from one stacked
-eigenvalues call, and each node system's collocation matrix is solved
-once and cached on it.
+eigenvalues call.  Each node system's collocation matrix, weight matrix
+and Gram matrix are computed once and cached on it, and the structure
+matrix X~_s once per s.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .tableau import (
     _filtered_matrix,
     _hbvm_build,
     _spec_record,
+    _xtilde,
     basis_matrices,
     hbvm_tableau,
-    xhat_matrix,
     xs_matrix,
-    xtilde_matrix,
 )
 
 __all__ = [
@@ -112,9 +112,9 @@ def _greedy_match_distance(found, reference) -> float:
     worst = 0.0
     for ref in reference:
         dists = [abs(z - ref) for z in remaining]
-        i = int(np.argmin(dists))
-        worst = max(worst, dists[i])
-        remaining.pop(i)
+        nearest = min(dists)
+        worst = max(worst, nearest)
+        remaining.pop(dists.index(nearest))
     return worst
 
 
@@ -160,9 +160,13 @@ def isospectral_check(spec: HbvmSpec) -> SpectrumReport:
     return classify_spectrum(tab.A, spec.s)
 
 
+def _max_abs(X: np.ndarray) -> float:
+    """Max-norm of the entries of X; NaN if any entry is NaN."""
+    return float(np.maximum.reduce(np.abs(X), axis=None))
+
+
 def _subspace_residual(A: np.ndarray, bm: BasisMatrices) -> float:
-    R = A @ bm.P_s1 - bm.P_s1 @ xtilde_matrix(bm.P_s.shape[1])
-    return float(np.max(np.abs(R)))
+    return _max_abs(A @ bm.P_s1 - bm.P_s1 @ _xtilde(bm.P_s.shape[1]))
 
 
 def invariant_subspace_residual(spec: HbvmSpec) -> float:
@@ -191,19 +195,19 @@ def _w_transform_residuals(sys: AbscissaeSystem, bm: BasisMatrices,
     """w_transform_check for the stage matrix A built from bm."""
     k, s = sys.k, bm.P_s.shape[1]
     P = sys.basis[:, :k]
-    G = P.T @ np.diag(sys.omega) @ P
+    G = sys._gram
     E1 = np.zeros_like(G)
     E1[:s, :s] = np.eye(s)
     E1[s:, s:] = G[s:, s:]  # trailing block is unconstrained
-    res_gram = float(np.max(np.abs(G - E1)))
+    res_gram = _max_abs(G - E1)
 
     try:
         M = np.linalg.solve(P, A @ P)
     except np.linalg.LinAlgError as exc:
         raise ValueError("enlarged basis matrix is singular") from exc
     E2 = np.zeros((k, k))
-    E2[: s + 1, :s] = xhat_matrix(s)[:k]  # X_s itself when k == s
-    res_similarity = float(np.max(np.abs(M - E2)))
+    E2[: s + 1, :s] = _xtilde(s)[:k, :s]  # X_s itself when k == s
+    res_similarity = _max_abs(M - E2)
     return res_gram, res_similarity
 
 
@@ -395,7 +399,7 @@ def verification_sweep(smax: int = 4, kmax: int = 10, tol: float = 1e-10,
             reports[i] = _classify(eigs, tabs[i].A, tabs[i].s)
     scans = [a_stability_scan(tab) for tab in tabs]
     subspace = [_subspace_residual(tab.A, bm) for _, bm, tab in built]
-    filtered = [float(np.max(np.abs(_filtered_matrix(sys, bm) - tab.A)))
+    filtered = [_max_abs(_filtered_matrix(sys, bm) - tab.A)
                 for sys, bm, tab in built]
     wres = [None if spec.family is NodeFamily.CUSTOM
             else _w_transform_residuals(sys, bm, tab.A)

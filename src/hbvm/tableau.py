@@ -18,6 +18,7 @@ from .legendre import (
     _check_integers,
     _integrals,
     _is_integer,
+    _read_only,
     custom_system,
     exactness_degree,
     gauss_system,
@@ -162,12 +163,13 @@ def abscissae(spec: HbvmSpec) -> AbscissaeSystem:
 
 def basis_matrices(sys: AbscissaeSystem, s: int) -> BasisMatrices:
     """Evaluate the basis and its antiderivatives on the node system,
-    from its cached basis table."""
+    from its cached basis table; P_s, P_s1 and Omega are the system's
+    read-only cached arrays, I_s is fresh."""
     if not (_is_integer(s) and 1 <= s <= sys.k):
         raise ValueError(f"need 1 <= s <= k for an integer s, got s={s!r}, k={sys.k}")
     P = sys.basis
     return BasisMatrices(P_s=P[:, :s], P_s1=P[:, :s + 1], I_s=_integrals(P, s),
-                         Omega=np.diag(sys.omega))
+                         Omega=sys._weight_matrix)
 
 
 def _require_exactness(sys: AbscissaeSystem, s: int) -> None:
@@ -236,32 +238,46 @@ def filtered_tableau(sys: AbscissaeSystem, s: int) -> ButcherTableau:
                           family=sys.family.value)
 
 
-# xs_matrix and xhat_matrix are contiguous copies of blocks of the one
-# xtilde_matrix build: matmul over a strided slice can round differently.
+# The three structural matrices are fresh contiguous copies of blocks of
+# one cached build per s: matmul over a strided slice can round differently.
 
 
 def xs_matrix(s: int) -> np.ndarray:
     """s x s tridiagonal matrix carrying the order-2s Gauss spectrum."""
-    return xtilde_matrix(s)[:s, :s].copy()
+    _check_degree(s)
+    return _xtilde(s)[:s, :s].copy()
 
 
 def xhat_matrix(s: int) -> np.ndarray:
     """(s+1) x s extension of xs_matrix with a final row (0, ..., 0, xi(s))."""
-    return xtilde_matrix(s)[:, :s].copy()
+    _check_degree(s)
+    return _xtilde(s)[:, :s].copy()
 
 
 def xtilde_matrix(s: int) -> np.ndarray:
     """xhat_matrix with an appended zero column, (s+1) x (s+1): 1/2 at
     (0, 0), xi(j) at (j, j-1) for j <= s and -xi(j) at (j-1, j) for j < s."""
+    _check_degree(s)
+    return _xtilde(s).copy()
+
+
+def _check_degree(s) -> None:
+    """ValueError unless s is an integer >= 1.  Checked before any cache
+    lookup: True and 2.0 hash like 1 and 2."""
     if not (_is_integer(s) and s >= 1):
         raise ValueError(f"s must be >= 1 and an integer, got s={s!r}")
+
+
+@functools.lru_cache(maxsize=64)
+def _xtilde(s: int) -> np.ndarray:
+    """Read-only xtilde_matrix(s) for a checked s, built once per s."""
     X = np.zeros((s + 1, s + 1))
     X[0, 0] = 0.5
     for j in range(1, s):
         X[j - 1, j] = -xi(j)
         X[j, j - 1] = xi(j)
     X[s, s - 1] = xi(s)
-    return X
+    return _read_only(X)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +307,39 @@ def tableau_to_json(tab: ButcherTableau) -> str:
                        "c": tab.c, "b": tab.b, "A": tab.A})
 
 
+class _LongInt:
+    """An integer literal with more digits than int() converts (4300 by
+    default, sys.set_int_max_str_digits), which json.loads would refuse
+    without naming its field.  Far too large for float64 as well."""
+
+    def __init__(self, literal: str):
+        self.digits = len(literal.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"<{self.digits}-digit integer>"
+
+    def __float__(self) -> float:
+        raise OverflowError("integer too large for float64")
+
+
+def _parse_int(literal: str):
+    """json.loads' parse_int: the int, or a _LongInt past int()'s limit."""
+    try:
+        return int(literal)
+    except ValueError:
+        return _LongInt(literal)
+
+
 def tableau_from_json(text: str) -> ButcherTableau:
     """Parse a tableau serialised by tableau_to_json.  A document that is
     not an object, a k or s that is not an integer, a family that is not a
     string, an s outside 1 <= s <= k, a c, A or b that is not an array, a
     row of A that is not an array or whose length is not that of c, an
-    entry that is not a number, or an integer entry too large for float64
-    is a ValueError naming the field; s and family may be null.  So is an
-    A without len(c) rows or a b without len(c) entries (ButcherTableau
-    names which)."""
-    obj = json.loads(text)
+    entry that is not a number, an integer entry too large for float64, or
+    a k or s with more digits than int() converts is a ValueError naming
+    the field; s and family may be null.  So is an A without len(c) rows
+    or a b without len(c) entries (ButcherTableau names which)."""
+    obj = json.loads(text, parse_int=_parse_int)
     if not isinstance(obj, dict):
         raise ValueError("tableau JSON must be an object, "
                          f"got {type(obj).__name__}")
@@ -308,6 +347,9 @@ def tableau_from_json(text: str) -> ButcherTableau:
                                  ("family", str, True), ("c", list, False),
                                  ("A", list, False), ("b", list, False)):
         value = obj.get(name)
+        if kind is int and isinstance(value, _LongInt):
+            raise ValueError(f"tableau field {name!r} holds an integer too "
+                             f"large to read: {value!r}")
         if not ((value is None and nullable)
                 or (isinstance(value, kind) and not isinstance(value, bool))):
             raise ValueError(f"tableau field {name!r} must be "
@@ -321,7 +363,8 @@ def tableau_from_json(text: str) -> ButcherTableau:
             raise ValueError(f"tableau field 'A' must be a list of rows, "
                              f"got row {row!r}")
         for x in row:
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
+            if not isinstance(x, (int, float, _LongInt)) \
+                    or isinstance(x, bool):
                 raise ValueError(f"tableau field {name!r} must hold "
                                  f"numbers, got {x!r}")
             try:

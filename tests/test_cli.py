@@ -215,6 +215,14 @@ class TestVerifyCommand:
                      % ("9" * 400),
                      "'b' holds an integer too large for float64",
                      id="huge-int-b"),
+        pytest.param('{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]], "b": [%s]}'
+                     % ("9" * 5000),
+                     "'b' holds an integer too large for float64",
+                     id="long-int-b"),
+        pytest.param('{"k": %s, "s": 1, "c": [0.5], "A": [[0.5]], "b": [1.0]}'
+                     % ("9" * 5000),
+                     "'k' holds an integer too large to read",
+                     id="long-int-k"),
     ])
     def test_malformed_tableau_exits_2_naming_the_field(self, tmp_path,
                                                         capsys, text, named):

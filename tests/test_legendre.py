@@ -21,6 +21,8 @@ from hbvm.legendre import (
     random_custom_system,
     xi,
 )
+from hbvm.spectral import spec_matrix
+from hbvm.tableau import MAX_DEGREE, MAX_STAGES, abscissae
 
 # Monomial coefficients (ascending) of the classical shifted Legendre
 # polynomials on [0, 1]; the orthonormal basis is sqrt(2j - 1) times these.
@@ -464,3 +466,59 @@ def test_basis_table_columns_are_basis_values_bit_for_bit():
         for n in range(1, 2 * sys.k + 4):
             assert (np.ascontiguousarray(P[:, :n]).tobytes()
                     == basis_values(sys.tau, n).tobytes())
+
+
+def column_recurrence(t, n):
+    """The recurrence one column of the (len(t), n) table at a time, with
+    its coefficients taken in the loop: the reference _recurrence_values
+    must match byte for byte."""
+    x = 2.0 * t - 1.0
+    P = np.empty((t.size, n))
+    P[:, 0] = 1.0
+    if n >= 2:
+        P[:, 1] = math.sqrt(3.0) * x
+    for m in range(1, n - 1):
+        a = (2 * m + 1) / (m + 1) * math.sqrt((2 * m + 3) / (2 * m + 1))
+        b = m / (m + 1) * math.sqrt((2 * m + 3) / (2 * m - 1))
+        P[:, m + 1] = a * x * P[:, m] - b * P[:, m - 1]
+    return P
+
+
+def _assert_recurrence_matches_column_loop(t, n):
+    P = legendre._recurrence_values(t, n)
+    assert P.shape == (t.size, n) and P.flags.c_contiguous
+    assert P.tobytes() == column_recurrence(t, n).tobytes(), (t.size, n)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 7])
+def test_recurrence_matches_the_column_loop_on_every_node_system(seed):
+    # every Gauss, Lobatto and seeded custom system of the k <= 12 sweep
+    for spec, _ in spec_matrix(MAX_DEGREE, MAX_STAGES, seed):
+        tau = abscissae(spec).tau
+        for n in (1, 2, spec.s + 1, 2 * spec.k + 3):
+            _assert_recurrence_matches_column_loop(tau, n)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0], ids=["[0,1]", "[1,2]"])
+def test_recurrence_matches_the_column_loop_on_random_points(shift):
+    # [1, 2] holds the points 1 + tau of the one-interval shift
+    t = shift + np.random.default_rng(3).random(1000)
+    for n in range(1, 2 * MAX_STAGES + 4):
+        _assert_recurrence_matches_column_loop(t, n)
+
+
+def test_cached_arrays_are_read_only_and_built_once():
+    for sys in _node_systems():
+        P, k = sys.basis, sys.k
+        for name, want in (
+                ("_weight_matrix", np.diag(sys.omega)),
+                ("_gram", P[:, :k].T @ np.diag(sys.omega) @ P[:, :k]),
+                ("_moment_errors", sys.omega @ P - np.eye(1, P.shape[1])[0])):
+            X = getattr(sys, name)
+            assert getattr(sys, name) is X
+            assert X.tobytes() == want.tobytes(), (sys.family, k, name)
+            with pytest.raises(ValueError, match="read-only"):
+                X[...] = 0.0
+    for n in range(1, 2 * MAX_STAGES + 4):
+        with pytest.raises(ValueError, match="read-only"):
+            legendre._xi_vector(n)[...] = 0.0

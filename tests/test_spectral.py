@@ -432,15 +432,26 @@ def test_verification_sweep_shape_and_order():
 
 
 @pytest.mark.parametrize("smax,kmax,seed", [(2, 5, 42), (4, 10, 42),
-                                             (4, 10, 7)])
-def test_verification_sweep_entries_match_public_checks(smax, kmax, seed):
+                                             (4, 10, 7), (4, 10, 1)])
+def test_verification_sweep_entries_match_public_checks(smax, kmax, seed,
+                                                        monkeypatch):
     tol = 1e-10
+    # the sweep scans through a_stability_scan, once per spec in
+    # spec_matrix order, and keeps the whole scan
+    swept_scans = []
+
+    def recording(tab):
+        swept_scans.append(a_stability_scan(tab))
+        return swept_scans[-1]
+
+    monkeypatch.setattr(spectral, "a_stability_scan", recording)
+    swept = verification_sweep(smax=smax, kmax=kmax, seed=seed)
+    monkeypatch.undo()
     entries = {(e["spec"]["k"], e["spec"]["s"], e["spec"]["family"],
-                e["spec"]["seed"]): e
-               for e in verification_sweep(smax=smax, kmax=kmax, seed=seed)}
+                e["spec"]["seed"]): e for e in swept}
     specs = spec_matrix(smax, kmax, seed)
-    assert len(entries) == len(specs)
-    for spec, used_seed in specs:
+    assert len(entries) == len(specs) == len(swept_scans)
+    for (spec, used_seed), swept_scan in zip(specs, swept_scans):
         e = entries[(spec.k, spec.s, spec.family.value, used_seed)]
         sys, tab = abscissae(spec), hbvm_tableau(spec)
         report = isospectral_check(spec)
@@ -455,6 +466,7 @@ def test_verification_sweep_entries_match_public_checks(smax, kmax, seed):
         else:
             assert e["wtransform_residuals"] == list(w_transform_check(sys, spec.s))
         scan = a_stability_scan(tab)
+        assert swept_scan == scan
         assert e["a_stability_max_deviation"] == scan.max_deviation
         residuals = [e["subspace_residual"], e["filter_residual"],
                      *(e["wtransform_residuals"] or ())]

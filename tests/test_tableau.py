@@ -64,6 +64,11 @@ class TestBasisMatrices:
         assert bm.I_s == pytest.approx(np.array([[0.5]]))
         assert bm.Omega == pytest.approx(np.array([[1.0]]))
 
+    def test_omega_is_the_systems_cached_weight_matrix(self):
+        sys = gauss_system(4)
+        for s in range(1, 5):
+            assert basis_matrices(sys, s).Omega is sys._weight_matrix
+
     def test_gauss2_second_column(self):
         bm = basis_matrices(gauss_system(2), 2)
         assert bm.P_s[:, 1] == pytest.approx([-1.0, 1.0], abs=1e-14)
@@ -423,6 +428,16 @@ class TestStructuralMatrices:
                                rf"got s={s!r}$"):
                 build(s)
 
+    def test_each_call_hands_out_a_fresh_writable_array(self):
+        builds = (xs_matrix, xhat_matrix, xtilde_matrix)
+        for s in range(1, 7):
+            want = [build(s).tobytes() for build in builds]
+            for build in builds:
+                X = build(s)
+                assert X.flags.writeable
+                X[...] = np.nan
+            assert [build(s).tobytes() for build in builds] == want
+
     def test_xtilde_is_bit_identical_to_golden(self):
         # SHA-256 of the little-endian float64 bytes of xtilde_matrix(1..6),
         # row-major and concatenated.
@@ -461,6 +476,15 @@ HUGE_INT_DOCUMENTS = {
     "c": '{"k": 1, "s": 1, "c": [%s], "A": [[0.5]], "b": [1.0]}' % HUGE_INT,
     "A": '{"k": 1, "s": 1, "c": [0.5], "A": [[-%s]], "b": [1.0]}' % HUGE_INT,
     "b": '{"k": 1, "s": 1, "c": [0.5], "A": [[0.5]], "b": [%s]}' % HUGE_INT,
+}
+# The same with 5000 digits, past the 4300 that int() converts by default
+# (json.loads alone refuses them naming no field), and in k and s too.
+LONG_INT = "9" * 5000
+LONG_INT_DOCUMENTS = {
+    **{field: text.replace(HUGE_INT, LONG_INT)
+       for field, text in HUGE_INT_DOCUMENTS.items()},
+    "k": '{"k": %s, "s": 1, "c": [0.5], "A": [[0.5]], "b": [1.0]}' % LONG_INT,
+    "s": '{"k": 1, "s": -%s, "c": [0.5], "A": [[0.5]], "b": [1.0]}' % LONG_INT,
 }
 
 
@@ -537,6 +561,11 @@ class TestSerialization:
         *[pytest.param(text, f"'{field}' holds an integer too large for "
                              "float64", id=f"huge-int-{field}")
           for field, text in HUGE_INT_DOCUMENTS.items()],
+        *[pytest.param(text, f"'{field}' holds an integer too large "
+                             + ("to read" if field in ("k", "s")
+                                else "for float64"),
+                       id=f"long-int-{field}")
+          for field, text in LONG_INT_DOCUMENTS.items()],
     ])
     def test_malformed_document_names_the_field(self, text, named):
         with pytest.raises(ValueError) as info:
