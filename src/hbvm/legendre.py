@@ -9,8 +9,10 @@ basis_values and basis_integrals evaluate at arbitrary points.  Gauss and
 Lobatto rules come from numpy's Golub-Welsch eigenvalue construction;
 custom interpolatory weights and collocation matrices are solved in the
 same basis.  Every family's systems are built once per node set and
-shared, and each system computes its collocation matrix, weight matrix,
-Gram matrix and moment errors once, on first use.  The constants that
+shared.  The Gauss and Lobatto caches are keyed on the type of k as well,
+so a cached system never skips the check of k; a numpy-integer k gets its
+own system object.  Each system computes its collocation matrix, weight
+matrix, Gram matrix and moment errors once, on first use.  The constants that
 depend only on a size, the recurrence coefficients and the xi vector per
 table width n, and the structure matrix per degree s (tableau.py), are
 built once per size.
@@ -274,7 +276,7 @@ def _shift_matrix(sys: AbscissaeSystem, s: int) -> np.ndarray:
 # (per k for Gauss and Lobatto) and shared, with its basis table.
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def gauss_system(k: int) -> AbscissaeSystem:
     """Gauss-Legendre nodes and weights on [0, 1]; exact through degree 2k-1."""
     _check_integers(1, k=k)
@@ -282,7 +284,7 @@ def gauss_system(k: int) -> AbscissaeSystem:
     return AbscissaeSystem((x + 1.0) / 2.0, w / 2.0, NodeFamily.GAUSS)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def lobatto_system(k: int) -> AbscissaeSystem:
     """Lobatto nodes on [0, 1] including both endpoints; exact through 2k-3."""
     _check_integers(2, k=k)

@@ -1,7 +1,10 @@
 import sys
 from pathlib import Path
 
-# Allow running the suite from a fresh checkout without installing.
+# The suite runs from a fresh checkout without installing: an installed
+# hbvm is used as it is, otherwise src/ goes first on sys.path.  The few
+# tests that start an interpreter hand it the same import root on
+# PYTHONPATH (run_python in test_cli.py).
 _src = Path(__file__).resolve().parent.parent / "src"
 if str(_src) not in sys.path:
     try:

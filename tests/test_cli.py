@@ -4,24 +4,51 @@ import dataclasses
 import importlib.util
 import io
 import json
+import os
 import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hbvm
 from hbvm import cli
 from hbvm.integrator import SolverConfig, integrate, trajectory_to_csv
 from hbvm.problems import get_problem
 from hbvm.tableau import HbvmSpec, hbvm_tableau, tableau_to_json
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "hbvm", *args],
-                          capture_output=True, text=True, cwd=cwd)
+def run_cli(*args):
+    """`hbvm *args` run in this process, reported as a finished process.
+
+    Every warning is an error here: in a child process it would print to
+    stderr, but pytest captures it in-process, where an assertion on stderr
+    could not see it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's exits
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_python(*argv, preexec_fn=None, **env):
+    """`python *argv` in a fresh interpreter that imports the same hbvm as
+    this one, with env added to its environment.  For the tests whose
+    subject is the process itself."""
+    root = str(Path(hbvm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, preexec_fn=preexec_fn,
+                          env=dict(os.environ, **env, PYTHONPATH=path))
 
 
 SCIPY_PROBE = """
@@ -46,10 +73,28 @@ print(any(m.split(".")[0] == "scipy" for m in sys.modules),
 def test_scipy_is_never_loaded(tmp_path, args):
     if args:
         args += ("--out", str(tmp_path / "out"))
-    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args],
-                         capture_output=True, text=True)
+    res = run_python("-c", SCIPY_PROBE, *args)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "False False"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("tableau", "--k", "4", "--s", "2"), 0),
+    (("spectrum", "--k", "6", "--s", "2", "--tol", "1e-300"), 1),
+    (("integrate", "--problem", "kepler", "--k", "2", "--s", "1", "--h", "0.3",
+      "--steps", "10", "--solver", "newton"), 1),
+    (("tableau", "--k", "2", "--s", "1", "--family", "custom", "--nodes",
+      "a,b"), 2),
+    ((), 2),
+], ids=["tableau", "failed-check", "diverging-newton", "argparse", "no-args"])
+def test_run_cli_reports_what_a_process_reports(monkeypatch, argv, code):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    res = run_cli(*argv)
+    child = run_python("-m", "hbvm", *argv, COLUMNS="80")
+    assert res.returncode == code
+    assert ((res.returncode, res.stdout, res.stderr)
+            == (child.returncode, child.stdout, child.stderr))
 
 
 class TestTableauCommand:
@@ -525,11 +570,10 @@ class TestOrderCommand:
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         out = tmp_path / "never.json"
-        res = subprocess.run(
-            [sys.executable, "-m", "hbvm", "order", "--problem", "harmonic",
-             "--k", "2", "--s", "1", "--levels", "1000000000", "--hmax", hmax,
-             "--out", str(out)],
-            capture_output=True, text=True, preexec_fn=cap_memory)
+        res = run_python("-m", "hbvm", "order", "--problem", "harmonic",
+                         "--k", "2", "--s", "1", "--levels", "1000000000",
+                         "--hmax", hmax, "--out", str(out),
+                         preexec_fn=cap_memory)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == ("error: step sizes must be finite and "

@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
+import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-import hbvm
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -16,9 +13,6 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
                                     "isospectral_structure.py",
                                     "stability_scan.py"])
 def test_demo_runs(script):
-    src = str(Path(hbvm.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(DEMOS / script)],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
+    # build_tableaux.py sets numpy's print options; later tests keep theirs
+    with np.printoptions(**np.get_printoptions()):
+        runpy.run_path(str(DEMOS / script), run_name="__main__")

@@ -372,6 +372,20 @@ def test_basis_tables_accept_a_numpy_integer_count():
                           basis_integrals([0.5], 3))
 
 
+@pytest.mark.parametrize("build,warm,bad", [
+    (gauss_system, np.int64(3), np.float64(3.0)),
+    (lobatto_system, np.int32(4), 4.0),
+    (gauss_system, 1, True),
+], ids=["gauss-float", "lobatto-float", "gauss-bool"])
+def test_a_cached_system_does_not_skip_the_k_check(build, warm, bad):
+    # bad == warm: a cache keyed on the value alone would return warm's
+    # system without checking bad
+    build(warm)
+    got = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=rf"^k must be an integer, got {got}$"):
+        build(bad)
+
+
 @pytest.mark.parametrize("seed", [1.5, -1, True, np.float64(42.0)], ids=repr)
 def test_random_custom_system_rejects_a_bad_seed(seed):
     got = re.escape(repr(seed))
