@@ -15,6 +15,8 @@ writes into, or returns a view of, its input, and an integer state gets
 the value of the equal float state.  V and grad_V index with ``y[..., i]``,
 so energies and gradients act on the last axis of one state or of any
 ``(..., dim)`` block, and all stages of an iteration cost one call.
+``_separable`` also declares its system ``separable``, which lets a
+fixed-point run iterate on the momentum half of the stage unknowns alone.
 
 The polynomial oscillators harmonic, quartic and sextic are one builder,
 ``_power``, at nu = 2, 4 and 6: V = q^nu / nu, and grad_V raises the
@@ -59,7 +61,8 @@ def _separable(name: str, V, grad_V, y0, poly_degree: int | None = None,
 
     V reads the coordinate columns of a float64 ``(..., dim)`` block;
     grad_V overwrites them, in that block, with the gradient of V, so the
-    momentum columns keep p, the momentum half of grad H.
+    momentum columns keep p, the momentum half of grad H.  The system is
+    marked separable and vectorized.
     """
     m = len(y0) // 2
 
@@ -74,7 +77,8 @@ def _separable(name: str, V, grad_V, y0, poly_degree: int | None = None,
         return g
 
     system = HamiltonianSystem(dim=len(y0), H=H, grad_H=grad_H,
-                               poly_degree=poly_degree, vectorized=True)
+                               poly_degree=poly_degree, vectorized=True,
+                               separable=True)
     return ProblemSpec(name, system, y0, reference)
 
 

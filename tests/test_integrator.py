@@ -334,8 +334,9 @@ class TestNamedNewtonFailures:
 
 
 class TestIterationLimit:
-    # sextic (6, 2) at h = 0.1 takes ~10 fixed-point iterations, and more
-    # than one Newton correction, to reach tol = 1e-15
+    # sextic (6, 2) at h = 0.1 takes ~10 fixed-point iterations (~6 on the
+    # separable system's second-order iteration), and more than one Newton
+    # correction, to reach tol = 1e-15
     @pytest.mark.parametrize("solver,max_iter,solver_name", [
         ("fixed_point", 2, "fixed-point"),
         ("newton", 1, "Newton"),
@@ -356,20 +357,30 @@ class TestIterationLimit:
             rk_step(hbvm_tableau(spec), sext.system, sext.default_y0, 0.1,
                     cfg)
 
-    # the same step accepts after 13 fixed-point corrections, counted with
-    # the free final update as 14 iterations, and after 6 Newton corrections
+    # the same step, on the sextic without its separable mark, accepts after
+    # 13 fixed-point corrections, counted with the free final update as 14
+    # iterations, and after 6 Newton corrections
     @pytest.mark.parametrize("solver,corrections,iterations", [
         ("fixed_point", 13, 14),
         ("newton", 6, 6),
     ])
     def test_bounds_the_corrections(self, solver, corrections, iterations):
+        self._check_bound(False, solver, corrections, iterations)
+
+    # marked, fixed point iterates on the second-order form: 7 corrections
+    def test_second_order_bounds_the_corrections(self):
+        self._check_bound(True, "fixed_point", 7, 8)
+
+    @staticmethod
+    def _check_bound(separable, solver, corrections, iterations):
         sext = get_problem("sextic")
+        system = dataclasses.replace(sext.system, separable=separable)
         tab = hbvm_tableau(HbvmSpec(6, 2))
         cfg = SolverConfig(mode=solver, tol=1e-15, max_iter=corrections)
-        _, diag = rk_step(tab, sext.system, sext.default_y0, 0.1, cfg)
+        _, diag = rk_step(tab, system, sext.default_y0, 0.1, cfg)
         assert diag.iterations == iterations
         with pytest.raises(StageConvergenceError, match="did not reach"):
-            rk_step(tab, sext.system, sext.default_y0, 0.1,
+            rk_step(tab, system, sext.default_y0, 0.1,
                     dataclasses.replace(cfg, max_iter=corrections - 1))
 
     @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0)],
@@ -550,9 +561,11 @@ class TestKeptNewtonMatrix:
     def test_fixed_point_counts_are_unchanged(self):
         # fixed point builds no Newton matrix, so keeping one must not change
         # a single iteration count; the counts are those of the warm start,
-        # each step after the first starting from the previous polynomial
+        # each step after the first starting from the previous polynomial.
+        # Unmarked, the sextic takes the first-order iteration.
         sext = get_problem("sextic")
-        traj = integrate(HbvmSpec(6, 2), sext.system, sext.default_y0, 0.1,
+        system = dataclasses.replace(sext.system, separable=False)
+        traj = integrate(HbvmSpec(6, 2), system, sext.default_y0, 0.1,
                          1000, SolverConfig())
         counts = traj.iteration_counts[1:]
         assert counts[:20].tolist() == [12, 11, 11, 12, 12, 12, 12, 11, 11,
@@ -560,6 +573,19 @@ class TestKeptNewtonMatrix:
         assert counts.sum() == 8572
         assert np.bincount(counts).tolist() == [0, 0, 0, 19, 57, 113, 75, 94,
                                                 94, 94, 131, 170, 153]
+        assert not np.any(traj.jacobian_counts)
+
+    def test_second_order_fixed_point_counts(self):
+        # the same run on the marked sextic, iterating on the p-half
+        sext = get_problem("sextic")
+        traj = integrate(HbvmSpec(6, 2), sext.system, sext.default_y0, 0.1,
+                         1000, SolverConfig())
+        counts = traj.iteration_counts[1:]
+        assert counts[:20].tolist() == [7, 7, 7, 7, 7, 7, 7, 7, 7, 6, 6, 5, 5,
+                                        4, 4, 4, 3, 3, 3, 3]
+        assert counts.sum() == 5315
+        assert np.bincount(counts).tolist() == [0, 0, 10, 160, 169, 150, 188,
+                                                323]
         assert not np.any(traj.jacobian_counts)
 
     def test_contraction_is_the_final_residual_ratio(self):
@@ -677,12 +703,22 @@ class TestWarmStart:
         assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
         assert traj.iteration_counts.sum() == 1830
 
-    def test_sextic_fixed_point_counts_at_tol_1e_15(self):
+    @staticmethod
+    def _sextic_fixed_iterations(separable):
         # the configuration of the sextic-fixed benchmark workload
         sext = get_problem("sextic")
-        traj = integrate(HbvmSpec(6, 2), sext.system, sext.default_y0, 0.1,
+        system = dataclasses.replace(sext.system, separable=separable)
+        traj = integrate(HbvmSpec(6, 2), system, sext.default_y0, 0.1,
                          1000, SolverConfig(tol=1e-15))
-        assert traj.iteration_counts.sum() == 10053
+        return traj.iteration_counts.sum()
+
+    def test_sextic_fixed_point_counts_at_tol_1e_15(self):
+        # unmarked: the first-order iteration on the whole u
+        assert self._sextic_fixed_iterations(False) == 10053
+
+    def test_sextic_second_order_counts_at_tol_1e_15(self):
+        # as the catalog builds it: the second-order iteration
+        assert self._sextic_fixed_iterations(True) == 6012
 
     def test_full_stage_kepler_newton_counts(self):
         # full-stage Newton on an HbvmSpec: one matrix for the whole run
@@ -764,8 +800,9 @@ class TestStateShape:
 
 class TestBatchedVectorField:
     @staticmethod
-    def _per_point_sextic():
-        """The catalog sextic, called one state at a time."""
+    def _per_point_sextic(separable=True):
+        """The catalog sextic, called one state at a time; like the catalog's,
+        it is marked separable unless told otherwise."""
         sext = get_problem("sextic").system
 
         def H(y):
@@ -776,16 +813,27 @@ class TestBatchedVectorField:
             assert y.ndim == 1
             return sext.grad_H(y)
 
-        return HamiltonianSystem(dim=2, H=H, grad_H=grad_H, poly_degree=6)
+        return HamiltonianSystem(dim=2, H=H, grad_H=grad_H, poly_degree=6,
+                                 separable=separable)
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
     def test_per_point_fallback_is_unchanged(self, mode, cfg):
+        self._check_per_point(True, mode, cfg)
+
+    # Newton takes the same path marked or not
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_unmarked_per_point_fallback_is_unchanged(self, mode):
+        self._check_per_point(False, mode, TIGHT)
+
+    def _check_per_point(self, separable, mode, cfg):
+        # like is compared with like: both systems marked, or both not
         sext = get_problem("sextic")
-        per_point = self._per_point_sextic()
-        assert not per_point.vectorized and sext.system.vectorized
+        system = dataclasses.replace(sext.system, separable=separable)
+        per_point = self._per_point_sextic(separable)
+        assert not per_point.vectorized and system.vectorized
         spec = HbvmSpec(6, 2)
-        ref = integrate(spec, sext.system, sext.default_y0, 0.1, 50, cfg,
+        ref = integrate(spec, system, sext.default_y0, 0.1, 50, cfg,
                         mode=mode)
         traj = integrate(spec, per_point, sext.default_y0, 0.1, 50, cfg,
                          mode=mode)
@@ -806,6 +854,21 @@ class TestBatchedVectorField:
     @pytest.mark.parametrize("k", [4, 12])
     def test_grad_H_calls_do_not_grow_with_k(self, mode, cfg, iters, extra,
                                              k):
+        # unmarked: fixed point takes the first-order iteration
+        self._check_step_calls(False, mode, cfg, iters, extra, k)
+
+    # the second-order iteration keeps one grad_H call per iteration
+    @pytest.mark.parametrize("mode,iters,extra", [("rk", 8, 1),
+                                                  ("gamma", 8, 0)],
+                             ids=["rk-fixed", "gamma-fixed"])
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_second_order_grad_H_calls_do_not_grow_with_k(self, mode, iters,
+                                                          extra, k):
+        self._check_step_calls(True, mode, SolverConfig(tol=1e-14), iters,
+                               extra, k)
+
+    @staticmethod
+    def _check_step_calls(separable, mode, cfg, iters, extra, k):
         kep = get_problem("kepler")
         calls = []
 
@@ -813,7 +876,8 @@ class TestBatchedVectorField:
             calls.append(y.shape)
             return kep.system.grad_H(y)
 
-        system = dataclasses.replace(kep.system, grad_H=counted)
+        system = dataclasses.replace(kep.system, grad_H=counted,
+                                     separable=separable)
         spec = HbvmSpec(k, 2)
         if mode == "rk":
             _, diag = rk_step(hbvm_tableau(spec), system, kep.default_y0,
@@ -834,6 +898,16 @@ class TestBatchedVectorField:
         ("gamma", SolverConfig(mode="newton"), 245),
     ], ids=["rk-fixed", "gamma-fixed", "rk-newton", "gamma-newton"])
     def test_grad_H_calls_over_a_run(self, mode, cfg, calls):
+        # unmarked: fixed point takes the first-order iteration
+        self._check_run_calls(False, mode, cfg, calls)
+
+    @pytest.mark.parametrize("mode,calls", [("rk", 232), ("gamma", 201)],
+                             ids=["rk-fixed", "gamma-fixed"])
+    def test_second_order_grad_H_calls_over_a_run(self, mode, calls):
+        self._check_run_calls(True, mode, SolverConfig(), calls)
+
+    @staticmethod
+    def _check_run_calls(separable, mode, cfg, calls):
         kep = get_problem("kepler")
         counted = []
 
@@ -841,7 +915,8 @@ class TestBatchedVectorField:
             counted.append(y.shape)
             return kep.system.grad_H(y)
 
-        system = dataclasses.replace(kep.system, grad_H=grad_H)
+        system = dataclasses.replace(kep.system, grad_H=grad_H,
+                                     separable=separable)
         n_steps = 50
         traj = integrate(HbvmSpec(12, 4), system, kep.default_y0, 0.05,
                          n_steps, cfg, mode=mode)
@@ -928,6 +1003,115 @@ class TestBatchedVectorField:
         integrator._field_jacobian(per_point, y)
         assert len(rows) == y.size + 1
         assert np.array_equal(rows[-1], y)
+
+
+class TestSecondOrderFixedPoint:
+    # A marked system (separable H on the canonical J) runs fixed point on
+    # u_p alone, u_q = R 1 p0^T + h M u_p rebuilt from it each iteration;
+    # every other run takes the first-order iteration on the whole u.
+    STEP = {"kepler": 0.05}
+
+    @staticmethod
+    def _pair(method, system, y0, h, n_steps, cfg, mode="rk"):
+        """The runs of the system marked separable and unmarked."""
+        return tuple(integrate(method,
+                               dataclasses.replace(system, separable=mark),
+                               y0, h, n_steps, cfg, mode=mode)
+                     for mark in (True, False))
+
+    @staticmethod
+    def _assert_same_bytes(marked, unmarked):
+        for name in ("states", "energies", "iteration_counts",
+                     "jacobian_counts"):
+            assert getattr(marked, name).tobytes() \
+                == getattr(unmarked, name).tobytes(), name
+
+    def test_plan_reduces_only_a_marked_fixed_point_run(self):
+        sext = get_problem("sextic").system
+        spec, h = HbvmSpec(6, 2), 0.1
+        plan = integrator._run_plan(spec, sext, h, SolverConfig(), "rk")
+        m, r1, hM = plan.second_order
+        # for an HBVM R 1 = e_1: only the constant basis polynomial has a
+        # nonzero mean
+        assert m == 1 and r1.tolist() == [1.0, 0.0]
+        assert hM.tobytes() == (h * plan.M).tobytes()
+        unmarked = dataclasses.replace(sext, separable=False)
+        for system, cfg in ((unmarked, SolverConfig()), (sext, NEWTON)):
+            plan = integrator._run_plan(spec, system, h, cfg, "rk")
+            assert plan.second_order is None
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_non_canonical_structure_keeps_the_first_order_path(self, mode):
+        harm = get_problem("harmonic")
+        system = dataclasses.replace(harm.system, J=2.0 * harm.system.J)
+        self._assert_same_bytes(*self._pair(HbvmSpec(6, 2), system,
+                                            harm.default_y0, 0.1, 50, TIGHT,
+                                            mode))
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    @pytest.mark.parametrize("name", [p.name for p in catalog()])
+    def test_newton_keeps_the_first_order_path(self, name, mode):
+        prob = get_problem(name)
+        h = self.STEP.get(name, 0.1)
+        self._assert_same_bytes(*self._pair(HbvmSpec(6, 2), prob.system,
+                                            prob.default_y0, h, 20, NEWTON,
+                                            mode))
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_odd_dimension_keeps_the_first_order_path(self, mode):
+        # a marked odd-dim system has no (q, p) halves: it runs, unreduced
+        J = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 2.0], [-0.5, -2.0, 0.0]])
+        system = HamiltonianSystem(
+            dim=3, H=lambda y: 0.5 * np.sum(y * y, axis=-1),
+            grad_H=lambda y: y.astype(float), J=J, vectorized=True,
+            separable=True)
+        self._assert_same_bytes(*self._pair(HbvmSpec(4, 2), system,
+                                            np.array([1.0, 0.5, -0.5]), 0.1,
+                                            20, SolverConfig(), mode))
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(), TIGHT],
+                             ids=["default", "tight"])
+    @pytest.mark.parametrize("name", [p.name for p in catalog()])
+    def test_full_rank_tableau_agrees_with_the_first_order_run(self, name,
+                                                               cfg):
+        # the SVD factors of a full-rank A have R 1 != e_1; the q-half
+        # r1 p0^T + h R L u_p is exact for any factors.  Measured over 100
+        # steps: at most 1.3 tol apart; 20 steps are checked at 10 tol
+        tab = gauss_collocation_tableau(3)
+        _, R = tab.low_rank
+        assert np.max(np.abs(R.sum(axis=1) - np.eye(3)[0])) > 0.1
+        prob = get_problem(name)
+        marked, unmarked = self._pair(tab, prob.system, prob.default_y0,
+                                      self.STEP.get(name, 0.1), 20, cfg)
+        assert np.max(np.abs(marked.states - unmarked.states)) \
+            <= 10 * cfg.tol
+        assert marked.iteration_counts.sum() < unmarked.iteration_counts.sum()
+
+    def test_rank_zero_tableau_is_unchanged(self):
+        # explicit Euler has no unknowns to reduce: equal to the last bit
+        sext = get_problem("sextic")
+        euler = TestLowRankStageCore.EULER
+        self._assert_same_bytes(*self._pair(euler, sext.system,
+                                            sext.default_y0, 0.01, 20,
+                                            SolverConfig()))
+
+    # 100 steps at tol 1e-15 over the catalog x 3 specs x both forms:
+    # states measured at most 1.0e-14 apart (4.9e-13 after 500 steps), and
+    # every run within criterion 7's relative energy drift of 1e-11
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    @pytest.mark.parametrize("spec", [HbvmSpec(6, 2), HbvmSpec(12, 4),
+                                      HbvmSpec(6, 3)],
+                             ids=lambda spec: f"k{spec.k}-s{spec.s}")
+    @pytest.mark.parametrize("name", [p.name for p in catalog()])
+    def test_catalog_runs_agree_with_the_first_order_runs(self, name, spec,
+                                                          mode):
+        prob = get_problem(name)
+        marked, unmarked = self._pair(spec, prob.system, prob.default_y0,
+                                      self.STEP.get(name, 0.1), 100, TIGHT,
+                                      mode)
+        assert np.max(np.abs(marked.states - unmarked.states)) <= 1e-13
+        assert energy_drift(marked)[0] <= 1e-11 * abs(marked.energies[0])
+        assert marked.iteration_counts.sum() < unmarked.iteration_counts.sum()
 
 
 def _analytic_field_jacobian(name, y):

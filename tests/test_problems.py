@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hbvm import problems
-from hbvm.integrator import HamiltonianSystem
+from hbvm.integrator import HamiltonianSystem, canonical_symplectic_matrix
 from hbvm.problems import catalog, get_problem
 
 EXPECTED_NAMES = {"harmonic", "quartic", "sextic", "pendulum",
@@ -42,6 +42,18 @@ def test_catalog_names_and_degrees():
     assert set(probs) == EXPECTED_NAMES
     for name, nu in EXPECTED_DEGREES.items():
         assert probs[name].system.poly_degree == nu
+
+
+def test_catalog_declares_separable_canonical_systems():
+    # the declaration that turns on the second-order fixed point: every
+    # catalog H is |p|^2/2 + V(q) on the canonical structure
+    for prob in catalog():
+        sys = prob.system
+        assert sys.separable
+        assert np.array_equal(sys.J, canonical_symplectic_matrix(sys.dim))
+        y = prob.default_y0
+        m = sys.dim // 2
+        assert np.array_equal(sys.grad_H(y)[m:], y[m:])
 
 
 def test_lookup_normalises_name():
