@@ -10,13 +10,15 @@ or an unreadable or unwritable file (nothing written).
 
 Each option is declared once, in one of three shared groups: the method
 spec, the check --tol, and the run options, whose solver defaults are
-``SolverConfig``'s.
+``SolverConfig``'s.  The check --tol and verify's --smax, --kmax and --seed
+take their defaults from ``verification_sweep``'s signature.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -226,8 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--nodes", type=_node_list,
                       help="comma-separated custom nodes in (0, 1]")
 
+    sweep = {name: param.default for name, param in
+             inspect.signature(verification_sweep).parameters.items()}
     check = argparse.ArgumentParser(add_help=False)
-    check.add_argument("--tol", type=float, default=1e-10)
+    check.add_argument("--tol", type=float, default=sweep["tol"])
 
     run = argparse.ArgumentParser(add_help=False, parents=[spec])
     run.add_argument("--problem", required=True,
@@ -251,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
             "classify a stage-matrix spectrum")
     p = command("verify", cmd_verify, [check],
                 "run structural checks over the spec matrix")
-    p.add_argument("--smax", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--smax", type=int, default=sweep["smax"])
+    p.add_argument("--kmax", type=int, default=sweep["kmax"])
+    p.add_argument("--seed", type=int, default=sweep["seed"],
                    help="seed for the random custom node sets")
     p.add_argument("--tableau-file", help="also check a serialised tableau")
     p = command("integrate", cmd_integrate, [run],

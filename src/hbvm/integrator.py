@@ -6,7 +6,8 @@ are the s expansion coefficients gamma of the underlying degree-s
 polynomial.  Neither iterates on the k stages: both iterate on the same
 r x 2m unknowns u of the stage matrix's factors, which for an HBVM are
 (I_s, P_s^T Omega), so that u is gamma and r = s.  The forms differ only in
-their stopping residual and their update (see the step plan below).
+their stopping residual and their update, told apart by the plan's
+weights b alone (see the step plan below).
 
 Every stage, Jacobian and energy evaluation goes through the system on a
 whole block of states: one `HamiltonianSystem.f` call per iteration on the
@@ -58,10 +59,13 @@ marked system whose J is exactly `canonical_symplectic_matrix(dim)`;
 Newton, an unmarked system and any other J keep the whole-u iteration bit
 for bit.
 
-`integrate` builds a step plan once per run: h L, R, M = R L, the stopping
-residual and the update, which alone tell the forms apart (the change in Y
-and y0 + h b^T f(Y) in the full-stage form, the change in u and
-y0 + h gamma_1 in the coefficient form).  Newton returns its accepted u
+`integrate` builds a step plan once per run, and the plan holds nothing
+that depends on h, so one plan steps at any step size: L, R, M = R L and
+the weights b, which alone tell the forms apart.  With b, the full-stage
+form stops on the change in Y, |h| max |L E|, and updates with
+y0 + h b^T f(Y); with None in its place, the coefficient form stops on the
+change in u and updates with y0 + h gamma_1.  `_steps` forms h L and h M
+once per run, from its own h.  Newton returns its accepted u
 with the f(Y) its last iteration evaluated, which the full-stage update
 reads; fixed point returns G(u) with None, as no iteration evaluated its
 stages, and only that update then forms Y = y0 + h L u and calls f.  A
@@ -411,38 +415,34 @@ def _eigen_split(M: np.ndarray):
 
 @dataclass(frozen=True)
 class _StepPlan:
-    """What every step of a run shares: the stage equations
-    u = R f(y0 + hL u) with M = R L, the form's stopping residual of a
-    change E = G(u) - u, its update (y0, u, F) -> y1 with F = f at the
-    stages of u, or None if no iteration evaluated them, the r x r shift
-    that carries one step's u to the next step's starting guess (None: each
-    step starts from u = 0), the blocks of `_eigen_split(M)` that Newton
-    sums its inverse over (None: the run is fixed point), and the
-    (m, R 1, h M) that rebuild a fixed-point iterate's q-half from its
-    p-half (None: the run iterates on the whole u)."""
+    """What every step of a run shares, at any step size h: the stage
+    equations u = R f(y0 + h L u) with M = R L, the full-stage weights b
+    (None: the coefficient form), the r x r shift that carries one step's u
+    to the next step's starting guess (None: each step starts from u = 0),
+    the blocks of `_eigen_split(M)` that Newton sums its inverse over
+    (None: the run is fixed point), and the (m, R 1) that rebuild a
+    fixed-point iterate's q-half from its p-half (None: the run iterates on
+    the whole u)."""
 
     sys: HamiltonianSystem
-    h: float
     cfg: SolverConfig
-    hL: np.ndarray
+    L: np.ndarray
     R: np.ndarray
     M: np.ndarray
-    residual: Callable[[np.ndarray], float]
-    update: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
+    b: np.ndarray | None
     shift: np.ndarray | None = None
     split: tuple | None = None
     second_order: tuple | None = None
 
 
-def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
+def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
               mode: str) -> _StepPlan:
     """The plan of a run on the `low_rank` factors A = L R and weights b of
     a tableau, or of the one an HbvmSpec builds, which adds the s x s shift
-    of `legendre._shift_matrix`.  Mode 'rk' stops on the change in the
-    stages and updates with y0 + h b^T f(Y); 'gamma' stops on the change in
-    u = gamma and updates with y0 + h gamma_1, since only the constant basis
-    polynomial has nonzero mean.  A fixed-point run of a system marked
-    separable, on the canonical J, takes the second-order form."""
+    of `legendre._shift_matrix`.  Mode 'rk' keeps b; 'gamma' keeps None in
+    its place, which is all that tells the forms apart.  A fixed-point run
+    of a system marked separable, on the canonical J, takes the
+    second-order form."""
     shift = None
     if isinstance(method, HbvmSpec):
         quad, _, method = _hbvm_build(method)
@@ -450,28 +450,6 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
     elif mode == "gamma":
         raise TypeError("gamma mode requires an HbvmSpec")
     L, R = method.low_rank
-    b, hL = method.b, h * L
-    # bound once for the residual, which runs every iteration; ndarray.max
-    # would add a Python frame to each call
-    dot, amax, habs = np.dot, np.maximum.reduce, abs(h)
-
-    if mode == "gamma":
-        def residual(E):
-            return float(amax(np.abs(E), axis=None))
-
-        def update(y0, u, F):
-            return y0 + h * u[0]
-    else:
-        def residual(E):
-            # |h| max |L E| is max |h L E| exactly: rounding is monotone and
-            # symmetric in sign
-            return habs * float(amax(np.abs(dot(L, E)), axis=None))
-
-        def update(y0, u, F):
-            if F is None:
-                F = sys.f(y0 + dot(hL, u))
-            return y0 + h * dot(b, F)
-
     M = R @ L
     split = _eigen_split(M) if cfg.mode == "newton" else None
     second_order = None
@@ -480,12 +458,12 @@ def _run_plan(method, sys: HamiltonianSystem, h: float, cfg: SolverConfig,
             and np.array_equal(sys.J, canonical_symplectic_matrix(dim))):
         # R 1 as a product: for an HBVM at (6, 2) it is e_1 exactly, where
         # R.sum(axis=1) leaves 2.8e-17 in the second entry
-        second_order = (dim // 2, np.dot(R, np.ones(R.shape[1])), h * M)
-    return _StepPlan(sys, h, cfg, hL, R, M, residual, update, shift, split,
-                     second_order)
+        second_order = (dim // 2, np.dot(R, np.ones(R.shape[1])))
+    b = None if mode == "gamma" else method.b
+    return _StepPlan(sys, cfg, L, R, M, b, shift, split, second_order)
 
 
-def _newton_correction(plan: _StepPlan, y0):
+def _newton_correction(plan: _StepPlan, h: float, y0):
     """The inverse of I - h M (x) Jf that Newton iterates with on
     u = R f(y0 + h L u), with M = R L and Jf taken at y0:
     I + sum Re[P (x) (I - h B (x) Jf)^-1 h B (x) Jf] over the blocks (P, B)
@@ -495,24 +473,28 @@ def _newton_correction(plan: _StepPlan, y0):
     # complex product is a strided view, slower to multiply with
     inverse = np.eye(plan.M.shape[0] * y0.size)
     for P, B in plan.split:
-        hJ = np.kron(plan.h * B, Jf)
+        hJ = np.kron(h * B, Jf)
         inverse += np.kron(P, lu_factor(np.eye(hJ.shape[0]) - hJ, hJ)).real
     return inverse
 
 
-def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
-    """One step of a plan from y0, iterating on u from u0; returns
-    (y1, u, diagnostics).  Newton iterates with the given inverse, fixed
-    point when it is None, and the update reads the f at u's stages that
-    the solver returns.  u = gamma for an HBVM tableau, in either form.
-    A plan with a second-order form rebuilds each G's q-half from its
-    p-half."""
-    f, hL, R, residual, dot = (plan.sys.f, plan.hL, plan.R, plan.residual,
-                               np.dot)
+def _gamma_step_matrices(plan: _StepPlan, h: float, hL, hM, y0, u0,
+                         inverse):
+    """One step of size h of a plan from y0, iterating on u from u0, with
+    hL = h L and hM = h M; returns (y1, u, diagnostics).  Newton iterates
+    with the given inverse, fixed point when it is None.  u = gamma for an
+    HBVM tableau, in either form; the plan's b picks the form's residual
+    and update, as the module docstring says.  A plan with a second-order
+    form rebuilds each G's q-half from its p-half."""
+    f, L, R, b, dot = plan.sys.f, plan.L, plan.R, plan.b, np.dot
+    # bound once for the residual, which runs every iteration; ndarray.max
+    # would add a Python frame to each call
+    amax, habs = np.maximum.reduce, abs(h)
     reduced = plan.second_order is not None
     if reduced:
-        m, r1, hM = plan.second_order
-        q_start = np.outer(r1, y0[m:])
+        m, r1 = plan.second_order
+        # the product np.outer forms, without its wrapper's conversions
+        q_start = r1[:, None] * y0[m:]
 
     def residual_map(u):
         F = f(y0 + dot(hL, u))
@@ -521,39 +503,52 @@ def _gamma_step_matrices(plan: _StepPlan, y0, u0, inverse):
             # u_q = R 1 p0^T + h M u_p, taken at the new p-half
             G[:, :m] = q_start + dot(hM, G[:, m:])
         E = G - u
-        return G, E, F, residual(E)
+        if b is None:
+            return G, E, F, float(amax(np.abs(E), axis=None))
+        # |h| max |L E| is max |h L E| exactly: rounding is monotone and
+        # symmetric in sign
+        return G, E, F, habs * float(amax(np.abs(dot(L, E)), axis=None))
 
     if inverse is None:
         u, F, diag = _fixed_point(residual_map, u0, plan.cfg)
     else:
         u, F, diag = _simplified_newton(residual_map, u0, inverse, plan.cfg)
-    return plan.update(y0, u, F), u, diag
+    if b is None:
+        return y0 + h * u[0], u, diag
+    if F is None:
+        F = f(y0 + dot(hL, u))
+    return y0 + h * dot(b, F), u, diag
 
 
-def _steps(plan: _StepPlan, y):
-    """The steps of a run from y, without end: yields (y1, u, diagnostics,
-    jacobian_count) per step, the count as in `Trajectory.jacobian_counts`.
-    Each step starts from u = 0, or from the shifted previous u.  A plan
-    with a split runs Newton, whose matrix is kept, fresh or retried under
-    rules (a)-(c) of the module docstring; one without runs fixed point."""
+def _steps(plan: _StepPlan, h: float, y):
+    """The steps of size h of a run from y, without end: yields (y1, u,
+    diagnostics, jacobian_count) per step, the count as in
+    `Trajectory.jacobian_counts`.  Each step starts from u = 0, or from the
+    shifted previous u.  A plan with a split runs Newton, whose matrix is
+    kept, fresh or retried under rules (a)-(c) of the module docstring; one
+    without runs fixed point."""
     newton = plan.split is not None
     # rule (a) charges k f-evaluations per extra iteration against the
     # dim + 1 of a one-sided finite-difference Jacobian
-    k, jacobian_cost = plan.hL.shape[0], y.size + 1
+    k, jacobian_cost = plan.L.shape[0], y.size + 1
+    # formed once per run rather than once per step
+    hL, hM = h * plan.L, h * plan.M
     inverse, refresh = None, newton
     fresh_iters = extra = 0
     guess = np.zeros((plan.R.shape[0], y.size))
     while True:
         jacobians = 0
         if refresh:
-            inverse, jacobians = _newton_correction(plan, y), 1
+            inverse, jacobians = _newton_correction(plan, h, y), 1
         try:
-            y, u, diag = _gamma_step_matrices(plan, y, guess, inverse)
+            y, u, diag = _gamma_step_matrices(plan, h, hL, hM, y, guess,
+                                               inverse)
         except StageConvergenceError:
             if not newton or jacobians:
                 raise
-            inverse, jacobians = _newton_correction(plan, y), 2
-            y, u, diag = _gamma_step_matrices(plan, y, guess, inverse)
+            inverse, jacobians = _newton_correction(plan, h, y), 2
+            y, u, diag = _gamma_step_matrices(plan, h, hL, hM, y, guess,
+                                               inverse)
         yield y, u, diag, jacobians
         if plan.shift is not None:
             guess = np.dot(plan.shift, u)
@@ -574,8 +569,8 @@ def _single_step(method, sys: HamiltonianSystem, y0, h: float,
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
     _check_step_size(h)
-    plan = _run_plan(method, sys, h, cfg or SolverConfig(), mode)
-    return plan, y0, next(_steps(plan, y0))
+    plan = _run_plan(method, sys, cfg or SolverConfig(), mode)
+    return plan, y0, next(_steps(plan, h, y0))
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
@@ -606,7 +601,7 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     """
     plan, y0, (y1, gamma, diag, _) = _single_step(spec, sys, y0, h, cfg,
                                                   "gamma")
-    return y1, GammaState(gamma, y0 + np.dot(plan.hL, gamma)), diag
+    return y1, GammaState(gamma, y0 + np.dot(h * plan.L, gamma)), diag
 
 
 def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
@@ -632,7 +627,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
     cfg = cfg or SolverConfig()
     y0 = np.asarray(y0, dtype=float)
     _check_state(sys, y0)
-    plan = _run_plan(method, sys, h, cfg, mode)
+    plan = _run_plan(method, sys, cfg, mode)
 
     try:
         states = np.empty((n_steps + 1, y0.size))
@@ -642,7 +637,7 @@ def integrate(method, sys: HamiltonianSystem, y0, h: float, n_steps: int,
         raise ValueError(f"cannot allocate the records of "
                          f"n_steps={n_steps} steps: {exc}") from exc
     states[0] = y0
-    steps = _steps(plan, y0)
+    steps = _steps(plan, h, y0)
     for n in range(1, n_steps + 1):
         try:
             states[n], _, diag, jacs[n] = next(steps)

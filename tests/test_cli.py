@@ -19,7 +19,9 @@ import hbvm
 from hbvm import cli
 from hbvm.integrator import SolverConfig, integrate, trajectory_to_csv
 from hbvm.problems import get_problem
-from hbvm.tableau import HbvmSpec, hbvm_tableau, tableau_to_json
+from hbvm.spectral import verification_sweep
+from hbvm.tableau import (HbvmSpec, _dump_json, hbvm_tableau,
+                         tableau_to_json)
 
 
 def run_cli(*args):
@@ -169,6 +171,12 @@ class TestVerifyCommand:
         assert all(e["passed"] for e in entries)
         keys = [(e["spec"]["s"], e["spec"]["k"], e["spec"]["family"]) for e in entries]
         assert keys == sorted(keys)
+
+    def test_defaults_are_the_sweeps(self):
+        # --smax, --kmax, --seed and --tol default to verification_sweep's
+        res = run_cli("verify")
+        assert res.returncode == 0
+        assert res.stdout == _dump_json(verification_sweep())
 
     def test_trivial_single_entry(self, tmp_path):
         out = tmp_path / "report.json"

@@ -162,14 +162,14 @@ class TestEigenSplitNewton:
     SPECS = [spec for spec, _ in spec_matrix(6, 12)]
 
     @staticmethod
-    def _assembled(plan, y0):
+    def _assembled(plan, h, y0):
         """The Newton inverse, as Newton iterates with it."""
-        return integrator._newton_correction(plan, y0)
+        return integrator._newton_correction(plan, h, y0)
 
     def _check_against_dense(self, method, h):
         kep = get_problem("kepler")
         y0 = kep.default_y0
-        plan = integrator._run_plan(method, kep.system, h, NEWTON, "rk")
+        plan = integrator._run_plan(method, kep.system, NEWTON, "rk")
         assert plan.split is not None
         Jf = integrator._field_jacobian(kep.system, y0)
         r = plan.M.shape[0]
@@ -178,7 +178,7 @@ class TestEigenSplitNewton:
         cond_v = np.linalg.cond(np.linalg.eig(plan.M)[1])
         bound = (r * y0.size * np.finfo(float).eps * cond_v
                  * np.linalg.cond(a))
-        err = np.linalg.norm(self._assembled(plan, y0) - ref, 2)
+        err = np.linalg.norm(self._assembled(plan, h, y0) - ref, 2)
         assert err <= bound * np.linalg.norm(ref, 2), method
         return r
 
@@ -202,7 +202,7 @@ class TestEigenSplitNewton:
                                                           name):
         hh = get_problem("henon-heiles")
         tab = getattr(self, name)
-        plan = integrator._run_plan(tab, hh.system, 0.05, NEWTON, "rk")
+        plan = integrator._run_plan(tab, hh.system, NEWTON, "rk")
         assert [B.shape for _, B in plan.split] == [plan.M.shape]
         y_nw, _ = rk_step(tab, hh.system, hh.default_y0, 0.05, NEWTON)
         r = plan.M.shape[0]
@@ -222,8 +222,8 @@ class TestEigenSplitNewton:
 
     def test_fixed_point_builds_no_split(self):
         kep = get_problem("kepler")
-        plan = integrator._run_plan(HbvmSpec(12, 6), kep.system, 0.05,
-                                    TIGHT, "gamma")
+        plan = integrator._run_plan(HbvmSpec(12, 6), kep.system, TIGHT,
+                                    "gamma")
         assert plan.split is None
 
     # the counts of the whole Newton matrix inverted
@@ -628,8 +628,7 @@ class TestWarmStart:
     @staticmethod
     def _plan(spec, mode):
         kep = get_problem("kepler")
-        return integrator._run_plan(spec, kep.system, 0.05, SolverConfig(),
-                                    mode)
+        return integrator._run_plan(spec, kep.system, SolverConfig(), mode)
 
     @pytest.mark.parametrize("spec", SHIFT_SPECS, ids=str)
     def test_coefficient_shift_is_exact(self, spec):
@@ -658,13 +657,35 @@ class TestWarmStart:
     @pytest.mark.parametrize("spec", SHIFT_SPECS, ids=str)
     def test_both_forms_share_one_plan(self, spec):
         # both forms iterate on gamma with the spec's own factors; only the
-        # stopping residual and the update differ
+        # weights b differ, None in the coefficient form
         rk, gamma = self._plan(spec, "rk"), self._plan(spec, "gamma")
-        for name in ("hL", "R", "M", "shift"):
+        for name in ("L", "R", "M", "shift"):
             a, b = getattr(rk, name), getattr(gamma, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert gamma.b is None
+        assert rk.b.tobytes() == hbvm_tableau(spec).b.tobytes()
         bm = basis_matrices(abscissae(spec), spec.s)
         assert rk.R.tobytes() == (bm.P_s.T @ bm.Omega).tobytes()
+
+    @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    @pytest.mark.parametrize("name,spec", [("kepler", HbvmSpec(12, 4)),
+                                           ("sextic", HbvmSpec(6, 2))],
+                             ids=["kepler", "sextic"])
+    def test_one_plan_steps_at_every_step_size(self, name, spec, mode, cfg):
+        # the plan holds no step size: one plan, stepped at each h, is the
+        # run that integrate builds its own plan for at that h
+        prob = get_problem(name)
+        plan = integrator._run_plan(spec, prob.system, cfg, mode)
+        for h in (0.05, 0.2):
+            traj = integrate(spec, prob.system, prob.default_y0, h, 20, cfg,
+                             mode=mode)
+            steps = integrator._steps(plan, h, prob.default_y0)
+            for n in range(1, 21):
+                y, _, diag, jacobians = next(steps)
+                assert y.tobytes() == traj.states[n].tobytes(), (h, n)
+                assert diag.iterations == traj.iteration_counts[n]
+                assert jacobians == traj.jacobian_counts[n]
 
     def test_bare_tableau_has_no_shift(self):
         assert self._plan(gauss_collocation_tableau(3), "rk").shift is None
@@ -1028,16 +1049,15 @@ class TestSecondOrderFixedPoint:
 
     def test_plan_reduces_only_a_marked_fixed_point_run(self):
         sext = get_problem("sextic").system
-        spec, h = HbvmSpec(6, 2), 0.1
-        plan = integrator._run_plan(spec, sext, h, SolverConfig(), "rk")
-        m, r1, hM = plan.second_order
+        spec = HbvmSpec(6, 2)
+        plan = integrator._run_plan(spec, sext, SolverConfig(), "rk")
+        m, r1 = plan.second_order
         # for an HBVM R 1 = e_1: only the constant basis polynomial has a
         # nonzero mean
         assert m == 1 and r1.tolist() == [1.0, 0.0]
-        assert hM.tobytes() == (h * plan.M).tobytes()
         unmarked = dataclasses.replace(sext, separable=False)
         for system, cfg in ((unmarked, SolverConfig()), (sext, NEWTON)):
-            plan = integrator._run_plan(spec, system, h, cfg, "rk")
+            plan = integrator._run_plan(spec, system, cfg, "rk")
             assert plan.second_order is None
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
