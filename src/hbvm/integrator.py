@@ -13,8 +13,10 @@ Every stage, Jacobian and energy evaluation goes through the system on a
 whole block of states: one `HamiltonianSystem.f` call per iteration on the
 k stage states, one on the dim + 1 states (dim perturbed ones and the
 point itself) of a one-sided finite-difference Jacobian, and one `H` call
-on a trajectory's states.  A vectorized system answers each with one
-`grad_H` (or `H`) call, so a step's cost barely grows with k; any other
+on a trajectory's states; on the second-order form below, one `grad_V`
+call on the k stage coordinates, and one on m + 1 coordinate states for
+the Hessian of V.  A vectorized system answers each with one `grad_H`,
+`grad_V` (or `H`) call, so a step's cost barely grows with k; any other
 system is called one state at a time.
 
 Both forms are one iteration.  A stage matrix factored as A = L R, with L
@@ -41,22 +43,27 @@ which skips ndarray.max's Python wrapper.  The latter is the reduction
 `.max()` runs, and on these contiguous float blocks `np.dot` and `@` give
 bit-identical results.
 
-A system declared `separable`, H = |p|^2/2 + V(q) on the canonical
-structure, runs fixed point on its second-order form.  There f = (p,
--grad V), so with m = dim/2 the q-half of G = R f(Y) is
-R Y_p = r1 p0^T + h M u_p exactly, with r1 = R 1 (e_1 for an HBVM) and
-M = R L (X_s for an HBVM), for any factors of A.  Each iteration overwrites
-G's q-half with r1 p0^T + h M G_p, built from G's own new p-half, so that
-it is one Gauss-Seidel sweep of
-u_p = -R grad V(q0 + h L r1 p0^T + h^2 L M u_p), with the same fixed point.
-The whole-u iteration contracts like h; for this 2-cyclic map the sweep's
-spectral radius is the square of the whole-u one's, so it contracts like
-h^2 (Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. VIII.6;
+A system that carries `grad_V`, H = |p|^2/2 + V(q), runs both solvers on
+its second-order form when its J is exactly
+`canonical_symplectic_matrix(dim)`.  There f = (p, -grad V), so with
+m = dim/2 the q-half of u = R f(Y) is R Y_p = r1 p0^T + h M u_p exactly,
+with r1 = R 1 (e_1 for an HBVM) and M = R L (X_s for an HBVM), for any
+factors of A.  Only the r x m unknowns u_p are iterated on:
+  u_p = -R grad V(q_base + (h L h M) u_p),  q_base = q0 + (h L r1) p0^T,
+formed once per step.  An iteration is one grad_V call on the fresh k x m
+block of stage coordinates, the product G_p = -R grad V and the change
+E = G_p - u_p; there is no f, no grad_H and no product with J.  The q-half
+of the change is h M E, so the residual is the whole-u one, taken with one
+product by the stacked S = [I; h M] (coefficient form) or [L; L h M]
+(full-stage form).  The full-stage update reads f(Y) = (p0 + h L u_p,
+-grad V); the coefficient form's gamma_1 = (r1_1 p0 + (h M u_p)_1,
+(u_p)_1).  The whole-u fixed point contracts like h, this one like h^2
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. VIII.6;
 Brugnano & Iavernaro, Line Integral Methods for Conservative Problems,
-2016).  It is still one f call per iteration, with the same E = G - u,
-residual and update.  The plan takes it only for a fixed-point run of a
-marked system whose J is exactly `canonical_symplectic_matrix(dim)`;
-Newton, an unmarked system and any other J keep the whole-u iteration bit
+2016).  Newton iterates with the inverse of I + h^2 M^2 (x) grad^2 V,
+r*m square, with grad^2 V the one-sided difference of grad_V at q0.
+Warm starts shift u_p, and `gamma_step` rebuilds the whole gamma.  A
+system without grad_V, and any other J, keeps the whole-u iteration bit
 for bit.
 
 `integrate` builds a step plan once per run, and the plan holds nothing
@@ -64,11 +71,13 @@ that depends on h, so one plan steps at any step size: L, R, M = R L and
 the weights b, which alone tell the forms apart.  With b, the full-stage
 form stops on the change in Y, |h| max |L E|, and updates with
 y0 + h b^T f(Y); with None in its place, the coefficient form stops on the
-change in u and updates with y0 + h gamma_1.  `_steps` forms h L and h M
-once per run, from its own h.  Newton returns its accepted u
-with the f(Y) its last iteration evaluated, which the full-stage update
-reads; fixed point returns G(u) with None, as no iteration evaluated its
-stages, and only that update then forms Y = y0 + h L u and calls f.  A
+change in u and updates with y0 + h gamma_1.  `_steps` forms h L, h M
+and the second-order operators once per run, from its own h (see
+`_step_operators`).  Newton returns its accepted u with the f(Y) (grad V
+on the second-order form) its last iteration evaluated, which the
+full-stage update reads; fixed point returns G(u) with None, as no
+iteration evaluated its stages, and only that update then evaluates
+them.  A
 plan runs Newton iff it holds a Newton split.  For an HbvmSpec the plan
 holds the s x s shift S = P_s^T Omega V, with V[l, j] the j-th basis
 polynomial at 1 + c_l, that starts each step from the previous step's
@@ -80,8 +89,9 @@ The converged stages do not depend on which matrix Newton iterates with, so
 a run keeps the Jacobian and the factored matrix from one step to the next
 and builds a fresh pair only when
   (a) the iterations spent beyond those of the step that built the matrix,
-      at k f-evaluations each, reach the dim + 1 f-evaluations of a
-      one-sided finite-difference Jacobian;
+      at k field evaluations each, reach the n + 1 of a one-sided
+      finite-difference Jacobian on the n columns of u: dim for f, m for
+      the second-order form's grad V;
   (b) the last step's final residual ratio exceeds REFRESH_CONTRACTION; or
   (c) a step fails with the kept matrix: it is retried once from the same
       state and the same starting guess with a fresh one, and only a
@@ -106,14 +116,18 @@ instead left the s = 6 inverse off by ~8e-13, enough to cost some runs an
 extra iteration.  An empty M, or one with cond(V) > 1/sqrt(eps) (a
 defective M: classical RK4, an SDIRK's double eigenvalue), is one whole
 block ([[1]], M), whose term makes the sum the whole matrix's inverse.
-A non-finite Jacobian, a non-finite Newton matrix and an exactly singular
-block each fail the step with a `StageConvergenceError` naming the cause.
+The second-order matrix I - h^2 M^2 (x) K, K = -grad^2 V, splits over the
+same blocks with (h B)(h B) (x) K in place of h B (x) Jf, since
+M^2 = sum P_j lam_j^2: its blocks are m-square.  A non-finite Jacobian,
+a non-finite Newton matrix and an exactly singular block each fail the
+step with a `StageConvergenceError` naming the cause.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -167,20 +181,28 @@ def canonical_symplectic_matrix(dim: int) -> np.ndarray:
     return J
 
 
+def _state_by_state(fn, Y: np.ndarray) -> np.ndarray:
+    """fn at each row of a block, for a system that is not vectorized."""
+    return np.array([fn(y) for y in Y])
+
+
 @dataclass(frozen=True)
 class HamiltonianSystem:
     """Energy function, its gradient, and the structure matrix of the flow.
 
     poly_degree records the total degree when the energy is polynomial;
-    None marks non-polynomial energies.  vectorized declares that H and
-    grad_H act on the last axis of any (..., dim) array, so that a block of
-    states costs one call; otherwise they are called one state at a time.
-    separable declares H = |p|^2/2 + V(q) on states (q, p), so that the
-    momentum half of grad_H is p itself; on the canonical J it lets fixed
-    point iterate on the momentum half alone (see the module docstring).
-    Neither declaration is checked: a system wrongly declared separable
-    converges to the stages of a different system, one whose q-velocity is
-    p.
+    None marks non-polynomial energies.  vectorized declares that H,
+    grad_H and grad_V act on the last axis of any (..., n) array, so that a
+    block of states costs one call; otherwise they are called one state at
+    a time.  grad_V, when given, declares H = |p|^2/2 + V(q) on states
+    (q, p) and is the gradient of V: it takes a float (..., m) block of
+    coordinates, m = dim/2, returns the gradient at each, and may
+    overwrite its argument.  On the canonical J it lets both solvers
+    iterate on the momentum half of the stage unknowns alone (see the
+    module docstring).  Neither declaration is checked beyond grad_V being
+    callable: a grad_V that is not the gradient of H's potential, or an H
+    that is not separable, converges to the stages of a different system,
+    one whose q-velocity is p and whose force is -grad_V.
     """
 
     dim: int
@@ -189,10 +211,13 @@ class HamiltonianSystem:
     J: np.ndarray | None = None
     poly_degree: int | None = None
     vectorized: bool = False
-    separable: bool = False
+    grad_V: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         _check_integers(2, dim=self.dim)
+        if self.grad_V is not None and not callable(self.grad_V):
+            raise TypeError(f"grad_V must be callable or None, got "
+                            f"{type(self.grad_V).__name__}")
         J = canonical_symplectic_matrix(self.dim) if self.J is None \
             else np.array(self.J, dtype=float)
         if J.shape != (self.dim, self.dim):
@@ -208,7 +233,7 @@ class HamiltonianSystem:
         if self.vectorized or y.ndim == 1:
             g = self.grad_H(y)
         else:
-            g = np.array([self.grad_H(row) for row in y])
+            g = _state_by_state(self.grad_H, y)
         return np.dot(g, self.J.T)
 
     def energies(self, Y: np.ndarray) -> np.ndarray:
@@ -272,9 +297,10 @@ class Trajectory:
     jacobian_counts: np.ndarray
 
 
-def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
-    """Jacobian of f at y by one-sided finite differences, from one f call
-    on the block of the dim perturbed states and y itself.
+def _field_jacobian(field, y: np.ndarray, name: str = "f") -> np.ndarray:
+    """Jacobian at y of a field named name, f or grad V, by one-sided
+    finite differences, from one field call on the block of the y.size
+    perturbed states and y itself.
 
     The step sqrt(eps) (1 + |y|) balances truncation against rounding for
     a one-sided difference (Dennis & Schnabel, 1983, sec. 5.4).  Against
@@ -292,11 +318,11 @@ def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
     steps = _SQRT_EPS * (1.0 + np.abs(y))
     D = np.diag(steps)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F = sys.f(np.concatenate((y + D, y[None])))
+        F = field(np.concatenate((y + D, y[None])))
         Jf = (F[:n] - F[n]).T / steps
     if not np.isfinite(Jf).all():
         raise StageConvergenceError(
-            "Jacobian of f is non-finite at the step's initial state",
+            f"Jacobian of {name} is non-finite at the step's initial state",
             residual=math.nan, iterations=0)
     return Jf
 
@@ -420,9 +446,9 @@ class _StepPlan:
     (None: the coefficient form), the r x r shift that carries one step's u
     to the next step's starting guess (None: each step starts from u = 0),
     the blocks of `_eigen_split(M)` that Newton sums its inverse over
-    (None: the run is fixed point), and the (m, R 1) that rebuild a
-    fixed-point iterate's q-half from its p-half (None: the run iterates on
-    the whole u)."""
+    (None: the run is fixed point), and the (m, R 1, -R, grad_V) of the
+    second-order stage equations in u_p, with grad_V called on a block of
+    coordinate states (None: the run iterates on the whole u)."""
 
     sys: HamiltonianSystem
     cfg: SolverConfig
@@ -440,9 +466,9 @@ def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
     """The plan of a run on the `low_rank` factors A = L R and weights b of
     a tableau, or of the one an HbvmSpec builds, which adds the s x s shift
     of `legendre._shift_matrix`.  Mode 'rk' keeps b; 'gamma' keeps None in
-    its place, which is all that tells the forms apart.  A fixed-point run
-    of a system marked separable, on the canonical J, takes the
-    second-order form."""
+    its place, which is all that tells the forms apart.  A run of a system
+    with grad_V, on the canonical J, takes the second-order form with
+    either solver."""
     shift = None
     if isinstance(method, HbvmSpec):
         quad, _, method = _hbvm_build(method)
@@ -453,101 +479,149 @@ def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
     M = R @ L
     split = _eigen_split(M) if cfg.mode == "newton" else None
     second_order = None
-    dim = sys.dim
-    if (split is None and sys.separable and dim % 2 == 0
+    dim, grad_V = sys.dim, sys.grad_V
+    if (grad_V is not None and dim % 2 == 0
             and np.array_equal(sys.J, canonical_symplectic_matrix(dim))):
+        if not sys.vectorized:
+            grad_V = partial(_state_by_state, grad_V)
         # R 1 as a product: for an HBVM at (6, 2) it is e_1 exactly, where
         # R.sum(axis=1) leaves 2.8e-17 in the second entry
-        second_order = (dim // 2, np.dot(R, np.ones(R.shape[1])))
+        second_order = (dim // 2, np.dot(R, np.ones(R.shape[1])), -R,
+                        grad_V)
     b = None if mode == "gamma" else method.b
     return _StepPlan(sys, cfg, L, R, M, b, shift, split, second_order)
 
 
+def _step_operators(plan: _StepPlan, h: float):
+    """(h L, h M, reduced) for the steps of size h of a plan, formed once
+    per run.  reduced is None for the whole-u iteration; for the
+    second-order one it is (h L h M, h L R 1, S): the stage coordinates are
+    q0 + (h L R 1) p0^T + (h L h M) u_p, and S stacks the residual's
+    operator on both halves of a change E in u_p, whose q-half is h M E:
+    S = [I; h M] in the coefficient form, [L; L h M] in the full-stage
+    one."""
+    hL, hM = h * plan.L, h * plan.M
+    if plan.second_order is None:
+        return hL, hM, None
+    r1 = plan.second_order[1]
+    top = np.eye(r1.size) if plan.b is None else plan.L
+    return hL, hM, (np.dot(hL, hM), np.dot(hL, r1),
+                    np.concatenate((top, np.dot(top, hM))))
+
+
 def _newton_correction(plan: _StepPlan, h: float, y0):
-    """The inverse of I - h M (x) Jf that Newton iterates with on
-    u = R f(y0 + h L u), with M = R L and Jf taken at y0:
-    I + sum Re[P (x) (I - h B (x) Jf)^-1 h B (x) Jf] over the blocks (P, B)
-    of the plan's split, one solve per block."""
-    Jf = _field_jacobian(plan.sys, y0)
+    """The inverse of the matrix that Newton iterates with, Jacobians taken
+    at y0: on u = R f(y0 + h L u), I - h M (x) Jf with M = R L, as
+    I + sum Re[P (x) (I - h B (x) Jf)^-1 h B (x) Jf]; on the second-order
+    equations in u_p, I + h^2 M^2 (x) grad^2 V, the same sum with
+    (h B)(h B) (x) (-grad^2 V) in place of h B (x) Jf.  The sum runs over
+    the blocks (P, B) of the plan's split, one solve per block."""
+    reduced = plan.second_order is not None
+    if reduced:
+        m, _, _, grad_V = plan.second_order
+        Jf = -_field_jacobian(grad_V, y0[:m], "grad V")
+    else:
+        Jf = _field_jacobian(plan.sys.f, y0)
     # accumulated into a C-contiguous real array: the real part of a
     # complex product is a strided view, slower to multiply with
-    inverse = np.eye(plan.M.shape[0] * y0.size)
+    inverse = np.eye(plan.M.shape[0] * Jf.shape[0])
     for P, B in plan.split:
-        hJ = np.kron(h * B, Jf)
+        hB = h * B
+        hJ = np.kron(np.dot(hB, hB) if reduced else hB, Jf)
         inverse += np.kron(P, lu_factor(np.eye(hJ.shape[0]) - hJ, hJ)).real
     return inverse
 
 
-def _gamma_step_matrices(plan: _StepPlan, h: float, hL, hM, y0, u0,
-                         inverse):
+def _gamma_step_matrices(plan: _StepPlan, h: float, ops, y0, u0, inverse):
     """One step of size h of a plan from y0, iterating on u from u0, with
-    hL = h L and hM = h M; returns (y1, u, diagnostics).  Newton iterates
-    with the given inverse, fixed point when it is None.  u = gamma for an
-    HBVM tableau, in either form; the plan's b picks the form's residual
-    and update, as the module docstring says.  A plan with a second-order
-    form rebuilds each G's q-half from its p-half."""
-    f, L, R, b, dot = plan.sys.f, plan.L, plan.R, plan.b, np.dot
+    ops = `_step_operators(plan, h)`; returns (y1, u, diagnostics).  Newton
+    iterates with the given inverse, fixed point when it is None.  u =
+    gamma for an HBVM tableau, in either form; the plan's b picks the
+    form's residual and update, as the module docstring says.  A plan with
+    a second-order form iterates on u_p alone and returns it as u."""
+    L, R, b, dot = plan.L, plan.R, plan.b, np.dot
     # bound once for the residual, which runs every iteration; ndarray.max
     # would add a Python frame to each call
     amax, habs = np.maximum.reduce, abs(h)
-    reduced = plan.second_order is not None
-    if reduced:
-        m, r1 = plan.second_order
-        # the product np.outer forms, without its wrapper's conversions
-        q_start = r1[:, None] * y0[m:]
+    hL, hM, reduced = ops
+    if reduced is None:
+        f = plan.sys.f
 
-    def residual_map(u):
-        F = f(y0 + dot(hL, u))
-        G = dot(R, F)
-        if reduced:
-            # u_q = R 1 p0^T + h M u_p, taken at the new p-half
-            G[:, :m] = q_start + dot(hM, G[:, m:])
-        E = G - u
-        if b is None:
-            return G, E, F, float(amax(np.abs(E), axis=None))
-        # |h| max |L E| is max |h L E| exactly: rounding is monotone and
-        # symmetric in sign
-        return G, E, F, habs * float(amax(np.abs(dot(L, E)), axis=None))
+        def residual_map(u):
+            F = f(y0 + dot(hL, u))
+            G = dot(R, F)
+            E = G - u
+            if b is None:
+                return G, E, F, float(amax(np.abs(E), axis=None))
+            # |h| max |L E| is max |h L E| exactly: rounding is monotone
+            # and symmetric in sign
+            return G, E, F, habs * float(amax(np.abs(dot(L, E)), axis=None))
+    else:
+        m, r1, neg_R, grad_V = plan.second_order
+        hLhM, hLr1, S = reduced
+        p0 = y0[m:]
+        # the product np.outer forms, without its wrapper's conversions
+        q_base = y0[:m] + hLr1[:, None] * p0
+        scale = 1.0 if b is None else habs
+
+        def residual_map(u):
+            # F = grad V at the stage coordinates; the stage momenta
+            # p0 + h L u_p are formed only by the full-stage update
+            F = grad_V(q_base + dot(hLhM, u))
+            G = dot(neg_R, F)
+            E = G - u
+            return G, E, F, scale * float(amax(np.abs(dot(S, E)), axis=None))
 
     if inverse is None:
         u, F, diag = _fixed_point(residual_map, u0, plan.cfg)
     else:
         u, F, diag = _simplified_newton(residual_map, u0, inverse, plan.cfg)
+    if reduced is None:
+        if b is None:
+            return y0 + h * u[0], u, diag
+        if F is None:
+            F = f(y0 + dot(hL, u))
+        return y0 + h * dot(b, F), u, diag
     if b is None:
-        return y0 + h * u[0], u, diag
+        # gamma_1 = (r1_1 p0 + (h M u_p)_1, (u_p)_1)
+        return (y0 + h * np.concatenate((r1[0] * p0 + dot(hM[0], u), u[0])),
+                u, diag)
     if F is None:
-        F = f(y0 + dot(hL, u))
-    return y0 + h * dot(b, F), u, diag
+        F = grad_V(q_base + dot(hLhM, u))
+    # f(Y) = (p0 + h L u_p, -grad V) at the stages
+    return (y0 + h * np.concatenate((dot(b, p0 + dot(hL, u)), -dot(b, F))),
+            u, diag)
 
 
 def _steps(plan: _StepPlan, h: float, y):
     """The steps of size h of a run from y, without end: yields (y1, u,
     diagnostics, jacobian_count) per step, the count as in
-    `Trajectory.jacobian_counts`.  Each step starts from u = 0, or from the
-    shifted previous u.  A plan with a split runs Newton, whose matrix is
-    kept, fresh or retried under rules (a)-(c) of the module docstring; one
-    without runs fixed point."""
+    `Trajectory.jacobian_counts`, and u only u_p on a second-order plan.
+    Each step starts from u = 0, or from the shifted previous u.  A plan
+    with a split runs Newton, whose matrix is kept, fresh or retried under
+    rules (a)-(c) of the module docstring; one without runs fixed point."""
     newton = plan.split is not None
-    # rule (a) charges k f-evaluations per extra iteration against the
-    # dim + 1 of a one-sided finite-difference Jacobian
-    k, jacobian_cost = plan.L.shape[0], y.size + 1
+    guess = np.zeros((plan.R.shape[0], y.size if plan.second_order is None
+                      else plan.second_order[0]))
+    # rule (a) charges k field evaluations per extra iteration against the
+    # n + 1 of a one-sided finite-difference Jacobian on the n columns of u
+    k, jacobian_cost = plan.L.shape[0], guess.shape[1] + 1
     # formed once per run rather than once per step
-    hL, hM = h * plan.L, h * plan.M
+    ops = _step_operators(plan, h)
     inverse, refresh = None, newton
     fresh_iters = extra = 0
-    guess = np.zeros((plan.R.shape[0], y.size))
     while True:
         jacobians = 0
         if refresh:
             inverse, jacobians = _newton_correction(plan, h, y), 1
         try:
-            y, u, diag = _gamma_step_matrices(plan, h, hL, hM, y, guess,
+            y, u, diag = _gamma_step_matrices(plan, h, ops, y, guess,
                                                inverse)
         except StageConvergenceError:
             if not newton or jacobians:
                 raise
             inverse, jacobians = _newton_correction(plan, h, y), 2
-            y, u, diag = _gamma_step_matrices(plan, h, hL, hM, y, guess,
+            y, u, diag = _gamma_step_matrices(plan, h, ops, y, guess,
                                                inverse)
         yield y, u, diag, jacobians
         if plan.shift is not None:
@@ -601,6 +675,11 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     """
     plan, y0, (y1, gamma, diag, _) = _single_step(spec, sys, y0, h, cfg,
                                                   "gamma")
+    if plan.second_order is not None:
+        # the step iterated on gamma_p; gamma_q = R 1 p0^T + h M gamma_p
+        m, r1 = plan.second_order[:2]
+        gamma = np.concatenate((r1[:, None] * y0[m:]
+                                + np.dot(h * plan.M, gamma), gamma), axis=1)
     return y1, GammaState(gamma, y0 + np.dot(h * plan.L, gamma)), diag
 
 

@@ -10,17 +10,20 @@ Every catalog problem is separable, H = |p|^2/2 + V(q), and is one
 grad_V.  ``_separable`` computes the energy as the kinetic term plus V on
 ``np.asarray(y, dtype=float)``; the gradient starts from a float copy
 ``g = y.astype(float)`` of the state block, whose momentum half is already
-p, and grad_V overwrites the coordinate columns of g.  So a gradient never
-writes into, or returns a view of, its input, and an integer state gets
-the value of the equal float state.  V and grad_V index with ``y[..., i]``,
-so energies and gradients act on the last axis of one state or of any
-``(..., dim)`` block, and all stages of an iteration cost one call.
-``_separable`` also declares its system ``separable``, which lets a
-fixed-point run iterate on the momentum half of the stage unknowns alone.
+p, and grad_V overwrites the coordinate columns of g.  So a gradient
+never writes into, or returns a view of, its input, and an integer state
+gets the value of the equal float state.  V and grad_V index with
+``y[..., i]``, i < m, so energies and gradients act on the last axis of
+one state or of any block, and all stages of an iteration cost one call.
+The same grad_V overwrites a float ``(..., m)`` coordinate block with the
+gradient of V and returns it, and ``_separable`` hands it to its system as
+``HamiltonianSystem.grad_V``: both solvers then iterate on the momentum
+half of the stage unknowns alone, calling grad_V on the stage
+coordinates and never grad_H.
 
 The polynomial oscillators harmonic, quartic and sextic are one builder,
 ``_power``, at nu = 2, 4 and 6: V = q^nu / nu, and grad_V raises the
-coordinate column of g to the power nu - 1 in place.
+coordinate column to the power nu - 1 in place.
 """
 
 from __future__ import annotations
@@ -59,10 +62,13 @@ def _separable(name: str, V, grad_V, y0, poly_degree: int | None = None,
                ) -> ProblemSpec:
     """The problem H = |p|^2/2 + V(q) on the canonical structure.
 
-    V reads the coordinate columns of a float64 ``(..., dim)`` block;
-    grad_V overwrites them, in that block, with the gradient of V, so the
+    V reads the coordinate columns of a float64 ``(..., dim)`` block.
+    grad_V overwrites the coordinate columns, the first m, of a float64
+    block with the gradient of V and returns that block: the system
+    carries it as its grad_V, on ``(..., m)`` coordinate blocks, and
+    grad_H passes it a float copy of its whole ``(..., dim)`` block, whose
     momentum columns keep p, the momentum half of grad H.  The system is
-    marked separable and vectorized.
+    vectorized.
     """
     m = len(y0) // 2
 
@@ -78,7 +84,7 @@ def _separable(name: str, V, grad_V, y0, poly_degree: int | None = None,
 
     system = HamiltonianSystem(dim=len(y0), H=H, grad_H=grad_H,
                                poly_degree=poly_degree, vectorized=True,
-                               separable=True)
+                               grad_V=grad_V)
     return ProblemSpec(name, system, y0, reference)
 
 
@@ -95,6 +101,7 @@ def _power(name: str, nu: int, y0,
 
     def grad_V(g):
         g[..., 0] **= e
+        return g
 
     return _separable(name, lambda y: y[..., 0] ** nu / nu, grad_V, y0,
                       poly_degree=nu, reference=reference)
@@ -110,6 +117,7 @@ def _pendulum() -> ProblemSpec:
     """Non-polynomial energy; libration orbit well inside the separatrix."""
     def grad_V(g):
         g[..., 0] = np.sin(g[..., 0])
+        return g
 
     return _separable("pendulum", lambda y: -np.cos(y[..., 0]), grad_V,
                       [1.5, 0.5])
@@ -127,6 +135,7 @@ def _henon_heiles() -> ProblemSpec:
     def grad_V(g):
         q1, q2 = g[..., 0], g[..., 1]
         g[..., 0], g[..., 1] = q1 + 2.0 * q1 * q2, q2 + q1 * q1 - q2 * q2
+        return g
 
     return _separable("henon-heiles", V, grad_V, [0.1, -0.1, 0.4, 0.1],
                       poly_degree=3)
@@ -164,6 +173,7 @@ def _kepler() -> ProblemSpec:
     def grad_V(g):
         q1, q2 = g[..., 0], g[..., 1]
         g[..., :2] /= ((q1 * q1 + q2 * q2) ** 1.5)[..., None]
+        return g
 
     e = KEPLER_ECCENTRICITY
     y0 = [1.0 - e, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e))]

@@ -435,19 +435,37 @@ class TestIntegrateCommand:
                          res.stderr)
         assert not out.exists()
 
-    def test_non_finite_jacobian_exits_1_naming_the_cause(self, monkeypatch,
-                                                          capsys, tmp_path):
+    @staticmethod
+    def _newton_at_origin(monkeypatch, tmp_path, system=None):
+        """Exit code of a Newton run of kepler from q = 0, where its
+        gradient divides by zero, with another system if one is given."""
         kepler = get_problem("kepler")
-        at_origin = dataclasses.replace(kepler, default_y0=[0.0, 0.0, 0.0, 1.0])
+        at_origin = dataclasses.replace(kepler, default_y0=[0.0, 0.0, 0.0, 1.0],
+                                        system=system or kepler.system)
         monkeypatch.setattr(cli, "get_problem", lambda name: at_origin)
         out = tmp_path / "never.csv"
-        assert cli.main(["integrate", "--problem", "kepler", "--k", "4",
+        code = cli.main(["integrate", "--problem", "kepler", "--k", "4",
                          "--s", "2", "--h", "0.05", "--steps", "3",
-                         "--solver", "newton", "--out", str(out)]) == 1
+                         "--solver", "newton", "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_non_finite_jacobian_exits_1_naming_the_cause(self, monkeypatch,
+                                                          capsys, tmp_path):
+        # without grad_V, Newton differences f
+        system = dataclasses.replace(get_problem("kepler").system, grad_V=None)
+        assert self._newton_at_origin(monkeypatch, tmp_path, system) == 1
         err = capsys.readouterr().err
         assert err == ("integration failed: step 1 failed: Jacobian of f is "
                        "non-finite at the step's initial state\n")
-        assert not out.exists()
+
+    def test_non_finite_hessian_exits_1_naming_the_cause(self, monkeypatch,
+                                                         capsys, tmp_path):
+        # the catalog's kepler carries grad_V: Newton differences grad V
+        assert self._newton_at_origin(monkeypatch, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == ("integration failed: step 1 failed: Jacobian of grad V "
+                       "is non-finite at the step's initial state\n")
 
     @pytest.mark.parametrize("solver", ["fixed-point", "newton"])
     def test_overflowing_stages_print_only_the_failure(self, tmp_path, solver):

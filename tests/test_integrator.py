@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ from hbvm.tableau import (
 
 TIGHT = SolverConfig(tol=1e-15)
 NEWTON = SolverConfig(mode="newton", tol=1e-14)
+
+
+def _unmarked(system):
+    """The system without grad_V: either solver iterates on the whole u."""
+    return dataclasses.replace(system, grad_V=None)
 
 
 class TestRkStep:
@@ -123,20 +129,34 @@ def lu_orders(monkeypatch):
 
 
 class TestRankFactoredNewton:
+    # unmarked, Newton factors 2m-square blocks I - h lam Jf; with grad_V,
+    # m-square blocks I + h^2 lam^2 grad^2 V
     @pytest.mark.parametrize("k", [4, 8, 12])
     def test_hbvm_factors_one_2m_block_per_conjugate_pair(self, lu_orders,
                                                           k):
         kep = get_problem("kepler")
         tab = hbvm_tableau(HbvmSpec(k, 2))
-        rk_step(tab, kep.system, kep.default_y0, 0.05, NEWTON)
+        rk_step(tab, _unmarked(kep.system), kep.default_y0, 0.05, NEWTON)
         assert lu_orders == [(4, 4)]
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_second_order_factors_one_m_block_per_conjugate_pair(
+            self, lu_orders, k):
+        kep = get_problem("kepler")
+        tab = hbvm_tableau(HbvmSpec(k, 2))
+        rk_step(tab, kep.system, kep.default_y0, 0.05, NEWTON)
+        assert lu_orders == [(2, 2)]
 
     def test_full_rank_tableau_factors_one_2m_block_per_pair(self,
                                                               lu_orders):
         kep = get_problem("kepler")
+        rk_step(gauss_collocation_tableau(4), _unmarked(kep.system),
+                kep.default_y0, 0.05, NEWTON)
+        assert lu_orders == [(4, 4), (4, 4)]
+        lu_orders.clear()
         rk_step(gauss_collocation_tableau(4), kep.system, kep.default_y0,
                 0.05, NEWTON)
-        assert lu_orders == [(4, 4), (4, 4)]
+        assert lu_orders == [(2, 2), (2, 2)]
 
     @pytest.mark.parametrize("filtered", [False, True])
     def test_newton_agrees_with_fixed_point(self, filtered):
@@ -166,17 +186,24 @@ class TestEigenSplitNewton:
         """The Newton inverse, as Newton iterates with it."""
         return integrator._newton_correction(plan, h, y0)
 
-    def _check_against_dense(self, method, h):
+    def _check_against_dense(self, method, h, marked=False):
+        """The assembled inverse against the dense one: of I - h M (x) Jf
+        unmarked, of I + h^2 M^2 (x) grad^2 V with grad_V."""
         kep = get_problem("kepler")
         y0 = kep.default_y0
-        plan = integrator._run_plan(method, kep.system, NEWTON, "rk")
+        system = kep.system if marked else _unmarked(kep.system)
+        plan = integrator._run_plan(method, system, NEWTON, "rk")
         assert plan.split is not None
-        Jf = integrator._field_jacobian(kep.system, y0)
         r = plan.M.shape[0]
-        a = np.eye(r * y0.size) - h * np.kron(plan.M, Jf)
+        if marked:
+            hess = integrator._field_jacobian(system.grad_V, y0[:2], "grad V")
+            a = np.eye(r * 2) + h * h * np.kron(plan.M @ plan.M, hess)
+        else:
+            Jf = integrator._field_jacobian(system.f, y0)
+            a = np.eye(r * y0.size) - h * np.kron(plan.M, Jf)
         ref = np.linalg.inv(a)
         cond_v = np.linalg.cond(np.linalg.eig(plan.M)[1])
-        bound = (r * y0.size * np.finfo(float).eps * cond_v
+        bound = (a.shape[0] * np.finfo(float).eps * cond_v
                  * np.linalg.cond(a))
         err = np.linalg.norm(self._assembled(plan, h, y0) - ref, 2)
         assert err <= bound * np.linalg.norm(ref, 2), method
@@ -191,24 +218,38 @@ class TestEigenSplitNewton:
             assert lu_orders == [(4, 4)] * ((spec.s + 1) // 2), spec
 
     @pytest.mark.parametrize("h", [0.05, 0.5])
+    def test_second_order_inverse_matches_dense_one_m_block_per_pair(
+            self, lu_orders, h):
+        for spec in self.SPECS:
+            lu_orders.clear()
+            assert self._check_against_dense(spec, h, marked=True) == spec.s
+            assert lu_orders == [(2, 2)] * ((spec.s + 1) // 2), spec
+
+    @pytest.mark.parametrize("h", [0.05, 0.5])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_collocation_inverse_matches_dense(self, lu_orders, k, h):
         assert self._check_against_dense(gauss_collocation_tableau(k),
                                           h) == k
         assert lu_orders == [(4, 4)] * ((k + 1) // 2)
+        lu_orders.clear()
+        assert self._check_against_dense(gauss_collocation_tableau(k), h,
+                                          marked=True) == k
+        assert lu_orders == [(2, 2)] * ((k + 1) // 2)
 
     @pytest.mark.parametrize("name", ["RK4", "SDIRK"])
     def test_defective_stage_matrix_takes_the_dense_build(self, lu_orders,
                                                           name):
         hh = get_problem("henon-heiles")
         tab = getattr(self, name)
-        plan = integrator._run_plan(tab, hh.system, NEWTON, "rk")
-        assert [B.shape for _, B in plan.split] == [plan.M.shape]
-        y_nw, _ = rk_step(tab, hh.system, hh.default_y0, 0.05, NEWTON)
-        r = plan.M.shape[0]
-        assert lu_orders == [(r * 4, r * 4)]
-        y_fp, _ = rk_step(tab, hh.system, hh.default_y0, 0.05, TIGHT)
-        assert np.max(np.abs(y_nw - y_fp)) <= 1e-14
+        for system, width in ((_unmarked(hh.system), 4), (hh.system, 2)):
+            lu_orders.clear()
+            plan = integrator._run_plan(tab, system, NEWTON, "rk")
+            assert [B.shape for _, B in plan.split] == [plan.M.shape]
+            y_nw, _ = rk_step(tab, system, hh.default_y0, 0.05, NEWTON)
+            r = plan.M.shape[0]
+            assert lu_orders == [(r * width, r * width)]
+            y_fp, _ = rk_step(tab, system, hh.default_y0, 0.05, TIGHT)
+            assert np.max(np.abs(y_nw - y_fp)) <= 1e-14
 
     @pytest.mark.parametrize("name", ["RK4", "SDIRK", "EULER"])
     def test_defective_or_empty_stage_matrix_is_one_whole_block(self, name):
@@ -226,17 +267,28 @@ class TestEigenSplitNewton:
                                     "gamma")
         assert plan.split is None
 
-    # the counts of the whole Newton matrix inverted
-    @pytest.mark.parametrize("spec,h,mode,iters", [
-        (HbvmSpec(6, 3), 0.05, "rk", 838),
-        (HbvmSpec(12, 6), 0.1, "gamma", 789),
+    # the counts of the whole Newton matrix inverted, unmarked (one matrix
+    # for the run) and on the second-order equations, with the steps that
+    # built a fresh matrix: at s = 3 one extra iteration at k = 6 grad_V
+    # calls reaches the m + 1 = 3 of the Hessian, and refreshes
+    @pytest.mark.parametrize("spec,h,mode,iters,second_order", [
+        (HbvmSpec(6, 3), 0.05, "rk", 838,
+         (636, [1, 4, 6, 8, 121, 123, 125, 128])),
+        (HbvmSpec(12, 6), 0.1, "gamma", 789, (682, [1])),
     ], ids=["s3-rk", "s6-gamma"])
-    def test_kepler_iteration_counts(self, spec, h, mode, iters):
+    def test_kepler_iteration_counts(self, spec, h, mode, iters,
+                                     second_order):
         kep = get_problem("kepler")
-        traj = integrate(spec, kep.system, kep.default_y0, h, 200,
-                         SolverConfig(mode="newton"), mode=mode)
+        run = partial(integrate, spec, y0=kep.default_y0, h=h, n_steps=200,
+                      cfg=SolverConfig(mode="newton"), mode=mode)
+        traj = run(sys=_unmarked(kep.system))
         assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 199
         assert traj.iteration_counts.sum() == iters
+        traj = run(sys=kep.system)
+        assert traj.jacobian_counts.max() == 1
+        assert np.flatnonzero(traj.jacobian_counts).tolist() \
+            == second_order[1]
+        assert traj.iteration_counts.sum() == second_order[0]
 
 
 @pytest.fixture
@@ -329,14 +381,25 @@ class TestNamedNewtonFailures:
         with pytest.raises(StageConvergenceError,
                            match="step 1 failed: Jacobian of f is "
                                  "non-finite at the step's initial state"):
+            integrate(HbvmSpec(4, 2), _unmarked(kep.system),
+                      [0.0, 0.0, 0.0, 1.0], 0.05, 3,
+                      SolverConfig(mode="newton"), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_non_finite_hessian_names_its_cause(self, mode):
+        # with grad_V, Newton differences grad V, not f
+        kep = get_problem("kepler")
+        with pytest.raises(StageConvergenceError,
+                           match="step 1 failed: Jacobian of grad V is "
+                                 "non-finite at the step's initial state"):
             integrate(HbvmSpec(4, 2), kep.system, [0.0, 0.0, 0.0, 1.0], 0.05,
                       3, SolverConfig(mode="newton"), mode=mode)
 
 
 class TestIterationLimit:
     # sextic (6, 2) at h = 0.1 takes ~10 fixed-point iterations (~6 on the
-    # separable system's second-order iteration), and more than one Newton
-    # correction, to reach tol = 1e-15
+    # second-order iteration of the system with grad_V), and more than one
+    # Newton correction, to reach tol = 1e-15
     @pytest.mark.parametrize("solver,max_iter,solver_name", [
         ("fixed_point", 2, "fixed-point"),
         ("newton", 1, "Newton"),
@@ -357,8 +420,8 @@ class TestIterationLimit:
             rk_step(hbvm_tableau(spec), sext.system, sext.default_y0, 0.1,
                     cfg)
 
-    # the same step, on the sextic without its separable mark, accepts after
-    # 13 fixed-point corrections, counted with the free final update as 14
+    # the same step, on the sextic without grad_V, accepts after 13
+    # fixed-point corrections, counted with the free final update as 14
     # iterations, and after 6 Newton corrections
     @pytest.mark.parametrize("solver,corrections,iterations", [
         ("fixed_point", 13, 14),
@@ -367,14 +430,18 @@ class TestIterationLimit:
     def test_bounds_the_corrections(self, solver, corrections, iterations):
         self._check_bound(False, solver, corrections, iterations)
 
-    # marked, fixed point iterates on the second-order form: 7 corrections
+    # with grad_V, both solvers iterate on the second-order form: 7
+    # fixed-point corrections, 5 Newton ones
     def test_second_order_bounds_the_corrections(self):
         self._check_bound(True, "fixed_point", 7, 8)
 
+    def test_second_order_newton_bounds_the_corrections(self):
+        self._check_bound(True, "newton", 5, 5)
+
     @staticmethod
-    def _check_bound(separable, solver, corrections, iterations):
+    def _check_bound(marked, solver, corrections, iterations):
         sext = get_problem("sextic")
-        system = dataclasses.replace(sext.system, separable=separable)
+        system = sext.system if marked else _unmarked(sext.system)
         tab = hbvm_tableau(HbvmSpec(6, 2))
         cfg = SolverConfig(mode=solver, tol=1e-15, max_iter=corrections)
         _, diag = rk_step(tab, system, sext.default_y0, 0.1, cfg)
@@ -395,17 +462,20 @@ class TestLowRankStageCore:
     # explicit Euler: A = 0 has rank 0, so u has no rows
     EULER = ButcherTableau(c=[0.0], A=[[0.0]], b=[1.0])
 
+    # unmarked on the whole u, r x 2m; with grad_V on u_p, r x m
     def test_hbvm_iterates_on_s_rows(self, unknown_shapes):
         kep = get_problem("kepler")
-        rk_step(hbvm_tableau(HbvmSpec(12, 2)), kep.system, kep.default_y0,
-                0.05)
-        assert unknown_shapes == [(2, 4)]
+        for system in (_unmarked(kep.system), kep.system):
+            rk_step(hbvm_tableau(HbvmSpec(12, 2)), system, kep.default_y0,
+                    0.05)
+        assert unknown_shapes == [(2, 4), (2, 2)]
 
     def test_full_rank_tableau_iterates_on_k_rows(self, unknown_shapes):
         kep = get_problem("kepler")
-        rk_step(gauss_collocation_tableau(4), kep.system, kep.default_y0,
-                0.05)
-        assert unknown_shapes == [(4, 4)]
+        for system in (_unmarked(kep.system), kep.system):
+            rk_step(gauss_collocation_tableau(4), system, kep.default_y0,
+                    0.05)
+        assert unknown_shapes == [(4, 4), (4, 2)]
 
     @pytest.mark.parametrize("cfg,iters", [(SolverConfig(), 1), (NEWTON, 0)],
                              ids=["fixed", "newton"])
@@ -495,14 +565,15 @@ class TestKeptNewtonMatrix:
         monkeypatch.setattr(integrator, "_simplified_newton", patched)
 
     @staticmethod
-    def _run(steps=7, spec=HbvmSpec(2, 2)):
+    def _run(steps=7, spec=HbvmSpec(2, 2), marked=True):
         harm = get_problem("harmonic")
-        return integrate(spec, harm.system, harm.default_y0, 0.1, steps,
-                         NEWTON)
+        system = harm.system if marked else _unmarked(harm.system)
+        return integrate(spec, system, harm.default_y0, 0.1, steps, NEWTON)
 
-    # dim 2: a one-sided Jacobian costs dim + 1 = 3 f-evaluations, one extra
-    # iteration k; k = 2 refreshes after two kept steps, k = 3 after one
-    # (a charge of 2 * dim = 4 would keep the k = 3 matrix for two steps)
+    # dim 2: a one-sided Jacobian of f costs dim + 1 = 3 f-evaluations, one
+    # extra iteration k; k = 2 refreshes after two kept steps, k = 3 after
+    # one (a charge of 2 * dim = 4 would keep the k = 3 matrix for two
+    # steps)
     @pytest.mark.parametrize("k,expect", [
         (2, [0, 1, 0, 0, 1, 0, 0, 1]),
         (3, [0, 1, 0, 1, 0, 1, 0, 1]),
@@ -512,8 +583,18 @@ class TestKeptNewtonMatrix:
         self._patch_newton(monkeypatch, lambda fresh, r:
                            (r[0], r[1], integrator.StepDiagnostics(
                                3 if fresh else 4, r[2].residual, 0.0)))
-        traj = self._run(spec=HbvmSpec(k, 2))
+        traj = self._run(spec=HbvmSpec(k, 2), marked=False)
         assert traj.jacobian_counts.tolist() == expect
+
+    # with grad_V the Hessian costs m + 1 = 2 grad_V evaluations, so k = 2
+    # refreshes after one kept step (dim + 1 = 3 would keep it for two)
+    def test_second_order_extra_iterations_refresh_at_hessian_cost(
+            self, monkeypatch):
+        self._patch_newton(monkeypatch, lambda fresh, r:
+                           (r[0], r[1], integrator.StepDiagnostics(
+                               3 if fresh else 4, r[2].residual, 0.0)))
+        traj = self._run(spec=HbvmSpec(2, 2))
+        assert traj.jacobian_counts.tolist() == [0, 1, 0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("ratio,expect", [
         (integrator.REFRESH_CONTRACTION, [0, 1, 0, 0, 0, 0, 0, 0]),
@@ -562,9 +643,9 @@ class TestKeptNewtonMatrix:
         # fixed point builds no Newton matrix, so keeping one must not change
         # a single iteration count; the counts are those of the warm start,
         # each step after the first starting from the previous polynomial.
-        # Unmarked, the sextic takes the first-order iteration.
+        # Without grad_V, the sextic takes the first-order iteration.
         sext = get_problem("sextic")
-        system = dataclasses.replace(sext.system, separable=False)
+        system = _unmarked(sext.system)
         traj = integrate(HbvmSpec(6, 2), system, sext.default_y0, 0.1,
                          1000, SolverConfig())
         counts = traj.iteration_counts[1:]
@@ -576,16 +657,16 @@ class TestKeptNewtonMatrix:
         assert not np.any(traj.jacobian_counts)
 
     def test_second_order_fixed_point_counts(self):
-        # the same run on the marked sextic, iterating on the p-half
+        # the same run on the sextic with grad_V, iterating on u_p
         sext = get_problem("sextic")
         traj = integrate(HbvmSpec(6, 2), sext.system, sext.default_y0, 0.1,
                          1000, SolverConfig())
         counts = traj.iteration_counts[1:]
-        assert counts[:20].tolist() == [7, 7, 7, 7, 7, 7, 7, 7, 7, 6, 6, 5, 5,
-                                        4, 4, 4, 3, 3, 3, 3]
-        assert counts.sum() == 5315
-        assert np.bincount(counts).tolist() == [0, 0, 10, 160, 169, 150, 188,
-                                                323]
+        assert counts[:20].tolist() == [7, 6, 6, 7, 7, 7, 7, 6, 6, 6, 5, 5, 5,
+                                        4, 4, 3, 3, 2, 3, 3]
+        assert counts.sum() == 5041
+        assert np.bincount(counts).tolist() == [0, 0, 19, 170, 169, 188, 301,
+                                                153]
         assert not np.any(traj.jacobian_counts)
 
     def test_contraction_is_the_final_residual_ratio(self):
@@ -717,37 +798,46 @@ class TestWarmStart:
         assert warm.iteration_counts.sum() < cold.iteration_counts.sum()
         assert np.max(np.abs(warm.states - cold.states)) <= 1e-11
 
-    def test_kepler_newton_counts(self):
+    @staticmethod
+    def _kepler_newton(marked, mode):
+        # the configuration of the kepler-gamma benchmark workload; one
+        # matrix for the whole run
         kep = get_problem("kepler")
-        traj = integrate(HbvmSpec(12, 4), kep.system, kep.default_y0, 0.05,
-                         500, SolverConfig(mode="newton"), mode="gamma")
+        system = kep.system if marked else _unmarked(kep.system)
+        traj = integrate(HbvmSpec(12, 4), system, kep.default_y0, 0.05,
+                         500, SolverConfig(mode="newton"), mode=mode)
         assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
-        assert traj.iteration_counts.sum() == 1830
+        return traj.iteration_counts.sum()
+
+    def test_kepler_newton_counts(self):
+        # without grad_V: Newton on the whole u
+        assert self._kepler_newton(False, "gamma") == 1830
+
+    def test_kepler_second_order_newton_counts(self):
+        # as the catalog builds it: Newton on u_p
+        assert self._kepler_newton(True, "gamma") == 1664
 
     @staticmethod
-    def _sextic_fixed_iterations(separable):
+    def _sextic_fixed_iterations(marked):
         # the configuration of the sextic-fixed benchmark workload
         sext = get_problem("sextic")
-        system = dataclasses.replace(sext.system, separable=separable)
+        system = sext.system if marked else _unmarked(sext.system)
         traj = integrate(HbvmSpec(6, 2), system, sext.default_y0, 0.1,
                          1000, SolverConfig(tol=1e-15))
         return traj.iteration_counts.sum()
 
     def test_sextic_fixed_point_counts_at_tol_1e_15(self):
-        # unmarked: the first-order iteration on the whole u
+        # without grad_V: the first-order iteration on the whole u
         assert self._sextic_fixed_iterations(False) == 10053
 
     def test_sextic_second_order_counts_at_tol_1e_15(self):
-        # as the catalog builds it: the second-order iteration
-        assert self._sextic_fixed_iterations(True) == 6012
+        # as the catalog builds it: the second-order iteration on u_p
+        assert self._sextic_fixed_iterations(True) == 5753
 
     def test_full_stage_kepler_newton_counts(self):
-        # full-stage Newton on an HbvmSpec: one matrix for the whole run
-        kep = get_problem("kepler")
-        traj = integrate(HbvmSpec(12, 4), kep.system, kep.default_y0, 0.05,
-                         500, SolverConfig(mode="newton"))
-        assert traj.jacobian_counts.tolist() == [0, 1] + [0] * 499
-        assert traj.iteration_counts.sum() == 1662
+        # full-stage Newton on an HbvmSpec, without grad_V and with it
+        assert self._kepler_newton(False, "rk") == 1662
+        assert self._kepler_newton(True, "rk") == 1339
 
 
 class TestBuiltTableauSteps:
@@ -821,9 +911,9 @@ class TestStateShape:
 
 class TestBatchedVectorField:
     @staticmethod
-    def _per_point_sextic(separable=True):
+    def _per_point_sextic(marked=True):
         """The catalog sextic, called one state at a time; like the catalog's,
-        it is marked separable unless told otherwise."""
+        it carries grad_V unless told otherwise."""
         sext = get_problem("sextic").system
 
         def H(y):
@@ -834,24 +924,32 @@ class TestBatchedVectorField:
             assert y.ndim == 1
             return sext.grad_H(y)
 
+        def grad_V(q):
+            assert q.shape == (1,)
+            return sext.grad_V(q)
+
         return HamiltonianSystem(dim=2, H=H, grad_H=grad_H, poly_degree=6,
-                                 separable=separable)
+                                 grad_V=grad_V if marked else None)
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
     def test_per_point_fallback_is_unchanged(self, mode, cfg):
         self._check_per_point(True, mode, cfg)
 
-    # Newton takes the same path marked or not
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     def test_unmarked_per_point_fallback_is_unchanged(self, mode):
         self._check_per_point(False, mode, TIGHT)
 
-    def _check_per_point(self, separable, mode, cfg):
-        # like is compared with like: both systems marked, or both not
+    # Newton on the whole u, which a system with grad_V no longer takes
+    @pytest.mark.parametrize("mode", ["rk", "gamma"])
+    def test_unmarked_per_point_newton_is_unchanged(self, mode):
+        self._check_per_point(False, mode, NEWTON)
+
+    def _check_per_point(self, marked, mode, cfg):
+        # like is compared with like: both systems with grad_V, or both not
         sext = get_problem("sextic")
-        system = dataclasses.replace(sext.system, separable=separable)
-        per_point = self._per_point_sextic(separable)
+        system = sext.system if marked else _unmarked(sext.system)
+        per_point = self._per_point_sextic(marked)
         assert not per_point.vectorized and system.vectorized
         spec = HbvmSpec(6, 2)
         ref = integrate(spec, system, sext.default_y0, 0.1, 50, cfg,
@@ -875,30 +973,44 @@ class TestBatchedVectorField:
     @pytest.mark.parametrize("k", [4, 12])
     def test_grad_H_calls_do_not_grow_with_k(self, mode, cfg, iters, extra,
                                              k):
-        # unmarked: fixed point takes the first-order iteration
-        self._check_step_calls(False, mode, cfg, iters, extra, k)
+        # without grad_V: both solvers iterate on the whole u
+        calls, _ = self._check_step_calls(False, mode, cfg, iters, k)
+        assert len(calls) == iters + extra
 
-    # the second-order iteration keeps one grad_H call per iteration
-    @pytest.mark.parametrize("mode,iters,extra", [("rk", 8, 1),
-                                                  ("gamma", 8, 0)],
-                             ids=["rk-fixed", "gamma-fixed"])
+    # with grad_V, each iteration is one grad_V call on the (k, m) block of
+    # stage coordinates, and grad_H is never called; the extra calls are
+    # those above, with Newton's Jacobian the Hessian of V, one grad_V call
+    # on m + 1 = 3 coordinate states
+    @pytest.mark.parametrize("mode,cfg,iters,extra", [
+        ("rk", SolverConfig(tol=1e-14), 8, 1),
+        ("gamma", SolverConfig(tol=1e-14), 8, 0),
+        ("rk", NEWTON, 5, 2),
+        ("gamma", NEWTON, 6, 2),
+    ], ids=["rk-fixed", "gamma-fixed", "rk-newton", "gamma-newton"])
     @pytest.mark.parametrize("k", [4, 12])
-    def test_second_order_grad_H_calls_do_not_grow_with_k(self, mode, iters,
-                                                          extra, k):
-        self._check_step_calls(True, mode, SolverConfig(tol=1e-14), iters,
-                               extra, k)
+    def test_second_order_grad_V_calls_do_not_grow_with_k(self, mode, cfg,
+                                                          iters, extra, k):
+        grad_H, grad_V = self._check_step_calls(True, mode, cfg, iters, k)
+        assert grad_H == []
+        hessian = [(3, 2)] if cfg.mode == "newton" else []
+        assert grad_V == hessian + [(k, 2)] * (iters + extra - len(hessian))
 
     @staticmethod
-    def _check_step_calls(separable, mode, cfg, iters, extra, k):
+    def _check_step_calls(marked, mode, cfg, iters, k):
+        """The shapes of the grad_H and of the grad_V calls of one step."""
         kep = get_problem("kepler")
-        calls = []
+        grad_H, grad_V = [], []
 
-        def counted(y):
-            calls.append(y.shape)
+        def counted_H(y):
+            grad_H.append(y.shape)
             return kep.system.grad_H(y)
 
-        system = dataclasses.replace(kep.system, grad_H=counted,
-                                     separable=separable)
+        def counted_V(q):
+            grad_V.append(q.shape)
+            return kep.system.grad_V(q)
+
+        system = dataclasses.replace(kep.system, grad_H=counted_H,
+                                     grad_V=counted_V if marked else None)
         spec = HbvmSpec(k, 2)
         if mode == "rk":
             _, diag = rk_step(hbvm_tableau(spec), system, kep.default_y0,
@@ -906,7 +1018,7 @@ class TestBatchedVectorField:
         else:
             _, _, diag = gamma_step(spec, system, kep.default_y0, 0.05, cfg)
         assert diag.iterations == iters
-        assert len(calls) == iters + extra
+        return grad_H, grad_V
 
     # over a whole run: every iteration evaluates the stages once; the rk
     # fixed-point update evaluates them once more, and Newton evaluates the
@@ -919,25 +1031,38 @@ class TestBatchedVectorField:
         ("gamma", SolverConfig(mode="newton"), 245),
     ], ids=["rk-fixed", "gamma-fixed", "rk-newton", "gamma-newton"])
     def test_grad_H_calls_over_a_run(self, mode, cfg, calls):
-        # unmarked: fixed point takes the first-order iteration
+        # without grad_V: both solvers iterate on the whole u
         self._check_run_calls(False, mode, cfg, calls)
 
-    @pytest.mark.parametrize("mode,calls", [("rk", 232), ("gamma", 201)],
-                             ids=["rk-fixed", "gamma-fixed"])
-    def test_second_order_grad_H_calls_over_a_run(self, mode, calls):
-        self._check_run_calls(True, mode, SolverConfig(), calls)
+    # the same counts, in grad_V calls, with grad_V; grad_H is never called
+    @pytest.mark.parametrize("mode,cfg,calls", [
+        ("rk", SolverConfig(), 222),
+        ("gamma", SolverConfig(), 181),
+        ("rk", SolverConfig(mode="newton"), 196),
+        ("gamma", SolverConfig(mode="newton"), 224),
+    ], ids=["rk-fixed", "gamma-fixed", "rk-newton", "gamma-newton"])
+    def test_second_order_grad_V_calls_over_a_run(self, mode, cfg, calls):
+        self._check_run_calls(True, mode, cfg, calls)
 
     @staticmethod
-    def _check_run_calls(separable, mode, cfg, calls):
+    def _check_run_calls(marked, mode, cfg, calls):
         kep = get_problem("kepler")
-        counted = []
+        counted, never = [], []
 
-        def grad_H(y):
-            counted.append(y.shape)
-            return kep.system.grad_H(y)
+        def count_into(calls, fn):
+            def counting(y):
+                calls.append(y.shape)
+                return fn(y)
+            return counting
 
-        system = dataclasses.replace(kep.system, grad_H=grad_H,
-                                     separable=separable)
+        if marked:
+            system = dataclasses.replace(
+                kep.system, grad_H=count_into(never, kep.system.grad_H),
+                grad_V=count_into(counted, kep.system.grad_V))
+        else:
+            system = dataclasses.replace(
+                _unmarked(kep.system),
+                grad_H=count_into(counted, kep.system.grad_H))
         n_steps = 50
         traj = integrate(HbvmSpec(12, 4), system, kep.default_y0, 0.05,
                          n_steps, cfg, mode=mode)
@@ -948,6 +1073,7 @@ class TestBatchedVectorField:
         elif mode == "rk":
             expect += n_steps
         assert len(counted) == expect == calls
+        assert never == []
 
     def test_non_canonical_structure_matrix(self):
         harm = get_problem("harmonic").system
@@ -986,13 +1112,13 @@ class TestBatchedVectorField:
 
         system = dataclasses.replace(kep.system, grad_H=counted)
         y = kep.default_y0
-        Jf = integrator._field_jacobian(system, y)
+        Jf = integrator._field_jacobian(system.f, y)
         assert calls == [(5, 4)]
         per_point = self._per_point_sextic()
         sext = get_problem("sextic")
         assert np.array_equal(
-            integrator._field_jacobian(per_point, sext.default_y0),
-            integrator._field_jacobian(sext.system, sext.default_y0))
+            integrator._field_jacobian(per_point.f, sext.default_y0),
+            integrator._field_jacobian(sext.system.f, sext.default_y0))
         # Kepler at perihelion: d(p)/dt = -q / |q|^3 has Jacobian block
         # -(I - 3 q q^T / |q|^2) / |q|^3, here diag(2, -1) / |q|^3
         r = y[0]
@@ -1021,24 +1147,54 @@ class TestBatchedVectorField:
         per_point = HamiltonianSystem(dim=prob.system.dim, H=prob.system.H,
                                       grad_H=grad_H)
         y = prob.default_y0
-        integrator._field_jacobian(per_point, y)
+        integrator._field_jacobian(per_point.f, y)
         assert len(rows) == y.size + 1
         assert np.array_equal(rows[-1], y)
 
+    @pytest.mark.parametrize("vectorized", [True, False],
+                             ids=["block", "per-point"])
+    def test_newton_hessian_takes_m_plus_one_states(self, lu_orders,
+                                                    vectorized):
+        # with grad_V, Newton's Jacobian is the Hessian of V: grad_V on the
+        # m perturbed coordinates and q0 itself, in one block call or one
+        # call per state, and its blocks are m-square
+        kep = get_problem("kepler")
+        calls, grad_H = [], []
+
+        def grad_V(q):
+            calls.append(q.copy())
+            return kep.system.grad_V(q)
+
+        system = dataclasses.replace(kep.system, grad_V=grad_V,
+                                     grad_H=grad_H.append,
+                                     vectorized=vectorized)
+        y0 = kep.default_y0
+        plan = integrator._run_plan(HbvmSpec(12, 4), system, NEWTON, "gamma")
+        inverse = integrator._newton_correction(plan, 0.05, y0)
+        assert inverse.shape == (4 * 2, 4 * 2)
+        assert lu_orders == [(2, 2), (2, 2)]
+        assert grad_H == []
+        rows = np.concatenate(calls) if vectorized else np.array(calls)
+        assert [c.shape for c in calls] == ([(3, 2)] if vectorized
+                                            else [(2,)] * 3)
+        assert np.array_equal(rows[-1], y0[:2])
+        # row i moves coordinate i alone, forward
+        steps = rows[:2] - y0[:2]
+        assert np.all(np.diag(steps) > 0)
+        assert np.array_equal(steps, np.diag(np.diag(steps)))
+
 
 class TestSecondOrderFixedPoint:
-    # A marked system (separable H on the canonical J) runs fixed point on
-    # u_p alone, u_q = R 1 p0^T + h M u_p rebuilt from it each iteration;
-    # every other run takes the first-order iteration on the whole u.
+    # A marked system (one with grad_V, on the canonical J) runs fixed point
+    # and Newton on u_p alone, u_q = R 1 p0^T + h M u_p implied by it; every
+    # other run takes the first-order iteration on the whole u.
     STEP = {"kepler": 0.05}
 
     @staticmethod
     def _pair(method, system, y0, h, n_steps, cfg, mode="rk"):
-        """The runs of the system marked separable and unmarked."""
-        return tuple(integrate(method,
-                               dataclasses.replace(system, separable=mark),
-                               y0, h, n_steps, cfg, mode=mode)
-                     for mark in (True, False))
+        """The runs of the system with its grad_V and without."""
+        return tuple(integrate(method, sys, y0, h, n_steps, cfg, mode=mode)
+                     for sys in (system, _unmarked(system)))
 
     @staticmethod
     def _assert_same_bytes(marked, unmarked):
@@ -1047,17 +1203,19 @@ class TestSecondOrderFixedPoint:
             assert getattr(marked, name).tobytes() \
                 == getattr(unmarked, name).tobytes(), name
 
-    def test_plan_reduces_only_a_marked_fixed_point_run(self):
+    def test_plan_reduces_only_a_marked_run(self):
         sext = get_problem("sextic").system
         spec = HbvmSpec(6, 2)
-        plan = integrator._run_plan(spec, sext, SolverConfig(), "rk")
-        m, r1 = plan.second_order
-        # for an HBVM R 1 = e_1: only the constant basis polynomial has a
-        # nonzero mean
-        assert m == 1 and r1.tolist() == [1.0, 0.0]
-        unmarked = dataclasses.replace(sext, separable=False)
-        for system, cfg in ((unmarked, SolverConfig()), (sext, NEWTON)):
-            plan = integrator._run_plan(spec, system, cfg, "rk")
+        for cfg in (SolverConfig(), NEWTON):
+            plan = integrator._run_plan(spec, sext, cfg, "rk")
+            m, r1, neg_R, grad_V = plan.second_order
+            # for an HBVM R 1 = e_1: only the constant basis polynomial has
+            # a nonzero mean
+            assert m == 1 and r1.tolist() == [1.0, 0.0]
+            assert np.array_equal(neg_R, -plan.R)
+            # a vectorized grad_V is called as it is
+            assert grad_V is sext.grad_V
+            plan = integrator._run_plan(spec, _unmarked(sext), cfg, "rk")
             assert plan.second_order is None
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
@@ -1068,14 +1226,18 @@ class TestSecondOrderFixedPoint:
                                             harm.default_y0, 0.1, 50, TIGHT,
                                             mode))
 
+    # Newton on u_p converges to the stages of Newton on the whole u; over
+    # 20 steps the states were measured at most 0.27 tol apart, and are
+    # checked at 10 tol
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     @pytest.mark.parametrize("name", [p.name for p in catalog()])
-    def test_newton_keeps_the_first_order_path(self, name, mode):
+    def test_newton_agrees_with_the_first_order_run(self, name, mode):
         prob = get_problem(name)
         h = self.STEP.get(name, 0.1)
-        self._assert_same_bytes(*self._pair(HbvmSpec(6, 2), prob.system,
-                                            prob.default_y0, h, 20, NEWTON,
-                                            mode))
+        marked, unmarked = self._pair(HbvmSpec(6, 2), prob.system,
+                                      prob.default_y0, h, 20, NEWTON, mode)
+        assert np.max(np.abs(marked.states - unmarked.states)) \
+            <= 10 * NEWTON.tol
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     def test_odd_dimension_keeps_the_first_order_path(self, mode):
@@ -1084,7 +1246,7 @@ class TestSecondOrderFixedPoint:
         system = HamiltonianSystem(
             dim=3, H=lambda y: 0.5 * np.sum(y * y, axis=-1),
             grad_H=lambda y: y.astype(float), J=J, vectorized=True,
-            separable=True)
+            grad_V=lambda q: q)
         self._assert_same_bytes(*self._pair(HbvmSpec(4, 2), system,
                                             np.array([1.0, 0.5, -0.5]), 0.1,
                                             20, SolverConfig(), mode))
@@ -1095,8 +1257,9 @@ class TestSecondOrderFixedPoint:
     def test_full_rank_tableau_agrees_with_the_first_order_run(self, name,
                                                                cfg):
         # the SVD factors of a full-rank A have R 1 != e_1; the q-half
-        # r1 p0^T + h R L u_p is exact for any factors.  Measured over 100
-        # steps: at most 1.3 tol apart; 20 steps are checked at 10 tol
+        # r1 p0^T + h R L u_p is exact for any factors.  Measured: at most
+        # 0.26 tol apart over 20 steps, 6.0 over 100; 20 steps are checked
+        # at 10 tol
         tab = gauss_collocation_tableau(3)
         _, R = tab.low_rank
         assert np.max(np.abs(R.sum(axis=1) - np.eye(3)[0])) > 0.1
@@ -1107,6 +1270,23 @@ class TestSecondOrderFixedPoint:
             <= 10 * cfg.tol
         assert marked.iteration_counts.sum() < unmarked.iteration_counts.sum()
 
+    # the step iterates on gamma_p alone, and gamma_step rebuilds
+    # gamma_q = R 1 p0^T + h M gamma_p: measured at most 0.23 tol from the
+    # whole-u step's gamma, checked at 10 tol, and y1 = y0 + h gamma_1
+    # exactly
+    @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
+    @pytest.mark.parametrize("name", ["sextic", "henon-heiles", "kepler"])
+    def test_gamma_step_returns_the_whole_gamma(self, name, cfg):
+        prob = get_problem(name)
+        spec, y0, h = HbvmSpec(12, 4), prob.default_y0, 0.05
+        y1, state, _ = gamma_step(spec, prob.system, y0, h, cfg)
+        _, ref, _ = gamma_step(spec, _unmarked(prob.system), y0, h, cfg)
+        assert state.gamma.shape == ref.gamma.shape == (4, y0.size)
+        assert np.max(np.abs(state.gamma - ref.gamma)) <= 10 * cfg.tol
+        assert np.max(np.abs(state.stage_values - ref.stage_values)) \
+            <= 10 * cfg.tol
+        assert np.array_equal(y1, y0 + h * state.gamma[0])
+
     def test_rank_zero_tableau_is_unchanged(self):
         # explicit Euler has no unknowns to reduce: equal to the last bit
         sext = get_problem("sextic")
@@ -1116,7 +1296,7 @@ class TestSecondOrderFixedPoint:
                                             SolverConfig()))
 
     # 100 steps at tol 1e-15 over the catalog x 3 specs x both forms:
-    # states measured at most 1.0e-14 apart (4.9e-13 after 500 steps), and
+    # states measured at most 1.6e-14 apart (5.9e-13 after 500 steps), and
     # every run within criterion 7's relative energy drift of 1e-11
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     @pytest.mark.parametrize("spec", [HbvmSpec(6, 2), HbvmSpec(12, 4),
@@ -1134,12 +1314,10 @@ class TestSecondOrderFixedPoint:
         assert marked.iteration_counts.sum() < unmarked.iteration_counts.sum()
 
 
-def _analytic_field_jacobian(name, y):
-    """J grad^2 H = [[0, I], [-grad^2 V, 0]] for a catalog problem, each
-    Hessian of V written out by hand."""
-    m = y.size // 2
-    q = y[:m]
-    hess_V = {
+def _analytic_hessian(name, q):
+    """grad^2 V of a catalog problem at the coordinates q, written out by
+    hand."""
+    return {
         "harmonic": lambda: np.ones((1, 1)),
         "quartic": lambda: np.array([[3.0 * q[0] ** 2]]),
         "sextic": lambda: np.array([[5.0 * q[0] ** 4]]),
@@ -1149,8 +1327,14 @@ def _analytic_field_jacobian(name, y):
         "kepler": lambda: ((np.eye(2) - 3.0 * np.outer(q, q) / (q @ q))
                            / (q @ q) ** 1.5),
     }[name]()
+
+
+def _analytic_field_jacobian(name, y):
+    """J grad^2 H = [[0, I], [-grad^2 V, 0]] for a catalog problem."""
+    m = y.size // 2
     zero = np.zeros((m, m))
-    return np.block([[zero, np.eye(m)], [-hess_V, zero]])
+    return np.block([[zero, np.eye(m)],
+                     [-_analytic_hessian(name, y[:m]), zero]])
 
 
 @pytest.mark.parametrize("name", [p.name for p in catalog()])
@@ -1163,7 +1347,25 @@ def test_field_jacobian_matches_the_analytic_jacobian(name):
     states = [y0] + [y0 + rng.uniform(-0.2, 0.2, y0.size) for _ in range(20)]
     for y in states:
         ref = _analytic_field_jacobian(name, y)
-        err = np.max(np.abs(integrator._field_jacobian(prob.system, y) - ref))
+        err = np.max(np.abs(integrator._field_jacobian(prob.system.f, y)
+                            - ref))
+        assert err <= 1e-6 * max(1.0, np.max(np.abs(ref))), y
+
+
+@pytest.mark.parametrize("name", [p.name for p in catalog()])
+def test_hessian_matches_the_analytic_hessian(name):
+    # the same one-sided difference on grad_V, with the same bound
+    prob = get_problem(name)
+    rng = np.random.default_rng(0)
+    y0 = prob.default_y0
+    m = y0.size // 2
+    states = [y0] + [y0 + rng.uniform(-0.2, 0.2, y0.size) for _ in range(20)]
+    for y in states:
+        ref = _analytic_hessian(name, y[:m])
+        hess = integrator._field_jacobian(prob.system.grad_V, y[:m],
+                                          "grad V")
+        assert hess.shape == (m, m)
+        err = np.max(np.abs(hess - ref))
         assert err <= 1e-6 * max(1.0, np.max(np.abs(ref))), y
 
 
@@ -1549,6 +1751,21 @@ def test_solver_config_validation():
 def test_hamiltonian_system_rejects_bad_structure(dim, J, cause):
     with pytest.raises(ValueError, match=cause):
         HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y, J=J)
+
+
+@pytest.mark.parametrize("grad_V,name", [
+    (True, "bool"), ("grad_V", "str"), (np.zeros(1), "ndarray"),
+], ids=["bool", "str", "array"])
+def test_hamiltonian_system_rejects_a_grad_V_that_is_not_callable(grad_V,
+                                                                  name):
+    with pytest.raises(TypeError, match=rf"^grad_V must be callable or None, "
+                                        rf"got {name}$"):
+        HamiltonianSystem(dim=2, H=lambda y: 0.0, grad_H=lambda y: y,
+                          grad_V=grad_V)
+    harm = get_problem("harmonic").system
+    with pytest.raises(TypeError, match="^grad_V must be callable"):
+        dataclasses.replace(harm, grad_V=grad_V)
+    assert dataclasses.replace(harm, grad_V=None).grad_V is None
 
 
 @pytest.mark.parametrize("dim", [2.0, True, np.float64(4.0), None], ids=repr)

@@ -45,15 +45,28 @@ def test_catalog_names_and_degrees():
 
 
 def test_catalog_declares_separable_canonical_systems():
-    # the declaration that turns on the second-order fixed point: every
-    # catalog H is |p|^2/2 + V(q) on the canonical structure
+    # the declaration that turns on the second-order stage solve: every
+    # catalog H is |p|^2/2 + V(q) on the canonical structure, with grad_V
     for prob in catalog():
         sys = prob.system
-        assert sys.separable
+        assert callable(sys.grad_V)
         assert np.array_equal(sys.J, canonical_symplectic_matrix(sys.dim))
         y = prob.default_y0
         m = sys.dim // 2
         assert np.array_equal(sys.grad_H(y)[m:], y[m:])
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+def test_grad_H_coordinate_half_is_grad_V(name):
+    # grad_H's q-half is grad_V bit for bit, at one state and on a block
+    sys = get_problem(name).system
+    m = sys.dim // 2
+    rng = np.random.default_rng(3)
+    Y = get_problem(name).default_y0 + rng.uniform(-0.2, 0.2, (7, sys.dim))
+    for y in (Y[0], Y):
+        g = sys.grad_V(y[..., :m].copy())
+        assert g.shape == y[..., :m].shape
+        assert sys.grad_H(y)[..., :m].tobytes() == g.tobytes()
 
 
 def test_lookup_normalises_name():
