@@ -19,71 +19,70 @@ the Hessian of V.  A vectorized system answers each with one `grad_H`,
 `grad_V` (or `H`) call, so a step's cost barely grows with k; any other
 system is called one state at a time.
 
-Both forms are one iteration.  A stage matrix factored as A = L R, with L
-(k, r) and R (r, k), turns the stage equations into u = R f(y0 + h L u) for
-the r x 2m unknowns u, with stage states Y = y0 + h L u.  Every method runs
-on `ButcherTableau.low_rank`: an HBVM tableau carries its own factors
-(I_s, P_s^T Omega), so u is the s coefficients gamma and R L = X_s; any
-other tableau takes the thin SVD factors of A, r = k for full rank.  One
-iteration loop (`_iterate`) runs fixed-point iteration or simplified Newton
-on u; they differ only in their correction, and the Newton matrix is
-I - h M (x) Jf with M = R L, r*2m square.  The loop names why it stops:
-non-finite stage values, a residual that grew over 5 consecutive
-iterations (either solver), or max_iter corrections short of tol.
+Both forms are one iteration on one stage map.  A stage matrix factored
+as A = L R, with L (k, r) and R (r, k), turns the stage equations into
+u = R f(y0 + h L u) for the r x 2m unknowns u, with stage states
+Y = y0 + h L u.  Every method runs on `ButcherTableau.low_rank`: an HBVM
+tableau carries its own factors (I_s, P_s^T Omega), so u is the s
+coefficients gamma and M = R L = X_s; any other tableau takes the thin SVD
+factors of A, r = k for full rank.  A system that carries `grad_V`,
+H = |p|^2/2 + V(q), on a J that is exactly `canonical_symplectic_matrix(dim)`
+has f = (p, -grad V), so with m = dim/2 the q-half of u is
+R Y_p = r1 p0^T + h M u_p exactly, with r1 = R 1 (e_1 for an HBVM), for
+any factors of A, and the same equations hold in the r x m unknowns u_p
+alone, with -grad V as the field:
+  u_p = -R grad V(q0 + (h L r1) p0^T + (h L h M) u_p).
+The whole-u fixed point contracts like h, this one like h^2 (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, sec. VIII.6; Brugnano &
+Iavernaro, Line Integral Methods for Conservative Problems, 2016).  So
+every run solves one map,
+  u = RF field(base + h A u),
+with field = f on stage states and RF = R, base = y0, h A = h L on the
+whole u, or field = grad_V on stage coordinates and RF = -R,
+base = q0 + (h L r1) p0^T, h A = h L h M on u_p.  A system without grad_V,
+and any other J, iterates on the whole u.  An iteration is one field call
+on the k stages, the product G = RF F and the change E = G - u, formed once
+and shared by the stopping residual and Newton's correction.  The residual
+is the change in the whole u, or in Y, taken with one operator S on E:
+none (the identity) or L on the whole u, and, as the q-half of a change E
+in u_p is h M E, [I; h M] or [L; L h M] on u_p.  `_lift` rebuilds the
+whole u = (r1 p0^T + h M u_p, u_p) from u_p wherever the whole u is read.
+One iteration loop (`_iterate`) runs fixed-point iteration or simplified
+Newton; they differ only in their correction, and the Newton matrix is
+I - h M (x) Jf, r*2m square, on the whole u, or I + h^2 M^2 (x) grad^2 V,
+r*m square, on u_p, with the Jacobian of the field taken at y0 (q0).  The
+loop names why it stops: non-finite stage values, a residual that grew
+over 5 consecutive iterations (either solver), or max_iter corrections
+short of tol.
 
-An iteration is one f call on the stages y0 + h L u, the product
-G = R f(Y), the change E = G - u, formed once and shared by the stopping
-residual and Newton's correction, and, in the full-stage form, the product
-L E.  For the catalog problems these blocks hold at most 12 x 4 numbers,
-so the interpreter's dispatch costs more than their arithmetic: every
-product on the path (h L u, R F, L E, grad H J^T, the Newton inverse
+For the catalog problems the stage blocks hold at most 12 x 4 numbers, so
+the interpreter's dispatch costs more than their arithmetic: every
+product on the path (h A u, RF F, S E, grad H J^T, the Newton inverse
 times E, the warm-start shift, b^T F) is one `np.dot`, a direct BLAS
 call, and every max-norm is one `np.maximum.reduce(np.abs(x), axis=None)`,
 which skips ndarray.max's Python wrapper.  The latter is the reduction
 `.max()` runs, and on these contiguous float blocks `np.dot` and `@` give
 bit-identical results.
 
-A system that carries `grad_V`, H = |p|^2/2 + V(q), runs both solvers on
-its second-order form when its J is exactly
-`canonical_symplectic_matrix(dim)`.  There f = (p, -grad V), so with
-m = dim/2 the q-half of u = R f(Y) is R Y_p = r1 p0^T + h M u_p exactly,
-with r1 = R 1 (e_1 for an HBVM) and M = R L (X_s for an HBVM), for any
-factors of A.  Only the r x m unknowns u_p are iterated on:
-  u_p = -R grad V(q_base + (h L h M) u_p),  q_base = q0 + (h L r1) p0^T,
-formed once per step.  An iteration is one grad_V call on the fresh k x m
-block of stage coordinates, the product G_p = -R grad V and the change
-E = G_p - u_p; there is no f, no grad_H and no product with J.  The q-half
-of the change is h M E, so the residual is the whole-u one, taken with one
-product by the stacked S = [I; h M] (coefficient form) or [L; L h M]
-(full-stage form).  The full-stage update reads f(Y) = (p0 + h L u_p,
--grad V); the coefficient form's gamma_1 = (r1_1 p0 + (h M u_p)_1,
-(u_p)_1).  The whole-u fixed point contracts like h, this one like h^2
-(Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. VIII.6;
-Brugnano & Iavernaro, Line Integral Methods for Conservative Problems,
-2016).  Newton iterates with the inverse of I + h^2 M^2 (x) grad^2 V,
-r*m square, with grad^2 V the one-sided difference of grad_V at q0.
-Warm starts shift u_p, and `gamma_step` rebuilds the whole gamma.  A
-system without grad_V, and any other J, keeps the whole-u iteration bit
-for bit.
-
 `integrate` builds a step plan once per run, and the plan holds nothing
-that depends on h, so one plan steps at any step size: L, R, M = R L and
-the weights b, which alone tell the forms apart.  With b, the full-stage
-form stops on the change in Y, |h| max |L E|, and updates with
-y0 + h b^T f(Y); with None in its place, the coefficient form stops on the
-change in u and updates with y0 + h gamma_1.  `_steps` forms h L, h M
-and the second-order operators once per run, from its own h (see
-`_step_operators`).  Newton returns its accepted u with the f(Y) (grad V
-on the second-order form) its last iteration evaluated, which the
+that depends on h, so one plan steps at any step size: L, R, M = R L, the
+field, RF and r1 of its stage map (r1 None on the whole u) and the weights
+b, which alone tell the forms apart.  With b, the full-stage form stops on
+the change in Y, |h| max |S E|, and updates with y0 + h b^T f(Y), where
+f(Y) = (p0 + h L u_p, -grad V) on u_p; with None in its place, the
+coefficient form stops on the change in u, max |S E|, and updates with
+y0 + h gamma_1.  `_steps` forms h L, h M, h A, h L r1 and S once per run,
+from its own h (see `_step_operators`).  Newton returns its accepted u
+with the field its last iteration evaluated at the stages, which the
 full-stage update reads; fixed point returns G(u) with None, as no
-iteration evaluated its stages, and only that update then evaluates
-them.  A
-plan runs Newton iff it holds a Newton split.  For an HbvmSpec the plan
-holds the s x s shift S = P_s^T Omega V, with V[l, j] the j-th basis
+iteration evaluated its stages, and only that update then evaluates them.
+A plan runs Newton iff it holds a Newton split.  For an HbvmSpec the plan
+holds the s x s shift P_s^T Omega V, with V[l, j] the j-th basis
 polynomial at 1 + c_l, that starts each step from the previous step's
 polynomial carried one step ahead; it is exact because the nodes
-integrate degree 2s - 1.  The first step starts from u = 0, as does every
-step of a bare ButcherTableau, which carries no polynomial.
+integrate degree 2s - 1, and on u_p it shifts u_p alone.  The first step
+starts from u = 0, as does every step of a bare ButcherTableau, which
+carries no polynomial.
 
 The converged stages do not depend on which matrix Newton iterates with, so
 a run keeps the Jacobian and the factored matrix from one step to the next
@@ -116,8 +115,8 @@ instead left the s = 6 inverse off by ~8e-13, enough to cost some runs an
 extra iteration.  An empty M, or one with cond(V) > 1/sqrt(eps) (a
 defective M: classical RK4, an SDIRK's double eigenvalue), is one whole
 block ([[1]], M), whose term makes the sum the whole matrix's inverse.
-The second-order matrix I - h^2 M^2 (x) K, K = -grad^2 V, splits over the
-same blocks with (h B)(h B) (x) K in place of h B (x) Jf, since
+The second-order matrix I + h^2 M^2 (x) grad^2 V splits over the same
+blocks with -(h B)^2 (x) grad^2 V in place of h B (x) Jf, since
 M^2 = sum P_j lam_j^2: its blocks are m-square.  A non-finite Jacobian,
 a non-finite Newton matrix and an exactly singular block each fail the
 step with a `StageConvergenceError` naming the cause.
@@ -222,6 +221,8 @@ class HamiltonianSystem:
             else np.array(self.J, dtype=float)
         if J.shape != (self.dim, self.dim):
             raise ValueError("J must be dim x dim")
+        # before the skew test, which inf == -(-inf) would pass
+        _check_finite("J", J=J)
         if np.any(J != -J.T):
             raise ValueError("J must be exactly skew-symmetric")
         J.setflags(write=False)
@@ -249,7 +250,8 @@ class SolverConfig:
     max_iter bounds the corrections made before the accepted iterate, for
     both solvers; fixed point counts its accepted iterate's free update G
     as one more iteration, so it may report max_iter + 1.  Newton always
-    takes the one-sided finite-difference Jacobian of f."""
+    takes the one-sided finite-difference Jacobian of the stage map's
+    field: of f, or of grad_V on the second-order form."""
 
     mode: str = "fixed_point"  # or "newton"
     tol: float = 1e-13
@@ -328,8 +330,9 @@ def _field_jacobian(field, y: np.ndarray, name: str = "f") -> np.ndarray:
 
 
 def lu_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b for a block I - h B (x) Jf of the Newton matrix; a non-finite
-    or exactly singular a fails the step.  This pair keeps its LU names
+    """a^-1 b for a block I - h B (x) Jf of the Newton matrix, or
+    I + (h B)^2 (x) grad^2 V on the second-order form; a non-finite or
+    exactly singular a fails the step.  This pair keeps its LU names
     because the benchmark tracer times the Newton layers under them."""
     if not np.isfinite(a).all():
         raise StageConvergenceError("Newton matrix is non-finite",
@@ -441,14 +444,15 @@ def _eigen_split(M: np.ndarray):
 
 @dataclass(frozen=True)
 class _StepPlan:
-    """What every step of a run shares, at any step size h: the stage
-    equations u = R f(y0 + h L u) with M = R L, the full-stage weights b
-    (None: the coefficient form), the r x r shift that carries one step's u
-    to the next step's starting guess (None: each step starts from u = 0),
-    the blocks of `_eigen_split(M)` that Newton sums its inverse over
-    (None: the run is fixed point), and the (m, R 1, -R, grad_V) of the
-    second-order stage equations in u_p, with grad_V called on a block of
-    coordinate states (None: the run iterates on the whole u)."""
+    """What every step of a run shares, at any step size h: the stage map
+    u = RF field(base + h A u) of the module docstring, with M = R L, the
+    field called on a block of stage states (f) or stage coordinates
+    (grad_V), RF = R or -R, and r1 = R 1 on u_p (None: the run iterates on
+    the whole u); the full-stage weights b (None: the coefficient form); the
+    r x r shift that carries one step's u to the next step's starting guess
+    (None: each step starts from u = 0); and the blocks of
+    `_eigen_split(M)` that Newton sums its inverse over (None: the run is
+    fixed point)."""
 
     sys: HamiltonianSystem
     cfg: SolverConfig
@@ -456,9 +460,11 @@ class _StepPlan:
     R: np.ndarray
     M: np.ndarray
     b: np.ndarray | None
+    field: Callable[[np.ndarray], np.ndarray]
+    RF: np.ndarray
+    r1: np.ndarray | None = None
     shift: np.ndarray | None = None
     split: tuple | None = None
-    second_order: tuple | None = None
 
 
 def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
@@ -467,8 +473,7 @@ def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
     a tableau, or of the one an HbvmSpec builds, which adds the s x s shift
     of `legendre._shift_matrix`.  Mode 'rk' keeps b; 'gamma' keeps None in
     its place, which is all that tells the forms apart.  A run of a system
-    with grad_V, on the canonical J, takes the second-order form with
-    either solver."""
+    with grad_V, on the canonical J, iterates on u_p with either solver."""
     shift = None
     if isinstance(method, HbvmSpec):
         quad, _, method = _hbvm_build(method)
@@ -478,56 +483,66 @@ def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
     L, R = method.low_rank
     M = R @ L
     split = _eigen_split(M) if cfg.mode == "newton" else None
-    second_order = None
+    field, RF, r1 = sys.f, R, None
     dim, grad_V = sys.dim, sys.grad_V
     if (grad_V is not None and dim % 2 == 0
             and np.array_equal(sys.J, canonical_symplectic_matrix(dim))):
-        if not sys.vectorized:
-            grad_V = partial(_state_by_state, grad_V)
+        field = grad_V if sys.vectorized \
+            else partial(_state_by_state, grad_V)
         # R 1 as a product: for an HBVM at (6, 2) it is e_1 exactly, where
         # R.sum(axis=1) leaves 2.8e-17 in the second entry
-        second_order = (dim // 2, np.dot(R, np.ones(R.shape[1])), -R,
-                        grad_V)
+        RF, r1 = -R, np.dot(R, np.ones(R.shape[1]))
     b = None if mode == "gamma" else method.b
-    return _StepPlan(sys, cfg, L, R, M, b, shift, split, second_order)
+    return _StepPlan(sys, cfg, L, R, M, b, field, RF, r1, shift, split)
 
 
 def _step_operators(plan: _StepPlan, h: float):
-    """(h L, h M, reduced) for the steps of size h of a plan, formed once
-    per run.  reduced is None for the whole-u iteration; for the
-    second-order one it is (h L h M, h L R 1, S): the stage coordinates are
-    q0 + (h L R 1) p0^T + (h L h M) u_p, and S stacks the residual's
-    operator on both halves of a change E in u_p, whose q-half is h M E:
-    S = [I; h M] in the coefficient form, [L; L h M] in the full-stage
-    one."""
+    """(h L, h M, h A, h L r1, S, scale) for the steps of size h of a plan,
+    formed once per run: the stage map's operator h A is h L on the whole
+    u and h L h M on u_p, whose base adds (h L r1) p0^T (h L r1 is None on
+    the whole u).  The residual is scale * max |S E|, S E the change in u
+    (coefficient form, scale 1) or in the stage states (full-stage form,
+    scale |h|): S is None (the identity) or L on the whole u, and, as the
+    q-half of a change E in u_p is h M E, the stack [I; h M] or
+    [L; L h M] on u_p."""
     hL, hM = h * plan.L, h * plan.M
-    if plan.second_order is None:
-        return hL, hM, None
-    r1 = plan.second_order[1]
-    top = np.eye(r1.size) if plan.b is None else plan.L
-    return hL, hM, (np.dot(hL, hM), np.dot(hL, r1),
-                    np.concatenate((top, np.dot(top, hM))))
+    scale = 1.0 if plan.b is None else abs(h)
+    if plan.r1 is None:
+        S = None if plan.b is None else plan.L
+        return hL, hM, hL, None, S, scale
+    top = np.eye(plan.r1.size) if plan.b is None else plan.L
+    return (hL, hM, np.dot(hL, hM), np.dot(hL, plan.r1),
+            np.concatenate((top, np.dot(top, hM))), scale)
+
+
+def _lift(plan: _StepPlan, hM: np.ndarray, y0, u, rows) -> np.ndarray:
+    """u[rows] of the whole u of a step from y0, rows an index or a slice:
+    u itself, or, from u_p, (r1 p0^T + h M u_p, u_p).  An index takes its
+    row with one vector product hM[rows] u, as the coefficient form's
+    gamma_1 needs: row 0 of the whole np.dot(hM, u) can differ in the last
+    bit."""
+    if plan.r1 is None:
+        return u[rows]
+    return np.concatenate((plan.r1[rows, None] * y0[u.shape[1]:]
+                           + np.dot(hM[rows], u), u[rows]), axis=-1)
 
 
 def _newton_correction(plan: _StepPlan, h: float, y0):
-    """The inverse of the matrix that Newton iterates with, Jacobians taken
-    at y0: on u = R f(y0 + h L u), I - h M (x) Jf with M = R L, as
-    I + sum Re[P (x) (I - h B (x) Jf)^-1 h B (x) Jf]; on the second-order
-    equations in u_p, I + h^2 M^2 (x) grad^2 V, the same sum with
-    (h B)(h B) (x) (-grad^2 V) in place of h B (x) Jf.  The sum runs over
-    the blocks (P, B) of the plan's split, one solve per block."""
-    reduced = plan.second_order is not None
-    if reduced:
-        m, _, _, grad_V = plan.second_order
-        Jf = -_field_jacobian(grad_V, y0[:m], "grad V")
-    else:
-        Jf = _field_jacobian(plan.sys.f, y0)
+    """The inverse of the matrix that Newton iterates with, the Jacobian of
+    the plan's field taken at y0 (at q0 on u_p): I - h M (x) Jf with
+    M = R L on the whole u, I + h^2 M^2 (x) grad^2 V on u_p, as
+    I + sum Re[P (x) (I - C (x) J)^-1 C (x) J] over the blocks (P, B) of
+    the plan's split, one solve per block, with C = h B and J = Jf, or
+    C = -(h B)^2 and J = grad^2 V."""
+    reduced = plan.r1 is not None
+    x = y0[:y0.size // 2] if reduced else y0
+    Jf = _field_jacobian(plan.field, x, "grad V" if reduced else "f")
     # accumulated into a C-contiguous real array: the real part of a
     # complex product is a strided view, slower to multiply with
-    inverse = np.eye(plan.M.shape[0] * Jf.shape[0])
+    inverse = np.eye(plan.M.shape[0] * x.size)
     for P, B in plan.split:
         hB = h * B
-        hJ = np.kron(np.dot(hB, hB) if reduced else hB, Jf)
+        hJ = np.kron(-np.dot(hB, hB) if reduced else hB, Jf)
         inverse += np.kron(P, lu_factor(np.eye(hJ.shape[0]) - hJ, hJ)).real
     return inverse
 
@@ -536,73 +551,52 @@ def _gamma_step_matrices(plan: _StepPlan, h: float, ops, y0, u0, inverse):
     """One step of size h of a plan from y0, iterating on u from u0, with
     ops = `_step_operators(plan, h)`; returns (y1, u, diagnostics).  Newton
     iterates with the given inverse, fixed point when it is None.  u =
-    gamma for an HBVM tableau, in either form; the plan's b picks the
-    form's residual and update, as the module docstring says.  A plan with
-    a second-order form iterates on u_p alone and returns it as u."""
-    L, R, b, dot = plan.L, plan.R, plan.b, np.dot
+    gamma for an HBVM tableau, in either form, and u_p alone on a plan
+    with r1; the plan's b picks the form's residual and update, as the
+    module docstring says."""
+    b, field, RF, dot = plan.b, plan.field, plan.RF, np.dot
     # bound once for the residual, which runs every iteration; ndarray.max
     # would add a Python frame to each call
-    amax, habs = np.maximum.reduce, abs(h)
-    hL, hM, reduced = ops
-    if reduced is None:
-        f = plan.sys.f
+    amax = np.maximum.reduce
+    hL, hM, hA, hLr1, S, scale = ops
+    # the product np.outer forms, without its wrapper's conversions
+    base = y0 if hLr1 is None \
+        else y0[:u0.shape[1]] + hLr1[:, None] * y0[u0.shape[1]:]
 
-        def residual_map(u):
-            F = f(y0 + dot(hL, u))
-            G = dot(R, F)
-            E = G - u
-            if b is None:
-                return G, E, F, float(amax(np.abs(E), axis=None))
-            # |h| max |L E| is max |h L E| exactly: rounding is monotone
-            # and symmetric in sign
-            return G, E, F, habs * float(amax(np.abs(dot(L, E)), axis=None))
-    else:
-        m, r1, neg_R, grad_V = plan.second_order
-        hLhM, hLr1, S = reduced
-        p0 = y0[m:]
-        # the product np.outer forms, without its wrapper's conversions
-        q_base = y0[:m] + hLr1[:, None] * p0
-        scale = 1.0 if b is None else habs
-
-        def residual_map(u):
-            # F = grad V at the stage coordinates; the stage momenta
-            # p0 + h L u_p are formed only by the full-stage update
-            F = grad_V(q_base + dot(hLhM, u))
-            G = dot(neg_R, F)
-            E = G - u
-            return G, E, F, scale * float(amax(np.abs(dot(S, E)), axis=None))
+    def residual_map(u):
+        F = field(base + dot(hA, u))
+        G = dot(RF, F)
+        E = G - u
+        # |h| max |L E| is max |h L E| exactly: rounding is monotone and
+        # symmetric in sign
+        SE = E if S is None else dot(S, E)
+        return G, E, F, scale * float(amax(np.abs(SE), axis=None))
 
     if inverse is None:
         u, F, diag = _fixed_point(residual_map, u0, plan.cfg)
     else:
         u, F, diag = _simplified_newton(residual_map, u0, inverse, plan.cfg)
-    if reduced is None:
-        if b is None:
-            return y0 + h * u[0], u, diag
-        if F is None:
-            F = f(y0 + dot(hL, u))
-        return y0 + h * dot(b, F), u, diag
     if b is None:
-        # gamma_1 = (r1_1 p0 + (h M u_p)_1, (u_p)_1)
-        return (y0 + h * np.concatenate((r1[0] * p0 + dot(hM[0], u), u[0])),
-                u, diag)
+        return y0 + h * _lift(plan, hM, y0, u, 0), u, diag
     if F is None:
-        F = grad_V(q_base + dot(hLhM, u))
+        F = field(base + dot(hA, u))
+    if hLr1 is None:
+        return y0 + h * dot(b, F), u, diag
     # f(Y) = (p0 + h L u_p, -grad V) at the stages
-    return (y0 + h * np.concatenate((dot(b, p0 + dot(hL, u)), -dot(b, F))),
-            u, diag)
+    return (y0 + h * np.concatenate((dot(b, y0[u.shape[1]:] + dot(hL, u)),
+                                     -dot(b, F))), u, diag)
 
 
 def _steps(plan: _StepPlan, h: float, y):
     """The steps of size h of a run from y, without end: yields (y1, u,
     diagnostics, jacobian_count) per step, the count as in
-    `Trajectory.jacobian_counts`, and u only u_p on a second-order plan.
+    `Trajectory.jacobian_counts`, and u only u_p on a plan with r1.
     Each step starts from u = 0, or from the shifted previous u.  A plan
     with a split runs Newton, whose matrix is kept, fresh or retried under
     rules (a)-(c) of the module docstring; one without runs fixed point."""
     newton = plan.split is not None
-    guess = np.zeros((plan.R.shape[0], y.size if plan.second_order is None
-                      else plan.second_order[0]))
+    guess = np.zeros((plan.R.shape[0],
+                      y.size if plan.r1 is None else y.size // 2))
     # rule (a) charges k field evaluations per extra iteration against the
     # n + 1 of a one-sided finite-difference Jacobian on the n columns of u
     k, jacobian_cost = plan.L.shape[0], guess.shape[1] + 1
@@ -654,10 +648,12 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y0,
     Solves the stage states Y_i = y0 + h sum_j A_ij f(Y_j) to the configured
     residual tolerance, then returns (y1, diagnostics) with
     y1 = y0 + h sum_i b_i f(Y_i).  The unknowns are the r rows of
-    u = R f(Y), Y = y0 + h L u, with A = L R from `tab.low_rank`, iterated
-    from u = 0; the residual is the change in Y.  Step sizes are normally
-    positive; the sign is not enforced so that reversibility experiments
-    can step back.  Newton iterates with a fresh matrix built at y0.
+    u = R f(Y), Y = y0 + h L u, with A = L R from `tab.low_rank`, or their
+    momentum half u_p alone on a system with grad_V (see the module
+    docstring), iterated from u = 0; the residual is the change in Y.  Step
+    sizes are normally positive; the sign is not enforced so that
+    reversibility experiments can step back.  Newton iterates with a fresh
+    matrix built at y0.
     """
     _, _, (y1, _, diag, _) = _single_step(tab, sys, y0, h, cfg, "rk")
     return y1, diag
@@ -668,18 +664,15 @@ def gamma_step(spec: HbvmSpec, sys: HamiltonianSystem, y0,
     """One step in the reduced coefficient formulation.
 
     The unknowns are the s coefficient vectors of the derivative expansion
-    of the underlying polynomial, iterated from zero; stages are
-    reconstructed from them through the integral matrix, and the update is
-    y1 = y0 + h * gamma_1 because only the constant basis polynomial has
-    nonzero mean.
+    of the underlying polynomial, iterated from zero (on a system with
+    grad_V, their momentum halves, from which `_lift` rebuilds the whole
+    gamma); stages are reconstructed from them through the integral matrix,
+    and the update is y1 = y0 + h * gamma_1 because only the constant basis
+    polynomial has nonzero mean.
     """
-    plan, y0, (y1, gamma, diag, _) = _single_step(spec, sys, y0, h, cfg,
-                                                  "gamma")
-    if plan.second_order is not None:
-        # the step iterated on gamma_p; gamma_q = R 1 p0^T + h M gamma_p
-        m, r1 = plan.second_order[:2]
-        gamma = np.concatenate((r1[:, None] * y0[m:]
-                                + np.dot(h * plan.M, gamma), gamma), axis=1)
+    plan, y0, (y1, u, diag, _) = _single_step(spec, sys, y0, h, cfg,
+                                              "gamma")
+    gamma = _lift(plan, h * plan.M, y0, u, slice(None))
     return y1, GammaState(gamma, y0 + np.dot(h * plan.L, gamma)), diag
 
 

@@ -1208,15 +1208,17 @@ class TestSecondOrderFixedPoint:
         spec = HbvmSpec(6, 2)
         for cfg in (SolverConfig(), NEWTON):
             plan = integrator._run_plan(spec, sext, cfg, "rk")
-            m, r1, neg_R, grad_V = plan.second_order
+            # the steps iterate on u_p, r x m with m = 1
+            y0 = np.array([1.0, 1.0])
+            assert next(integrator._steps(plan, 0.1, y0))[1].shape == (2, 1)
             # for an HBVM R 1 = e_1: only the constant basis polynomial has
             # a nonzero mean
-            assert m == 1 and r1.tolist() == [1.0, 0.0]
-            assert np.array_equal(neg_R, -plan.R)
+            assert plan.r1.tolist() == [1.0, 0.0]
+            assert np.array_equal(plan.RF, -plan.R)
             # a vectorized grad_V is called as it is
-            assert grad_V is sext.grad_V
+            assert plan.field is sext.grad_V
             plan = integrator._run_plan(spec, _unmarked(sext), cfg, "rk")
-            assert plan.second_order is None
+            assert plan.r1 is None
 
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
     def test_non_canonical_structure_keeps_the_first_order_path(self, mode):
@@ -1747,7 +1749,11 @@ def test_solver_config_validation():
     (2, np.eye(4), "J must be dim x dim"),
     (2, [[0.0, 1.0], [-2.0, 0.0]], "J must be exactly skew-symmetric"),
     (3, None, "state dimension must be even"),
-], ids=["shape", "skew", "odd-dim"])
+    # inf == -(-inf), so an infinite J would pass the skew test
+    (2, [[0.0, np.inf], [-np.inf, 0.0]],
+     r"^J must be finite: J\[0, 1\] = inf, J\[1, 0\] = -inf$"),
+    (2, [[0.0, np.nan], [-1.0, 0.0]], r"^J must be finite: J\[0, 1\] = nan$"),
+], ids=["shape", "skew", "odd-dim", "inf", "nan"])
 def test_hamiltonian_system_rejects_bad_structure(dim, J, cause):
     with pytest.raises(ValueError, match=cause):
         HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y, J=J)
