@@ -65,7 +65,7 @@ which skips ndarray.max's Python wrapper.  The latter is the reduction
 bit-identical results.
 
 `integrate` builds a step plan once per run, and the plan holds nothing
-that depends on h, so one plan steps at any step size: L, R, M = R L, the
+that depends on h, so one plan steps at any step size: L, M = R L, the
 field, RF and r1 of its stage map (r1 None on the whole u) and the weights
 b, which alone tell the forms apart.  With b, the full-stage form stops on
 the change in Y, |h| max |S E|, and updates with y0 + h b^T f(Y), where
@@ -126,7 +126,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -180,28 +179,23 @@ def canonical_symplectic_matrix(dim: int) -> np.ndarray:
     return J
 
 
-def _state_by_state(fn, Y: np.ndarray) -> np.ndarray:
-    """fn at each row of a block, for a system that is not vectorized."""
-    return np.array([fn(y) for y in Y])
-
-
 @dataclass(frozen=True)
 class HamiltonianSystem:
     """Energy function, its gradient, and the structure matrix of the flow.
 
-    poly_degree records the total degree when the energy is polynomial;
-    None marks non-polynomial energies.  vectorized declares that H,
-    grad_H and grad_V act on the last axis of any (..., n) array, so that a
-    block of states costs one call; otherwise they are called one state at
-    a time.  grad_V, when given, declares H = |p|^2/2 + V(q) on states
-    (q, p) and is the gradient of V: it takes a float (..., m) block of
-    coordinates, m = dim/2, returns the gradient at each, and may
-    overwrite its argument.  On the canonical J it lets both solvers
-    iterate on the momentum half of the stage unknowns alone (see the
-    module docstring).  Neither declaration is checked beyond grad_V being
-    callable: a grad_V that is not the gradient of H's potential, or an H
-    that is not separable, converges to the stages of a different system,
-    one whose q-velocity is p and whose force is -grad_V.
+    poly_degree records the total degree when the energy is polynomial; None
+    marks non-polynomial energies.  vectorized declares that H, grad_H and
+    grad_V act on the last axis of any (..., n) array, so that a block of
+    states costs one call; otherwise they are called one state at a time, by
+    `_blockwise` alone for all three.  grad_V, when given, declares
+    H = |p|^2/2 + V(q) on states (q, p) and is the gradient of V: it takes a
+    float (..., m) block of coordinates, m = dim/2, returns the gradient at
+    each, and may overwrite its argument.  On the canonical J it lets both
+    solvers iterate on the momentum half of the stage unknowns alone (see
+    the module docstring).  Neither declaration is checked beyond grad_V
+    being callable: a grad_V that is not the gradient of H's potential, or
+    an H that is not separable, converges to the stages of a different
+    system, one whose q-velocity is p and whose force is -grad_V.
     """
 
     dim: int
@@ -228,20 +222,21 @@ class HamiltonianSystem:
         J.setflags(write=False)
         object.__setattr__(self, "J", J)
 
+    def _blockwise(self, fn):
+        """fn on a whole block: fn itself if vectorized, else per row."""
+        if self.vectorized:
+            return fn
+        return lambda Y: np.array([fn(y) for y in Y])
+
     def f(self, y: np.ndarray) -> np.ndarray:
         """Vector field J grad H at one state or at each row of an (n, dim)
         block, applied as one product with J for every structure matrix."""
-        if self.vectorized or y.ndim == 1:
-            g = self.grad_H(y)
-        else:
-            g = _state_by_state(self.grad_H, y)
+        g = self.grad_H(y) if y.ndim == 1 else self._blockwise(self.grad_H)(y)
         return np.dot(g, self.J.T)
 
     def energies(self, Y: np.ndarray) -> np.ndarray:
         """H at each row of an (n, dim) block of states."""
-        if self.vectorized:
-            return np.asarray(self.H(Y), dtype=float)
-        return np.array([self.H(y) for y in Y], dtype=float)
+        return np.asarray(self._blockwise(self.H)(Y), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -408,7 +403,7 @@ def _simplified_newton(residual_map, U0, inverse, cfg: SolverConfig):
 
 
 def _check_step_size(h: float) -> None:
-    if h == 0.0 or not math.isfinite(h):
+    if isinstance(h, (bool, np.bool_)) or h == 0.0 or not math.isfinite(h):
         raise ValueError(f"step size must be finite and nonzero, got h={h}")
 
 
@@ -452,12 +447,10 @@ class _StepPlan:
     r x r shift that carries one step's u to the next step's starting guess
     (None: each step starts from u = 0); and the blocks of
     `_eigen_split(M)` that Newton sums its inverse over (None: the run is
-    fixed point)."""
+    fixed point).  Of the system it holds the field alone."""
 
-    sys: HamiltonianSystem
     cfg: SolverConfig
     L: np.ndarray
-    R: np.ndarray
     M: np.ndarray
     b: np.ndarray | None
     field: Callable[[np.ndarray], np.ndarray]
@@ -473,7 +466,8 @@ def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
     a tableau, or of the one an HbvmSpec builds, which adds the s x s shift
     of `legendre._shift_matrix`.  Mode 'rk' keeps b; 'gamma' keeps None in
     its place, which is all that tells the forms apart.  A run of a system
-    with grad_V, on the canonical J, iterates on u_p with either solver."""
+    with grad_V, on the canonical J, iterates on u_p with either solver;
+    the system applies any per-state fallback to the field."""
     shift = None
     if isinstance(method, HbvmSpec):
         quad, _, method = _hbvm_build(method)
@@ -487,13 +481,12 @@ def _run_plan(method, sys: HamiltonianSystem, cfg: SolverConfig,
     dim, grad_V = sys.dim, sys.grad_V
     if (grad_V is not None and dim % 2 == 0
             and np.array_equal(sys.J, canonical_symplectic_matrix(dim))):
-        field = grad_V if sys.vectorized \
-            else partial(_state_by_state, grad_V)
+        field = sys._blockwise(grad_V)
         # R 1 as a product: for an HBVM at (6, 2) it is e_1 exactly, where
         # R.sum(axis=1) leaves 2.8e-17 in the second entry
         RF, r1 = -R, np.dot(R, np.ones(R.shape[1]))
     b = None if mode == "gamma" else method.b
-    return _StepPlan(sys, cfg, L, R, M, b, field, RF, r1, shift, split)
+    return _StepPlan(cfg, L, M, b, field, RF, r1, shift, split)
 
 
 def _step_operators(plan: _StepPlan, h: float):
@@ -595,7 +588,7 @@ def _steps(plan: _StepPlan, h: float, y):
     with a split runs Newton, whose matrix is kept, fresh or retried under
     rules (a)-(c) of the module docstring; one without runs fixed point."""
     newton = plan.split is not None
-    guess = np.zeros((plan.R.shape[0],
+    guess = np.zeros((plan.M.shape[0],
                       y.size if plan.r1 is None else y.size // 2))
     # rule (a) charges k field evaluations per extra iteration against the
     # n + 1 of a one-sided finite-difference Jacobian on the n columns of u

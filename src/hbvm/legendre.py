@@ -80,9 +80,10 @@ def _check_basis_count(n) -> None:
 
 
 def _check_positive(value: float, name: str, what: str | None = None) -> None:
-    """ValueError unless value is finite and positive; what (default name)
-    names it."""
-    if not (value > 0 and math.isfinite(value)):
+    """ValueError unless value is finite and positive and not a bool; what
+    (default name) names it."""
+    if isinstance(value, (bool, np.bool_)) \
+            or not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{what or name} must be finite and positive, "
                          f"got {name}={value}")
 

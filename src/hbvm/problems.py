@@ -107,10 +107,9 @@ def _power(name: str, nu: int, y0,
                       poly_degree=nu, reference=reference)
 
 
-def _rotation(t: float, q0: float = 1.0, p0: float = 0.0) -> np.ndarray:
-    """Harmonic state at t from (q0, p0) at t = 0: a rotation."""
-    return np.array([q0 * math.cos(t) + p0 * math.sin(t),
-                     -q0 * math.sin(t) + p0 * math.cos(t)])
+def _rotation(t: float) -> np.ndarray:
+    """Harmonic state at t from (1, 0) at t = 0: a rotation."""
+    return np.array([math.cos(t), -math.sin(t)])
 
 
 def _pendulum() -> ProblemSpec:

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import (AbscissaeSystem, NodeFamily, _check_integers,
-                       _check_positive, _check_seed, _random_nodes)
+from .legendre import (AbscissaeSystem, NodeFamily, _check_finite,
+                       _check_integers, _check_positive, _check_seed,
+                       _random_nodes)
 from .tableau import (
     ButcherTableau,
     HbvmSpec,
@@ -76,6 +77,7 @@ def eigenvalues(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("matrix must be square")
+    _check_finite("matrix", M=M)
     return np.sort_complex(np.linalg.eigvals(M))
 
 

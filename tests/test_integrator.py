@@ -727,8 +727,9 @@ class TestWarmStart:
         series, _ = _legendre_series(gamma)
         tau = abscissae(spec).tau
         plan = self._plan(spec, "rk")
-        u = plan.R @ series(2 * tau - 1)
-        ahead = plan.R @ series(2 * tau + 1)
+        _, R = hbvm_tableau(spec).low_rank
+        u = R @ series(2 * tau - 1)
+        ahead = R @ series(2 * tau + 1)
         assert plan.shift.shape == (spec.s, spec.s)
         # u holds the coefficients gamma, on the scale of f, so the bound
         # is relative to it
@@ -740,13 +741,14 @@ class TestWarmStart:
         # both forms iterate on gamma with the spec's own factors; only the
         # weights b differ, None in the coefficient form
         rk, gamma = self._plan(spec, "rk"), self._plan(spec, "gamma")
-        for name in ("L", "R", "M", "shift"):
+        for name in ("L", "RF", "M", "shift"):
             a, b = getattr(rk, name), getattr(gamma, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert gamma.b is None
         assert rk.b.tobytes() == hbvm_tableau(spec).b.tobytes()
         bm = basis_matrices(abscissae(spec), spec.s)
-        assert rk.R.tobytes() == (bm.P_s.T @ bm.Omega).tobytes()
+        # kepler carries grad_V, so the map on u_p takes RF = -R
+        assert rk.RF.tobytes() == (-(bm.P_s.T @ bm.Omega)).tobytes()
 
     @pytest.mark.parametrize("cfg", [TIGHT, NEWTON], ids=["fixed", "newton"])
     @pytest.mark.parametrize("mode", ["rk", "gamma"])
@@ -1214,7 +1216,8 @@ class TestSecondOrderFixedPoint:
             # for an HBVM R 1 = e_1: only the constant basis polynomial has
             # a nonzero mean
             assert plan.r1.tolist() == [1.0, 0.0]
-            assert np.array_equal(plan.RF, -plan.R)
+            _, R = hbvm_tableau(spec).low_rank
+            assert np.array_equal(plan.RF, -R)
             # a vectorized grad_V is called as it is
             assert plan.field is sext.grad_V
             plan = integrator._run_plan(spec, _unmarked(sext), cfg, "rk")
@@ -1507,7 +1510,7 @@ class TestIntegrate:
         with pytest.raises(StageConvergenceError, match="step 1"):
             integrate(HbvmSpec(6, 2), kep.system, kep.default_y0, 1.0, 3)
 
-    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, True, np.True_])
     def test_rejects_non_finite_step_size(self, h):
         harm = get_problem("harmonic")
         spec = HbvmSpec(2, 1)
@@ -1795,7 +1798,7 @@ def test_state_dimension_must_be_at_least_2(dim):
         HamiltonianSystem(dim=dim, H=lambda y: 0.0, grad_H=lambda y: y)
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-13])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-13, True])
 def test_solver_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         SolverConfig(tol=tol)

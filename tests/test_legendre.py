@@ -272,7 +272,7 @@ class TestExactnessDegree:
         sys = custom_system([1 / 3])
         assert exactness_degree(sys, 1e-11) == 0
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, math.inf, True])
     def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
         # a NaN tol once passed every moment: 8 for a rule exact through 5
         with pytest.raises(ValueError, match=r"^tol must be finite and "

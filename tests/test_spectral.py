@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -124,6 +125,18 @@ class TestEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigenvalues(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_matrix_naming_the_entry(self, bad):
+        M = np.eye(2)
+        M[1, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix must be finite: M[1, 0] = {bad}")):
+            eigenvalues(M)
+        stack = np.stack([np.eye(2), M])
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix must be finite: M[1, 1, 0] = {bad}")):
+            eigenvalues(stack)
 
     @pytest.mark.parametrize("shape", [(3,), (4, 2, 3), (2, 3, 3, 4)])
     def test_rejects_a_stack_of_non_square_matrices(self, shape):
@@ -621,7 +634,7 @@ class TestVerifyRecord:
 
 
 class TestToleranceIsChecked:
-    BAD = [float("nan"), float("inf"), 0.0, -1.0]
+    BAD = [float("nan"), float("inf"), 0.0, -1.0, True]
 
     @pytest.mark.parametrize("tol", BAD)
     def test_verification_sweep(self, tol):
